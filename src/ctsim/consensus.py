@@ -15,7 +15,6 @@ prefix * 10^12 < d_csp_fp * 2^k, making verdicts identical on every node.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import crypto
 from .crypto import KeyPair, sha256
@@ -26,7 +25,6 @@ from .trust import BOOTSTRAP_TRUST
 __all__ = [
     "ConsensusParams",
     "CspConsensusState",
-    "prefix_value",
     "candidate_prf",
     "csp_difficulty",
     "elapsed_intervals",
@@ -64,12 +62,8 @@ class CspConsensusState:
     prf_old: bytes
 
 
-def prefix_value(prf: bytes, k_bits: int) -> Fraction:
-    """First k bits of the digest as an exact value in [0, 1)."""
-    return Fraction(_prefix_int(prf, k_bits), 1 << k_bits)
-
-
 def _prefix_int(prf: bytes, k_bits: int) -> int:
+    """First k bits of the digest as an integer in [0, 2^k)."""
     return int.from_bytes(prf[:k_bits // 8], "big")
 
 
@@ -185,13 +179,6 @@ def resolve(chains: list[Chain]) -> Chain:
     best = max((c.height, c.cum_trust[-1]) for c in chains)
     winners = [c for c in chains if (c.height, c.cum_trust[-1]) == best]
     return min(winners, key=lambda c: c.tip.h_blk)
-
-
-def resolve_key(chain: Chain) -> tuple[int, int, bytes]:
-    """Sort key under which resolve()'s winner is the maximum."""
-    tip = chain.tip.h_blk
-    return (chain.height, chain.cum_trust[-1],
-            bytes(255 - b for b in tip))
 
 
 def consensus_trust(trust_state, address: bytes, overrides=None) -> int:

@@ -20,11 +20,9 @@ from functools import lru_cache
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from ._ecbackend import BACKEND, add_points, is_on_curve, scalar_base_mult, shamir_mult, scalar_mult
-from ._ecpure import GX, GY, N, P
+from ._ecbackend import N, P, scalar_base_mult, scalar_mult, shamir_mult
 
 __all__ = [
-    "BACKEND",
     "KeyPair",
     "Ciphertext",
     "DetRng",

@@ -521,7 +521,7 @@ def check_genesis_shape(blk: Block) -> str | None:
         return "BAD_TX_ROOT"
     if h.prf != genesis_prf(h):
         return "PRF_MISMATCH"
-    if not all(tx.kind == TxKind.REGISTER for tx in blk.txs):
+    if not blk.txs or not all(tx.kind == TxKind.REGISTER for tx in blk.txs):
         return "BAD_ENCODING"
     return None
 
@@ -549,7 +549,11 @@ class GenRecord:
 
 
 class Chain:
-    """A node's canonical replica: block list plus uniqueness indices."""
+    """A node's canonical replica: block list plus uniqueness indices.
+
+    Genesis registrations pass the same per-transaction validation as any
+    later block's transactions; LedgerError carries the first failure.
+    """
 
     def __init__(self, genesis: Block):
         bad = check_genesis_shape(genesis)
@@ -563,6 +567,7 @@ class Chain:
         self.registered: dict[bytes, RegInfo] = {}
         self.gen_records: dict[bytes, GenRecord] = {}
         self.cum_trust: list[int] = []
+        self._validate_txs(genesis)
         self._append(genesis, 0)
 
     # -- views ------------------------------------------------------------
@@ -723,6 +728,12 @@ class Chain:
                               f"height {blk.height} onto {self.height}")
         if blk.header.tx_root != compute_tx_root(blk.txs):
             raise LedgerError("BAD_TX_ROOT", f"height {blk.height}")
+        self._validate_txs(blk)
+        self._append(blk, generator_trust)
+
+    def _validate_txs(self, blk: Block) -> None:
+        """Check blk's txs in order, each against the chain plus the ones
+        before it in blk; LedgerError naming the first rejected tx."""
         stage = _Stage()
         for tx in blk.txs:
             reason = self.validate_tx(tx, stage)
@@ -730,7 +741,6 @@ class Chain:
                 raise LedgerError(reason, f"tx {tx.txid.hex()[:16]}",
                                   txid=tx.txid)
             stage.absorb(tx, blk.height)
-        self._append(blk, generator_trust)
 
     def _append(self, blk: Block, generator_trust: int) -> None:
         height = blk.height
@@ -778,11 +788,6 @@ class _Stage:
             self.feedback.add((fb.token_id, fb.rater))
         else:
             self.registered.add(tx.sender)
-
-
-def validate_transaction(tx: Transaction, chain: Chain) -> tuple[bool, str | None]:
-    reason = chain.validate_tx(tx)
-    return reason is None, reason
 
 
 # ===========================================================================

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from . import consensus, crypto, ledger, trust
 from .consensus import ConsensusParams
-from .fixedpoint import ONE
-from .ledger import Block, Chain, LedgerError, TxKind
+from .ledger import Block, Chain, LedgerError
 
 
 class VerifyFailure(Exception):
@@ -37,48 +36,20 @@ def params_from_genesis(genesis: Block) -> ConsensusParams:
                            slot_ms=slot_ms, time_cap_intervals=time_cap)
 
 
-def validate_genesis(genesis: Block) -> None:
-    """Full strictness for height 0, including its registration txs."""
-    bad = ledger.check_genesis_shape(genesis)
-    if bad:
-        raise VerifyFailure(0, None, bad)
-    try:
-        params_from_genesis(genesis)
-    except (LedgerError, ValueError):
-        raise VerifyFailure(0, None, "BAD_SIGNATURE") from None
-    probe = Chain(genesis)  # replays the index updates
-    seen: set[bytes] = set()
-    for tx in genesis.txs:
-        if crypto.sha256(ledger.canonical_serialize(tx)) != tx.txid:
-            raise VerifyFailure(0, tx.txid, "BAD_TXID")
-        if not crypto.verify(tx.sender_pub, tx.txid, tx.sig):
-            raise VerifyFailure(0, tx.txid, "BAD_SIGNATURE")
-        if tx.sender in seen:
-            raise VerifyFailure(0, tx.txid, "DUPLICATE_CSP")
-        seen.add(tx.sender)
-        try:
-            reg = ledger.parse_register(tx.payload)
-        except LedgerError as exc:
-            raise VerifyFailure(0, tx.txid, exc.reason) from None
-        if not (0 <= reg.weight_sat <= ONE and 0 <= reg.weight_auth <= ONE):
-            raise VerifyFailure(0, tx.txid, "WEIGHT_RANGE")
-        if reg.weight_sat == 0 and reg.weight_auth == 0:
-            raise VerifyFailure(0, tx.txid, "WEIGHT_ZERO")
-        if not 0 <= reg.stake <= ONE:
-            raise VerifyFailure(0, tx.txid, "STAKE_RANGE")
-    if not probe.registered:
-        raise VerifyFailure(0, None, "BAD_ENCODING")
-
-
 class Replica:
     """Chain + trust state for one branch, advanced by full validation."""
 
     def __init__(self, genesis: Block, params: ConsensusParams | None = None,
                  overrides: dict[bytes, int] | None = None):
-        validate_genesis(genesis)
-        self.params = params or params_from_genesis(genesis)
+        try:
+            self.chain = Chain(genesis)
+            genesis_params = params_from_genesis(genesis)
+        except LedgerError as exc:
+            raise VerifyFailure(0, exc.txid, exc.reason) from None
+        except ValueError:  # parameters out of ConsensusParams' range
+            raise VerifyFailure(0, None, "BAD_SIGNATURE") from None
+        self.params = params or genesis_params
         self.overrides = overrides or {}
-        self.chain = Chain(genesis)
         self.trust = trust.TrustState()
         self.last_reject_txid: bytes | None = None
         trust.fold_block(self.trust, genesis)

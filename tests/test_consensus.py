@@ -1,7 +1,6 @@
 """Eligibility lottery, block validation order, fork choice, calibration."""
 
 from dataclasses import replace
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -9,10 +8,10 @@ import pytest
 from ctsim.crypto import DetRng, generate_keypair, sha256
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.consensus import (
-    ConsensusParams, CspConsensusState, calibrate_base_target, candidate_prf,
-    check_eligibility, consensus_state_at, consensus_trust, csp_difficulty,
-    elapsed_intervals, generate_block, prefix_value, resolve, resolve_key,
-    seal_block, validate_block,
+    ConsensusParams, CspConsensusState, _prefix_int, calibrate_base_target,
+    candidate_prf, check_eligibility, consensus_state_at, consensus_trust,
+    csp_difficulty, elapsed_intervals, generate_block, resolve, seal_block,
+    validate_block,
 )
 from ctsim.ledger import (
     Block, BlockHeader, Chain, RegisterData, build_register_tx,
@@ -66,11 +65,11 @@ def sealed_block(chain: Chain, key, params) -> Block:
 # ---------------------------------------------------------------------------
 
 def test_prefix_value_edges():
-    assert prefix_value(b"\x00" * 32, 64) == 0
-    assert prefix_value(b"\x80" + b"\x00" * 31, 64) == Fraction(1, 2)
-    assert prefix_value(b"\xff" * 32, 64) == 1 - Fraction(1, 2 ** 64)
-    assert prefix_value(b"\xff" * 32, 128) == 1 - Fraction(1, 2 ** 128)
-    assert 0 <= prefix_value(sha256(b"x"), 64) < 1
+    assert _prefix_int(b"\x00" * 32, 64) == 0
+    assert _prefix_int(b"\x80" + b"\x00" * 31, 64) == 2 ** 63
+    assert _prefix_int(b"\xff" * 32, 64) == 2 ** 64 - 1
+    assert _prefix_int(b"\xff" * 32, 128) == 2 ** 128 - 1
+    assert 0 <= _prefix_int(sha256(b"x"), 64) < 2 ** 64
 
 
 def test_candidate_prf_is_hash_chained():
@@ -243,15 +242,6 @@ def test_resolve_total_order():
 
     with pytest.raises(ValueError):
         resolve([])
-
-
-def test_resolve_key_agrees_with_resolve():
-    chains = [_tipns(2, fp("0.5"), b"\x10" * 32),
-              _tipns(3, fp("0.2"), b"\x20" * 32),
-              _tipns(3, fp("0.2"), b"\x30" * 32),
-              _tipns(3, fp("0.7"), b"\x40" * 32)]
-    want = resolve(chains)
-    assert max(chains, key=resolve_key) is want
 
 
 # ---------------------------------------------------------------------------

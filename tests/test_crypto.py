@@ -15,8 +15,8 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     Prehashed, decode_dss_signature, encode_dss_signature,
 )
 
-from ctsim import crypto
-from ctsim._ecpure import GX, GY, N, P
+from ctsim import _ecbackend, crypto
+from ctsim._ecbackend import GX, GY, N, P
 from ctsim.crypto import (
     CryptoError, DecryptError, DetRng, KeyPair, address_of, compress_point,
     decompress_point, decrypt, derive_child_key, encrypt_for,
@@ -92,7 +92,9 @@ def test_keypair_out_of_range_seeds_rehash():
     for seed in (b"\x00" * 32, b"\xff" * 32, N.to_bytes(32, "big")):
         kp = generate_keypair(seed)
         assert 1 <= kp.private_key < N
-        assert crypto.is_on_curve(*kp.public_key)
+        # OpenSSL refuses to build a public key from a point off the curve
+        x, y = kp.public_key
+        ec.EllipticCurvePublicNumbers(x, y, ec.SECP256K1()).public_key()
 
 
 def test_keypair_seed_length_enforced():
@@ -149,6 +151,93 @@ def test_child_key_derivation():
         sha256(parent.pub_bytes + (0).to_bytes(4, "big")), "big")) % N
     assert c0.private_key == expected
     assert c0.public_key == crypto.scalar_base_mult(c0.private_key)
+
+
+# ---------------------------------------------------------------------------
+# Curve kernel
+# ---------------------------------------------------------------------------
+
+EDGE_SCALARS = [1, 2, 3, 7, 2**64, 2**128, 2**255,
+                N - 2, N - 1, N + 1, N + 2**130]
+
+
+def _random_scalars(count, label):
+    rng = DetRng(90210, label)
+    return [rng.randbelow(N - 1) + 1 for _ in range(count)]
+
+
+def _openssl_point(k: int) -> tuple[int, int]:
+    nums = _openssl_priv(k % N).public_key().public_numbers()
+    return nums.x, nums.y
+
+
+def test_base_mult_matches_openssl():
+    for k in EDGE_SCALARS + _random_scalars(16, b"base"):
+        assert _ecbackend.scalar_base_mult(k) == _openssl_point(k), k
+
+
+def test_zero_and_order_scalars_hit_infinity():
+    for k in (0, N):
+        assert _ecbackend.scalar_base_mult(k) is None
+        assert _ecbackend.scalar_mult(k, GX, GY) is None
+
+
+def test_scalar_mult_of_generator_equals_base_mult():
+    for k in EDGE_SCALARS + _random_scalars(8, b"point"):
+        assert (_ecbackend.scalar_mult(k, GX, GY)
+                == _ecbackend.scalar_base_mult(k))
+
+
+def test_shamir_equals_combined_scalar():
+    # u1*G + u2*(q*G) == (u1 + u2*q)*G
+    rng = DetRng(31337, b"shamir")
+    for _ in range(8):
+        u1, u2 = rng.randbelow(N), rng.randbelow(N)
+        q = rng.randbelow(N - 1) + 1
+        qx, qy = _ecbackend.scalar_base_mult(q)
+        assert (_ecbackend.shamir_mult(u1, u2, qx, qy)
+                == _ecbackend.scalar_base_mult((u1 + u2 * q) % N))
+
+
+def test_shamir_degenerate_sum():
+    # u1*G + u2*Q where Q = -G and u1 == u2: every double-add cancels
+    assert _ecbackend.shamir_mult(5, 5, GX, P - GY) is None
+    assert _ecbackend.shamir_mult(0, 0, GX, P - GY) is None
+
+
+def test_crypto_reaches_kernel_through_module_globals(monkeypatch):
+    # Layer tracing wraps the kernel functions wherever a ctsim module binds
+    # them, so crypto must call them through its own globals.
+    assert _ecbackend.BACKEND == "pure"
+    kernel = ("scalar_base_mult", "scalar_mult", "shamir_mult")
+    calls = dict.fromkeys(kernel, 0)
+    for name in kernel:
+        original = getattr(_ecbackend, name)
+        assert getattr(crypto, name) is original
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(crypto, name, counted)
+
+    def delta(fn, *args):
+        before = dict(calls)
+        out = fn(*args)
+        return out, {k: calls[k] - before[k] for k in kernel}
+
+    kp = generate_keypair(DetRng(61).take(32))
+    digest = sha256(b"kernel reach")
+    sig, used = delta(sign, kp, digest)
+    assert used == {"scalar_base_mult": 1, "scalar_mult": 0, "shamir_mult": 0}
+    crypto._verify_cached.cache_clear()  # verify memoizes; count a miss
+    ok, used = delta(verify, kp.pub_bytes, digest, sig)
+    assert ok and used == {"scalar_base_mult": 0, "scalar_mult": 0,
+                           "shamir_mult": 1}
+    ct, used = delta(encrypt_for, kp.pub_bytes, b"profile", DetRng(62))
+    assert used == {"scalar_base_mult": 1, "scalar_mult": 1, "shamir_mult": 0}
+    plain, used = delta(decrypt, kp.private_key, ct)
+    assert plain == b"profile"
+    assert used == {"scalar_base_mult": 0, "scalar_mult": 1, "shamir_mult": 0}
 
 
 # ---------------------------------------------------------------------------

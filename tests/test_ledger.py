@@ -19,6 +19,7 @@ from ctsim.ledger import (
     make_transaction, read_ledger, ser_block, ser_feedback, ser_register,
     ser_token, tx_from_wire, tx_to_wire, unpack_genesis_pub, write_ledger,
 )
+from ctsim.replica import VerifyFailure, replay_blocks
 
 HOME = generate_keypair(DetRng(601, b"home").take(32))
 FOREIGN = generate_keypair(DetRng(601, b"foreign").take(32))
@@ -156,6 +157,47 @@ def test_genesis_tampering_detected():
         assert check_genesis_shape(bad) == reason
     with pytest.raises(LedgerError):
         Chain(cases[0][0])
+
+
+def _genesis_failure(txs) -> VerifyFailure:
+    with pytest.raises(VerifyFailure) as caught:
+        replay_blocks([make_genesis(txs, fp_from("0.2"))])
+    assert caught.value.height == 0
+    return caught.value
+
+
+def test_genesis_registration_carrying_token_parts_fails_verify():
+    # the rule validate_tx applies in every later block holds at height 0
+    payload = ser_register(RegisterData(ONE, ONE, ONE))
+    with_output = make_transaction(
+        TxKind.REGISTER, (),
+        (TxOutput(0, ZERO_DIGEST, make_token(), FOREIGN.address),),
+        ZERO_DIGEST, payload, OUTSIDER)
+    with_input = make_transaction(TxKind.REGISTER, make_token_tx().inputs, (),
+                                  ZERO_DIGEST, payload, OUTSIDER)
+    for bad in (with_output, with_input):
+        err = _genesis_failure([_reg(HOME), bad])
+        assert (err.txid, err.reason) == (bad.txid, "BAD_ENCODING")
+
+
+def test_genesis_registrations_get_block_tx_reasons():
+    empty = make_genesis([], fp_from("0.2"))
+    assert check_genesis_shape(empty) == "BAD_ENCODING"
+    twin = _reg(HOME)
+    err = _genesis_failure([_reg(HOME), twin])
+    assert (err.txid, err.reason) == (twin.txid, "DUPLICATE_TX")
+    garbled = make_transaction(TxKind.REGISTER, (), (), b"\x01" * 32,
+                               b"junk", HOME)
+    err = _genesis_failure([_reg(HOME), garbled])
+    assert (err.txid, err.reason) == (garbled.txid, "BAD_ENCODING")
+    again = build_register_tx(
+        HOME, RegisterData(fp_from("0.5"), fp_from("0.5"), fp_from("0.5")),
+        prev_tx=b"\x01" * 32)
+    err = _genesis_failure([_reg(HOME), again])
+    assert (err.txid, err.reason) == (again.txid, "DUPLICATE_CSP")
+    idle = build_register_tx(OUTSIDER, RegisterData(0, 0, ONE))
+    err = _genesis_failure([idle])
+    assert (err.txid, err.reason) == (idle.txid, "WEIGHT_ZERO")
 
 
 def test_genesis_params_reject_nonsense():
