@@ -305,7 +305,8 @@ def tx_from_wire(data: bytes) -> Transaction:
     tx = Transaction(kind, inputs, outputs, prev_tx, payload, sender_pub,
                      txid, sig)
     # cheap sanity: recompute of the id is the validator's job, framing is ours
-    assert data[body_start:body_end] == canonical_serialize(tx)
+    if data[body_start:body_end] != canonical_serialize(tx):
+        raise LedgerError("BAD_ENCODING", "non-canonical transaction body")
     return tx
 
 

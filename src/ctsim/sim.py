@@ -164,7 +164,8 @@ class Node:
         cand = Block(header, txs)
         sealed = consensus.generate_block(cand, world.params, self.key,
                                           state, trust)
-        assert sealed is not None   # eligibility was just checked
+        if sealed is None:  # eligibility was just checked
+            raise RuntimeError(f"{self.name}: eligible but no block sealed")
         blk = consensus.seal_block(cand, *sealed)
         world.log_event("block_generated", node=self.name, height=blk.height,
                         h_blk=blk.h_blk.hex(), ntx=len(txs))
@@ -178,7 +179,8 @@ class Node:
             return
 
         reason = self.replica.apply(blk)
-        assert reason is None, f"own block rejected: {reason}"
+        if reason is not None:
+            raise RuntimeError(f"{self.name}: own block rejected: {reason}")
         self._evict_included()
         world.log_event("block_accepted", node=self.name, height=blk.height,
                         h_blk=blk.h_blk.hex(), generator=self.name)
@@ -418,7 +420,8 @@ class World:
     # --- scheduling and connectivity --------------------------------------
 
     def schedule(self, at: int, kind: str, data: tuple) -> None:
-        assert at >= self.now, "cannot schedule into the past"
+        if at < self.now:
+            raise ValueError(f"cannot schedule into the past: {at} < {self.now}")
         heapq.heappush(self._queue, (at, self._seq, kind, data))
         self._seq += 1
 

@@ -205,6 +205,86 @@ def test_shamir_degenerate_sum():
     assert _ecbackend.shamir_mult(0, 0, GX, P - GY) is None
 
 
+LAMBDA = _ecbackend._LAMBDA
+# scalars at the seams of the GLV split: the eigenvalue itself, its
+# neighbours and its negation, and powers of two around the 128-bit halves
+GLV_SCALARS = [0, 1, 2, N - 1, LAMBDA, LAMBDA - 1, LAMBDA + 1, N - LAMBDA,
+               2**127, 2**128 - 1, 2**128, 2**128 + 1, 2**129, N // 2]
+
+
+def _openssl_or_none(k: int):
+    return None if k % N == 0 else _openssl_point(k)
+
+
+def test_comb_table_rows_match_openssl():
+    table, row = _ecbackend._COMB, _ecbackend._COMB_ROW
+    assert len(table) == 64 * row
+    for i in (0, 1, 2, 31, 62, 63):
+        assert table[i * row] is None
+        for d in (1, 2, 7, 15):
+            assert table[i * row + d] == _openssl_point(d * 16**i), (i, d)
+
+
+def test_glv_endomorphism_and_split():
+    # lambda * (x, y) == (beta * x, y), checked on G against OpenSSL
+    assert _openssl_point(LAMBDA) == ((_ecbackend._BETA * GX) % P, GY)
+    for k in GLV_SCALARS + _random_scalars(32, b"glv"):
+        k1, k2 = _ecbackend._glv_split(k)
+        assert (k1 + k2 * LAMBDA - k) % N == 0, k
+        assert abs(k1) < 2**129 and abs(k2) < 2**129, k
+
+
+def test_wnaf_digits_are_sparse_odd_and_rebuild_k():
+    for k in GLV_SCALARS + [2**129 - 1, 0xABCDEF] + _random_scalars(16, b"naf"):
+        digits = _ecbackend._wnaf(k)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        nonzero = [i for i, d in enumerate(digits) if d]
+        for i in nonzero:
+            assert digits[i] % 2 == 1 and abs(digits[i]) < 16, (k, i)
+        # width 5: at least four zeros between two nonzero digits
+        assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:])), k
+
+
+def test_batch_inversion_matches_single_inversions():
+    jac, pt = [], (GX, GY, 1)
+    for _ in range(12):
+        pt = _ecbackend._jac_add_affine(_ecbackend._jac_double(pt), GX, GY)
+        jac.append(pt)
+    assert (_ecbackend._batch_to_affine(jac)
+            == [_ecbackend._to_affine(p) for p in jac])
+    assert _ecbackend._batch_to_affine(jac[:1]) == [_ecbackend._to_affine(jac[0])]
+
+
+def test_scalar_mult_on_glv_seams_matches_openssl():
+    q = _random_scalars(1, b"seam-q")[0]
+    qx, qy = _openssl_point(q)
+    for k in GLV_SCALARS:
+        assert _ecbackend.scalar_mult(k, qx, qy) == _openssl_or_none(k * q), k
+        assert _ecbackend.scalar_base_mult(k) == _openssl_or_none(k), k
+
+
+def test_shamir_cancellation_and_doubling_cases():
+    q = _random_scalars(1, b"shamir-q")[0]
+    qx, qy = _openssl_point(q)
+    for u in GLV_SCALARS[1:] + _random_scalars(4, b"shamir-u"):
+        v = _random_scalars(1, u.to_bytes(32, "big"))[0]
+        cases = [
+            ((u, v, GX, GY), u + v),                  # Q == G
+            ((u, v, GX, P - GY), u - v),              # Q == -G
+            ((v * q, v, qx, qy), 2 * v * q),          # u1*G == u2*Q
+            ((-v * q, v, qx, qy), 0),                 # u1*G == -u2*Q
+            ((0, u, qx, qy), u * q),
+            ((u, 0, qx, qy), u),
+        ]
+        for args, k in cases:
+            assert _ecbackend.shamir_mult(*args) == _openssl_or_none(k), args
+    # one comb window each: the comb's addition meets the ladder's result
+    # itself (a doubling) or its negation (infinity)
+    for k in (1, 7, 15 * 16**63):
+        assert _ecbackend.shamir_mult(k, k, GX, GY) == _openssl_point(2 * k)
+        assert _ecbackend.shamir_mult(k, k, GX, P - GY) is None
+
+
 def test_crypto_reaches_kernel_through_module_globals(monkeypatch):
     # Layer tracing wraps the kernel functions wherever a ctsim module binds
     # them, so crypto must call them through its own globals.

@@ -8,14 +8,17 @@ checks get their own tests elsewhere.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctsim import ledger
 from ctsim.crypto import DetRng, ZERO_DIGEST, generate_keypair, resource_address
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
     AccessToken, Block, BlockHeader, Chain, FeedbackData, LedgerError,
     RegisterData, TxKind, TxInput, TxOutput, block_from_wire,
     build_feedback_tx, build_register_tx, build_token_tx,
-    canonical_serialize, check_genesis_shape, compute_tx_root, make_genesis,
+    LEDGER_MAGIC, canonical_serialize, check_genesis_shape, compute_tx_root,
+    make_genesis,
     make_transaction, read_ledger, ser_block, ser_feedback, ser_register,
     ser_token, tx_from_wire, tx_to_wire, unpack_genesis_pub, write_ledger,
 )
@@ -453,3 +456,100 @@ def test_ledger_file_framing_errors(tmp_path):
     empty.write_bytes(raw[:7])      # magic only, zero blocks
     with pytest.raises(LedgerError):
         read_ledger(empty)
+
+
+def test_tx_from_wire_rejects_a_body_that_does_not_reserialize(monkeypatch):
+    wire = tx_to_wire(make_token_tx())
+    assert tx_to_wire(tx_from_wire(wire)) == wire
+    monkeypatch.setattr(ledger, "canonical_serialize", lambda tx: b"")
+    with pytest.raises(LedgerError) as err:
+        tx_from_wire(wire)
+    assert err.value.reason == "BAD_ENCODING"
+
+
+# ---------------------------------------------------------------------------
+# Structural corruption of a ledger file
+# ---------------------------------------------------------------------------
+
+def _small_ledger():
+    chain = fresh_chain()
+    chain.apply_block(bare_block(chain, [make_token_tx()]))
+    chain.apply_block(bare_block(chain, [make_token_tx(make_token(nonce=2))]))
+    return chain.blocks
+
+
+def _framing(blocks):
+    """Ledger bytes, the offset where each block's frame starts, and the
+    (offset, width) of every block length, tx count, tx length and input
+    count field."""
+    raw, starts, fields = bytearray(LEDGER_MAGIC), [], []
+    for blk in blocks:
+        starts.append(len(raw))
+        fields.append((len(raw), 4))
+        off = len(raw) + 4 + len(blk.header.core_bytes) + len(blk.header.sig)
+        fields.append((off, 4))
+        off += 4
+        for tx in blk.txs:
+            fields += [(off, 4), (off + 4 + len(tx.txid) + 1, 2)]
+            off += 4 + len(tx_to_wire(tx))
+        wire = ser_block(blk)
+        raw += len(wire).to_bytes(4, "big") + wire
+    return bytes(raw), starts, fields
+
+
+BLOCKS = _small_ledger()
+RAW, STARTS, FIELDS = _framing(BLOCKS)
+_FUZZ = settings(max_examples=60, deadline=2000, derandomize=True,
+                 database=None)
+
+
+def _parse(tmp_path_factory, data):
+    """read_ledger on data: the blocks, or the LedgerError it raised. Any
+    other exception propagates and fails the test."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-ledger.bin"
+    path.write_bytes(data)
+    try:
+        return read_ledger(path)
+    except LedgerError as exc:
+        return exc
+
+
+def test_framing_helper_matches_write_ledger(tmp_path):
+    path = tmp_path / "ledger.bin"
+    write_ledger(path, BLOCKS)
+    assert path.read_bytes() == RAW
+    assert len(BLOCKS) == 3 and sum(len(b.txs) for b in BLOCKS) == 4
+
+
+def test_read_ledger_truncated_at_every_offset(tmp_path_factory):
+    for cut in range(len(RAW)):
+        got = _parse(tmp_path_factory, RAW[:cut])
+        if cut in STARTS[1:]:
+            # a cut between frames leaves a shorter, well-formed ledger
+            assert got == BLOCKS[:STARTS.index(cut)], cut
+        else:
+            assert isinstance(got, LedgerError), cut
+
+
+@_FUZZ
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_read_ledger_rejects_inflated_length_fields(tmp_path_factory, field,
+                                                    data):
+    off, width = field
+    value = int.from_bytes(RAW[off:off + width], "big")
+    bigger = data.draw(st.integers(value + 1, (1 << 8 * width) - 1))
+    corrupt = RAW[:off] + bigger.to_bytes(width, "big") + RAW[off + width:]
+    assert isinstance(_parse(tmp_path_factory, corrupt), LedgerError)
+
+
+@_FUZZ
+@given(cuts=st.lists(st.integers(len(LEDGER_MAGIC), len(RAW)),
+                     min_size=4, max_size=4))
+def test_read_ledger_spliced_bytes_parse_strictly(tmp_path_factory, cuts):
+    # keep the head up to a, graft RAW[b:c] there, then resume at d
+    a, b, c, d = cuts
+    spliced = RAW[:a] + RAW[min(b, c):max(b, c)] + RAW[d:]
+    got = _parse(tmp_path_factory, spliced)
+    if not isinstance(got, LedgerError):
+        # whatever the parser accepts must be exactly what it re-encodes
+        assert spliced == _framing(got)[0]

@@ -1,5 +1,11 @@
 """World-level behavior: determinism, convergence, partitions, adversaries."""
 
+import ast
+import pathlib
+
+import pytest
+
+from ctsim import consensus
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import RegisterData, build_register_tx, ser_block
 from ctsim.crypto import DetRng, generate_keypair
@@ -193,3 +199,44 @@ def test_midrun_registration_reaches_everyone():
         assert echo.address in n.chain.registered
         # eviction invariant: nothing already on-chain lingers in a mempool
         assert not (n.mempool.keys() & n.chain.txids)
+
+
+# ---------------------------------------------------------------------------
+# Invariants fail loudly, also under python -O
+# ---------------------------------------------------------------------------
+
+def test_src_holds_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise instead
+    src = pathlib.Path(consensus.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, (path.name, lines)
+
+
+def test_schedule_into_the_past_raises():
+    world = make_world(base_cfg())
+    world.now = 500
+    with pytest.raises(ValueError, match="past"):
+        world.schedule(499, "tick", ())
+
+
+def _eligible_alpha(monkeypatch):
+    world = make_world(base_cfg())
+    world.now = 100
+    monkeypatch.setattr(consensus, "check_eligibility", lambda *args: True)
+    return world, world.nodes["alpha"]
+
+
+def test_eligible_node_that_seals_nothing_raises(monkeypatch):
+    world, alpha = _eligible_alpha(monkeypatch)
+    monkeypatch.setattr(consensus, "generate_block", lambda *args: None)
+    with pytest.raises(RuntimeError, match="no block sealed"):
+        alpha.try_generate(world)
+
+
+def test_node_rejecting_its_own_block_raises(monkeypatch):
+    world, alpha = _eligible_alpha(monkeypatch)
+    monkeypatch.setattr(alpha.replica, "apply", lambda blk: "BAD_LINK")
+    with pytest.raises(RuntimeError, match="own block rejected: BAD_LINK"):
+        alpha.try_generate(world)
