@@ -170,15 +170,14 @@ def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,
     return None
 
 
-def resolve(chains: list[Chain]) -> Chain:
-    """Pick the unique winner: height, then accumulated generator trust,
-    then lexicographically smallest tip digest. Total order, so every node
-    lands on the same tip given the same candidate set."""
-    if not chains:
+def resolve(tips: list[tuple[int, int, bytes]]) -> tuple[int, int, bytes]:
+    """Pick the unique winner among (height, cum_trust, tip digest) fork
+    tips: height, then accumulated generator trust, then lexicographically
+    smallest tip digest. Total order, so every node lands on the same tip
+    given the same candidate set."""
+    if not tips:
         raise ValueError("no fork tips to resolve")
-    best = max((c.height, c.cum_trust[-1]) for c in chains)
-    winners = [c for c in chains if (c.height, c.cum_trust[-1]) == best]
-    return min(winners, key=lambda c: c.tip.h_blk)
+    return min(tips, key=lambda t: (-t[0], -t[1], t[2]))
 
 
 def consensus_trust(trust_state, address: bytes, overrides=None) -> int:

@@ -11,7 +11,6 @@ from decimal import Decimal, ROUND_HALF_EVEN
 
 SCALE = 10**12
 ONE = SCALE
-HALF = SCALE // 2
 
 _QUANTUM = Decimal(1) / SCALE
 
@@ -28,18 +27,5 @@ def fp_mul(a: int, b: int) -> int:
     return a * b // SCALE
 
 
-def fp_div(a: int, b: int) -> int:
-    return a * SCALE // b
-
-
-def fp_mean(values) -> int:
-    vals = list(values)
-    return sum(vals) // len(vals)
-
-
 def to_float(a: int) -> float:
     return a / SCALE
-
-
-def clamp01(a: int) -> int:
-    return 0 if a < 0 else ONE if a > ONE else a

@@ -8,8 +8,8 @@ strict framing. Parsing is strict: every length must be consumed exactly.
 The chain tracks three uniqueness indices next to the block list: token ids
 (a token exists in at most one transaction), (issuer, nonce) pairs, and
 transaction ids. Registration records and per-generator production history
-are maintained as blocks apply so consensus and trust can be replayed from
-the raw file alone.
+are maintained as blocks apply (and undone as they pop) so consensus and
+trust can be replayed from the raw file alone.
 """
 
 from __future__ import annotations
@@ -554,6 +554,9 @@ class Chain:
 
     Genesis registrations pass the same per-transaction validation as any
     later block's transactions; LedgerError carries the first failure.
+    Every index key a transaction adds is unique (the DUPLICATE_* rules),
+    so pop_block() undoes a block from its own transactions; only the
+    generator's replaced GenRecord is kept per height.
     """
 
     def __init__(self, genesis: Block):
@@ -561,12 +564,14 @@ class Chain:
         if bad:
             raise LedgerError(bad, "genesis")
         self.blocks: list[Block] = []
-        self.token_index: dict[bytes, tuple[int, bytes]] = {}
+        self.token_index: dict[bytes, AccessToken] = {}
         self.nonce_index: set[tuple[bytes, int]] = set()
         self.txids: set[bytes] = set()
         self.feedback_seen: set[tuple[bytes, bytes]] = set()
         self.registered: dict[bytes, RegInfo] = {}
         self.gen_records: dict[bytes, GenRecord] = {}
+        # per height above genesis: the generator's record that block replaced
+        self._replaced_records: list[GenRecord | None] = []
         self.cum_trust: list[int] = []
         self._validate_txs(genesis)
         self._append(genesis, 0)
@@ -590,14 +595,7 @@ class Chain:
         return self.genesis.header.base_target
 
     def lookup_token(self, token_id: bytes) -> AccessToken | None:
-        loc = self.token_index.get(token_id)
-        if loc is None:
-            return None
-        height, txid = loc
-        for tx in self.blocks[height].txs:
-            if tx.txid == txid:
-                return tx.outputs[0].token
-        return None
+        return self.token_index.get(token_id)
 
     def total_declared_stake(self) -> int:
         return sum(r.stake for r in self.registered.values())
@@ -610,44 +608,28 @@ class Chain:
         return GenRecord(0, self.genesis.header.timestamp,
                          sha256(self.genesis.h_blk + address))
 
-    def clone(self) -> "Chain":
-        other = object.__new__(Chain)
-        other.blocks = list(self.blocks)
-        other.token_index = dict(self.token_index)
-        other.nonce_index = set(self.nonce_index)
-        other.txids = set(self.txids)
-        other.feedback_seen = set(self.feedback_seen)
-        other.registered = dict(self.registered)
-        other.gen_records = dict(self.gen_records)
-        other.cum_trust = list(self.cum_trust)
-        return other
-
     # -- transaction validation -------------------------------------------
 
-    def validate_tx(self, tx: Transaction, stage: "_Stage | None" = None) -> str | None:
+    def validate_tx(self, tx: Transaction) -> str | None:
         """Reason code for rejection, or None if the tx is acceptable."""
         if sha256(canonical_serialize(tx)) != tx.txid:
             return "BAD_TXID"
-        if tx.txid in self.txids or (stage and tx.txid in stage.txids):
+        if tx.txid in self.txids:
             return "DUPLICATE_TX"
         if not crypto.verify(tx.sender_pub, tx.txid, tx.sig):
             return "BAD_SIGNATURE"
         if tx.kind == TxKind.TOKEN:
-            return self._validate_token_tx(tx, stage)
+            return self._validate_token_tx(tx)
         if tx.kind == TxKind.FEEDBACK:
-            return self._validate_feedback_tx(tx, stage)
-        return self._validate_register_tx(tx, stage)
+            return self._validate_feedback_tx(tx)
+        return self._validate_register_tx(tx)
 
-    def _registered(self, addr: bytes, stage: "_Stage | None") -> bool:
-        return addr in self.registered or (stage is not None
-                                           and addr in stage.registered)
-
-    def _validate_token_tx(self, tx, stage) -> str | None:
+    def _validate_token_tx(self, tx) -> str | None:
         if len(tx.outputs) != 1 or not tx.inputs:
             return "TOKEN_SHAPE"
         if any(i.index != n for n, i in enumerate(tx.inputs)) or tx.outputs[0].index != 0:
             return "TOKEN_SHAPE"
-        if not self._registered(tx.sender, stage):
+        if tx.sender not in self.registered:
             return "UNKNOWN_ISSUER"
         out = tx.outputs[0]
         token = out.token
@@ -657,30 +639,26 @@ class Chain:
             return "AUDIENCE_MISMATCH"
         if token.expires_at <= token.issued_at:
             return "EXPIRY"
-        tid = token.token_id
-        if tid in self.token_index or (stage and tid in stage.tokens):
+        if token.token_id in self.token_index:
             return "DUPLICATE_TOKEN"
-        nkey = (token.issuer, token.nonce)
-        if nkey in self.nonce_index or (stage and nkey in stage.nonces):
+        if (token.issuer, token.nonce) in self.nonce_index:
             return "DUPLICATE_NONCE"
         return None
 
-    def _validate_feedback_tx(self, tx, stage) -> str | None:
+    def _validate_feedback_tx(self, tx) -> str | None:
         if tx.inputs or tx.outputs:
             return "BAD_ENCODING"
         try:
             fb = parse_feedback(tx.payload)
         except LedgerError:
             return "BAD_ENCODING"
-        if not self._registered(tx.sender, stage):
+        if tx.sender not in self.registered:
             return "UNKNOWN_RATER"
         if fb.rater != tx.sender:
             return "RATER_MISMATCH"
         if fb.label > 9:
             return "LABEL_RANGE"
         token = self.lookup_token(fb.token_id)
-        if token is None and stage is not None:
-            token = stage.tokens.get(fb.token_id)
         if token is None:
             return "UNKNOWN_TOKEN"
         if fb.user != token.pseudonym:
@@ -693,19 +671,18 @@ class Chain:
             # satisfaction scale: the home provider relays the user's rating
             if fb.rater != token.issuer or fb.subject != token.audience:
                 return "NOT_PARTICIPANT"
-        fkey = (fb.token_id, fb.rater)
-        if fkey in self.feedback_seen or (stage and fkey in stage.feedback):
+        if (fb.token_id, fb.rater) in self.feedback_seen:
             return "DUPLICATE_FEEDBACK"
         return None
 
-    def _validate_register_tx(self, tx, stage) -> str | None:
+    def _validate_register_tx(self, tx) -> str | None:
         if tx.inputs or tx.outputs:
             return "BAD_ENCODING"
         try:
             reg = parse_register(tx.payload)
         except LedgerError:
             return "BAD_ENCODING"
-        if self._registered(tx.sender, stage):
+        if tx.sender in self.registered:
             return "DUPLICATE_CSP"
         if not (0 <= reg.weight_sat <= ONE and 0 <= reg.weight_auth <= ONE):
             return "WEIGHT_RANGE"
@@ -722,7 +699,8 @@ class Chain:
 
         Consensus-level header checks (signature, prf, eligibility,
         timestamps) belong to the caller; this enforces linkage, tx_root,
-        and per-transaction validity against the staged state.
+        and per-transaction validity, each tx against the chain plus the
+        ones before it in the block.
         """
         if blk.header.prev_block != self.tip.h_blk or blk.height != self.height + 1:
             raise LedgerError("BAD_LINK",
@@ -732,63 +710,74 @@ class Chain:
         self._validate_txs(blk)
         self._append(blk, generator_trust)
 
+    def pop_block(self) -> Block:
+        """Undo the tip block exactly, the inverse of apply_block."""
+        if self.height == 0:
+            raise ValueError("genesis cannot be popped")
+        blk = self.blocks.pop()
+        self.cum_trust.pop()
+        addr = crypto.address_of(blk.header.generator_pub)
+        replaced = self._replaced_records.pop()
+        if replaced is None:
+            del self.gen_records[addr]
+        else:
+            self.gen_records[addr] = replaced
+        for tx in reversed(blk.txs):
+            self._unabsorb(tx)
+        return blk
+
     def _validate_txs(self, blk: Block) -> None:
-        """Check blk's txs in order, each against the chain plus the ones
-        before it in blk; LedgerError naming the first rejected tx."""
-        stage = _Stage()
-        for tx in blk.txs:
-            reason = self.validate_tx(tx, stage)
+        """Check and absorb blk's txs in order; on a rejection, unabsorb the
+        earlier ones and raise LedgerError naming the rejected tx."""
+        for n, tx in enumerate(blk.txs):
+            reason = self.validate_tx(tx)
             if reason:
+                for prev in reversed(blk.txs[:n]):
+                    self._unabsorb(prev)
                 raise LedgerError(reason, f"tx {tx.txid.hex()[:16]}",
                                   txid=tx.txid)
-            stage.absorb(tx, blk.height)
+            self._absorb(tx, blk.height)
 
-    def _append(self, blk: Block, generator_trust: int) -> None:
-        height = blk.height
-        for tx in blk.txs:
-            self.txids.add(tx.txid)
-            if tx.kind == TxKind.TOKEN:
-                token = tx.outputs[0].token
-                self.token_index[token.token_id] = (height, tx.txid)
-                self.nonce_index.add((token.issuer, token.nonce))
-            elif tx.kind == TxKind.FEEDBACK:
-                fb = parse_feedback(tx.payload)
-                self.feedback_seen.add((fb.token_id, fb.rater))
-            else:
-                reg = parse_register(tx.payload)
-                self.registered[tx.sender] = RegInfo(
-                    tx.sender, tx.sender_pub, reg.weight_sat,
-                    reg.weight_auth, reg.stake, height)
-        if height > 0:
-            addr = crypto.address_of(blk.header.generator_pub)
-            self.gen_records[addr] = GenRecord(height, blk.header.timestamp,
-                                              blk.header.prf)
-        self.blocks.append(blk)
-        prev = self.cum_trust[-1] if self.cum_trust else 0
-        self.cum_trust.append(prev + generator_trust)
-
-
-class _Stage:
-    """Uncommitted index additions while validating a block's tx sequence."""
-
-    def __init__(self):
-        self.txids: set[bytes] = set()
-        self.tokens: dict[bytes, AccessToken] = {}
-        self.nonces: set[tuple[bytes, int]] = set()
-        self.feedback: set[tuple[bytes, bytes]] = set()
-        self.registered: set[bytes] = set()
-
-    def absorb(self, tx: Transaction, height: int) -> None:
+    def _absorb(self, tx: Transaction, height: int) -> None:
+        """Add one validated tx's index keys."""
         self.txids.add(tx.txid)
         if tx.kind == TxKind.TOKEN:
             token = tx.outputs[0].token
-            self.tokens[token.token_id] = token
-            self.nonces.add((token.issuer, token.nonce))
+            self.token_index[token.token_id] = token
+            self.nonce_index.add((token.issuer, token.nonce))
         elif tx.kind == TxKind.FEEDBACK:
             fb = parse_feedback(tx.payload)
-            self.feedback.add((fb.token_id, fb.rater))
+            self.feedback_seen.add((fb.token_id, fb.rater))
         else:
-            self.registered.add(tx.sender)
+            reg = parse_register(tx.payload)
+            self.registered[tx.sender] = RegInfo(
+                tx.sender, tx.sender_pub, reg.weight_sat,
+                reg.weight_auth, reg.stake, height)
+
+    def _unabsorb(self, tx: Transaction) -> None:
+        """Remove the index keys _absorb(tx) added; the latest absorbed tx
+        goes first, so dict insertion order is restored as well."""
+        self.txids.remove(tx.txid)
+        if tx.kind == TxKind.TOKEN:
+            token = tx.outputs[0].token
+            del self.token_index[token.token_id]
+            self.nonce_index.remove((token.issuer, token.nonce))
+        elif tx.kind == TxKind.FEEDBACK:
+            fb = parse_feedback(tx.payload)
+            self.feedback_seen.remove((fb.token_id, fb.rater))
+        else:
+            del self.registered[tx.sender]
+
+    def _append(self, blk: Block, generator_trust: int) -> None:
+        if blk.height > 0:
+            addr = crypto.address_of(blk.header.generator_pub)
+            self._replaced_records.append(self.gen_records.get(addr))
+            self.gen_records[addr] = GenRecord(blk.height,
+                                               blk.header.timestamp,
+                                               blk.header.prf)
+        self.blocks.append(blk)
+        prev = self.cum_trust[-1] if self.cum_trust else 0
+        self.cum_trust.append(prev + generator_trust)
 
 
 # ===========================================================================

@@ -1,10 +1,12 @@
-"""One branch's full state: chain, trust fold, and consensus validation.
+"""A node's full state: chain, trust fold, and consensus validation.
 
-A Replica owns a Chain plus the TrustState implied by that chain, and
+A Replica owns a Chain plus the TrustState implied by that chain. It
 advances only through apply(), which runs the complete validation stack
 (consensus header checks, per-transaction checks, trust fold) exactly the
-way every node and the offline verifier must agree on. Simulator nodes hold
-one replica per branch they track; the ledger verifier replays a file
+way every node and the offline verifier must agree on, and retreats only
+through pop(), the exact undo of the latest apply(). A simulator node holds
+one replica and handles a competing branch by popping to the fork point
+and applying the branch's blocks; the ledger verifier replays a file
 through a fresh replica from genesis.
 """
 
@@ -37,7 +39,7 @@ def params_from_genesis(genesis: Block) -> ConsensusParams:
 
 
 class Replica:
-    """Chain + trust state for one branch, advanced by full validation."""
+    """Chain + trust state, advanced by full validation, undone per block."""
 
     def __init__(self, genesis: Block, params: ConsensusParams | None = None,
                  overrides: dict[bytes, int] | None = None):
@@ -53,6 +55,8 @@ class Replica:
         self.trust = trust.TrustState()
         self.last_reject_txid: bytes | None = None
         trust.fold_block(self.trust, genesis)
+        # per height above genesis: the trust journal mark before its fold
+        self._trust_marks: list[int] = []
 
     def trust_for(self, address: bytes) -> int:
         return consensus.consensus_trust(self.trust, address, self.overrides)
@@ -79,17 +83,15 @@ class Replica:
         except LedgerError as exc:
             self.last_reject_txid = exc.txid
             return exc.reason
+        self._trust_marks.append(self.trust.mark())
         trust.fold_block(self.trust, blk)
         return None
 
-    def clone(self) -> "Replica":
-        other = object.__new__(Replica)
-        other.params = self.params
-        other.overrides = self.overrides
-        other.chain = self.chain.clone()
-        other.trust = self.trust.copy()
-        other.last_reject_txid = None
-        return other
+    def pop(self) -> Block:
+        """Undo the latest apply(): chain indices and trust fold, exactly."""
+        blk = self.chain.pop_block()
+        self.trust.undo(self._trust_marks.pop())
+        return blk
 
 
 def replay_blocks(blocks: list[Block],

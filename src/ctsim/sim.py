@@ -1,10 +1,13 @@
 """Deterministic discrete-event network simulation.
 
 A World owns the event queue, the link model, and the node roster; every
-Node runs a full replica plus a mempool and reacts to deliveries. All
-randomness flows from one seeded generator, all ties break on sequence
-numbers, and node iteration is name-sorted, so a (config, seed) pair
-replays to a byte-identical event log and ledger.
+Node runs one full replica plus a mempool and reacts to deliveries. A
+competing branch is validated on that replica from the fork point: the
+node pops its own blocks back to it, applies the branch, and keeps
+whichever side consensus.resolve prefers, re-applying its own blocks if
+it keeps them. All randomness flows from one seeded generator, all ties
+break on sequence numbers, and node iteration is name-sorted, so a
+(config, seed) pair replays to a byte-identical event log and ledger.
 
 Message loss is modeled only through partitions: a payload scheduled
 before a cut still checks reachability at delivery time, so in-flight
@@ -28,7 +31,6 @@ from .ledger import (
     Transaction,
     TxKind,
     ZERO_DIGEST,
-    _Stage,
     build_register_tx,
     compute_tx_root,
     make_genesis,
@@ -38,7 +40,6 @@ from .scenario import NodeSpec, ScenarioConfig
 from .trust import BOOTSTRAP_TRUST
 
 MAX_TXS_PACKED = 100
-SIDE_CACHE_LIMIT = 8
 
 # event kinds, dispatched by World._step
 SLOT_TICK = "slot_tick"
@@ -84,11 +85,8 @@ class Node:
         self.rng = rng
         self.address = key.address
         self.replica = Replica(genesis, params, overrides)
-        self._genesis = genesis
-        self._overrides = overrides
         self.mempool: dict[bytes, tuple[int, Transaction]] = {}
         self._arrival = 0
-        self.side: dict[bytes, Replica] = {}
         # federation state
         self.users: dict[bytes, HomeUser] = {}
         self.child_index = 0
@@ -118,21 +116,26 @@ class Node:
         self._arrival += 1
 
     def _pack_txs(self, world: "World") -> tuple[Transaction, ...]:
-        """Oldest-first selection, re-validated against a staged view."""
-        stage = _Stage()
+        """Oldest-first selection, each tx validated against the chain plus
+        the ones picked before it; the chain is left as it was found."""
+        chain = self.chain
         picked: list[Transaction] = []
         order = sorted(self.mempool.items(), key=lambda kv: kv[1][0])
-        for txid, (_, tx) in order:
-            if len(picked) >= MAX_TXS_PACKED:
-                break
-            if tx.kind == TxKind.TOKEN:
-                token = tx.outputs[0].token
-                if token.expires_at <= world.now:
-                    del self.mempool[txid]      # stale token, drop it
-                    continue
-            if self.chain.validate_tx(tx, stage) is None:
-                stage.absorb(tx, self.chain.height + 1)
-                picked.append(tx)
+        try:
+            for txid, (_, tx) in order:
+                if len(picked) >= MAX_TXS_PACKED:
+                    break
+                if tx.kind == TxKind.TOKEN:
+                    token = tx.outputs[0].token
+                    if token.expires_at <= world.now:
+                        del self.mempool[txid]      # stale token, drop it
+                        continue
+                if chain.validate_tx(tx) is None:
+                    chain._absorb(tx, chain.height + 1)
+                    picked.append(tx)
+        finally:
+            for tx in reversed(picked):
+                chain._unabsorb(tx)
         return tuple(picked)
 
     def _evict_included(self) -> None:
@@ -198,94 +201,84 @@ class Node:
         if tip.height <= chain.height \
                 and chain.blocks[tip.height].h_blk == tip.h_blk:
             return      # stale prefix of what we already hold
-
-        if tip.header.prev_block == chain.tip.h_blk:
-            # fast path: direct tip extension
-            reason = self.replica.apply(tip)
-            if reason is not None:
-                world.log_event("block_rejected", node=self.name,
-                                height=tip.height, h_blk=tip.h_blk.hex(),
-                                reason=reason,
-                                txid=_reject_txid(self.replica),
-                                source=source)
-                return
-            self._evict_included()
-            world.log_event("block_accepted", node=self.name,
-                            height=tip.height, h_blk=tip.h_blk.hex(),
-                            generator=source)
-            federation.on_canonical_change(world, self)
-            return
-
-        if branch[0].h_blk != self._genesis.h_blk:
+        if branch[0].h_blk != chain.genesis.h_blk:
             world.log_event("block_rejected", node=self.name,
                             height=tip.height, h_blk=tip.h_blk.hex(),
                             reason="BAD_LINK", source=source)
             return
-
-        side = self._side_replica(world, branch, source)
-        if side is None:
-            return
-        winner = consensus.resolve([chain, side.chain])
-        if winner is side.chain:
-            old = self.replica
-            self.replica = side
-            self.side.pop(side.chain.tip.h_blk, None)
-            self.side[old.chain.tip.h_blk] = old
-            depth = _fork_depth(old.chain, side.chain)
-            world.log_event("fork_switch", node=self.name,
-                            old_height=old.chain.height,
-                            new_height=side.chain.height,
-                            h_blk=side.chain.tip.h_blk.hex(), depth=depth)
-            self._reconcile_mempool(old.chain)
-            federation.on_canonical_change(world, self)
-        else:
-            self.side[side.chain.tip.h_blk] = side
-        while len(self.side) > SIDE_CACHE_LIMIT:
-            self.side.pop(next(iter(self.side)))
+        self._side_replica(world, branch, source)
 
     def _side_replica(self, world: "World", branch: tuple[Block, ...],
-                      source: str) -> Replica | None:
-        """Validate a competing branch, reusing a cached side replica."""
-        tip = branch[-1]
-        cached = self.side.pop(tip.header.prev_block, None)
-        if cached is not None:
-            todo = (tip,)
-            side = cached
-        else:
-            todo = branch[1:]
-            side = Replica(self._genesis, world.params, self._overrides)
-        for blk in todo:
-            reason = side.apply(blk)
+                      source: str) -> None:
+        """Validate a branch from its fork point with ours; keep the winner.
+
+        The replica pops back to the fork point and applies the branch. A
+        branch is all-or-nothing: if a block fails, or consensus.resolve
+        prefers our old tip, the branch is popped and our own blocks are
+        re-applied.
+        """
+        replica = self.replica
+        chain = replica.chain
+        fork = min(len(branch) - 1, chain.height)
+        while branch[fork].h_blk != chain.blocks[fork].h_blk:
+            fork -= 1
+        ours = _fork_tip(chain)
+        orphans = chain.blocks[fork + 1:]
+        self._rewind(fork)
+        for blk in branch[fork + 1:]:
+            reason = replica.apply(blk)
             if reason is not None:
                 world.log_event("block_rejected", node=self.name,
                                 height=blk.height, h_blk=blk.h_blk.hex(),
-                                reason=reason, txid=_reject_txid(side),
+                                reason=reason, txid=_reject_txid(replica),
                                 source=source)
-                return None
-        return side
+                self._restore(fork, orphans)
+                return
+        theirs = _fork_tip(chain)
+        if consensus.resolve([ours, theirs]) is ours:
+            self._restore(fork, orphans)
+            return
+        tip = chain.tip
+        if not orphans and tip.height == fork + 1:
+            self._evict_included()
+            world.log_event("block_accepted", node=self.name,
+                            height=tip.height, h_blk=tip.h_blk.hex(),
+                            generator=source)
+        else:
+            world.log_event("fork_switch", node=self.name,
+                            old_height=ours[0], new_height=tip.height,
+                            h_blk=tip.h_blk.hex(), depth=len(orphans))
+            self._reconcile_mempool(orphans)
+        federation.on_canonical_change(world, self)
 
-    def _reconcile_mempool(self, old_chain: Chain) -> None:
+    def _rewind(self, height: int) -> None:
+        while self.chain.height > height:
+            self.replica.pop()
+
+    def _restore(self, fork: int, blocks: list[Block]) -> None:
+        """Pop back to the fork point and re-apply our own blocks."""
+        self._rewind(fork)
+        for blk in blocks:
+            reason = self.replica.apply(blk)
+            if reason is not None:
+                raise RuntimeError(f"{self.name}: own block at height "
+                                   f"{blk.height} rejected on re-apply: "
+                                   f"{reason}")
+
+    def _reconcile_mempool(self, orphans: list[Block]) -> None:
         """After a switch: re-add orphaned txs, evict newly included ones."""
-        new_chain = self.chain
-        fork = _fork_point(old_chain, new_chain)
-        for height in range(fork + 1, old_chain.height + 1):
-            for tx in old_chain.blocks[height].txs:
-                if tx.txid not in new_chain.txids \
-                        and tx.txid not in self.mempool:
+        txids = self.chain.txids
+        for blk in orphans:
+            for tx in blk.txs:
+                if tx.txid not in txids and tx.txid not in self.mempool:
                     self.mempool[tx.txid] = (self._arrival, tx)
                     self._arrival += 1
         self._evict_included()
 
 
-def _fork_point(a: Chain, b: Chain) -> int:
-    height = min(a.height, b.height)
-    while a.blocks[height].h_blk != b.blocks[height].h_blk:
-        height -= 1
-    return height
-
-
-def _fork_depth(old: Chain, new: Chain) -> int:
-    return old.height - _fork_point(old, new)
+def _fork_tip(chain: Chain) -> tuple[int, int, bytes]:
+    """What consensus.resolve orders fork tips by."""
+    return chain.height, chain.cum_trust[-1], chain.tip.h_blk
 
 
 def _reject_txid(replica: Replica) -> str | None:

@@ -23,7 +23,7 @@ from enum import IntEnum
 
 from . import ledger
 from .fixedpoint import ONE, fp_mul
-from .ledger import Chain, FeedbackData, TxKind
+from .ledger import FeedbackData, TxKind
 
 # ===========================================================================
 # Feedback labels and buckets
@@ -65,6 +65,8 @@ INITIAL_AUTH = 0
 INITIAL_SAT = 0
 
 BOOTSTRAP_TRUST = ONE // 2  # consensus-only default for providers with no history
+
+_ABSENT = object()          # journal marker: the key was not in the table
 
 
 def bucketize(label: int) -> int:
@@ -116,6 +118,10 @@ class TrustState:
     Mutation happens through register() and apply_feedback() only; the
     per-provider trust cache is dropped on every mutation and rebuilt
     lazily, so cached values always equal recomputation.
+
+    The fold floors, so it cannot be inverted: every table write is
+    journaled with the value it replaced, and undo(mark) rolls the state
+    back to an earlier mark().
     """
 
     def __init__(self):
@@ -124,18 +130,33 @@ class TrustState:
         self.sat: dict[tuple[bytes, bytes], int] = {}
         self.counts: dict[tuple[str, bytes, bytes], int] = {}
         self.declared: dict[bytes, tuple[int, int]] = {}
-        self.epoch = 0
+        self._journal: list[tuple[dict, object, object]] = []
         self._trust_cache: dict[bytes, int] = {}
+
+    def _set(self, table: dict, key, value) -> None:
+        self._journal.append((table, key, table.get(key, _ABSENT)))
+        table[key] = value
+
+    def mark(self) -> int:
+        return len(self._journal)
+
+    def undo(self, mark: int) -> None:
+        """Restore the state as of mark(), dict insertion order included:
+        writes are undone strictly last-first."""
+        journal = self._journal
+        while len(journal) > mark:
+            table, key, prev = journal.pop()
+            if prev is _ABSENT:
+                del table[key]
+            else:
+                table[key] = prev
+        self._trust_cache.clear()
 
     # -- registration and weights -----------------------------------------
 
     def register(self, address: bytes, weight_sat: int, weight_auth: int) -> None:
-        self.declared[address] = (weight_sat, weight_auth)
+        self._set(self.declared, address, (weight_sat, weight_auth))
         self._trust_cache.clear()
-
-    @property
-    def csp_count(self) -> int:
-        return len(self.declared)
 
     def global_weights(self) -> tuple[int, int]:
         """Component-wise means of every registrant's declared weights."""
@@ -189,33 +210,25 @@ class TrustState:
             foreign, home, user = fb.rater, fb.subject, fb.user
             trust_f = self.trust_of(foreign)
             prev = self.cred.get((foreign, user), INITIAL_CRED)
-            self.cred[(foreign, user)] = cred_update(prev, trust_f, value)
+            self._set(self.cred, (foreign, user),
+                      cred_update(prev, trust_f, value))
             self._bump("cred", foreign, user)
             prev_a = self.auth.get((foreign, home), INITIAL_AUTH)
-            self.auth[(foreign, home)] = auth_update(
-                prev_a, auth_curr_from_feedback(value))
+            self._set(self.auth, (foreign, home),
+                      auth_update(prev_a, auth_curr_from_feedback(value)))
             self._bump("auth", foreign, home)
         else:
             home, foreign, user = fb.rater, fb.subject, fb.user
             cred_u = self.cred_user(user)
             prev = self.sat.get((home, foreign), INITIAL_SAT)
-            self.sat[(home, foreign)] = sat_update(prev, cred_u, value)
+            self._set(self.sat, (home, foreign),
+                      sat_update(prev, cred_u, value))
             self._bump("sat", home, foreign)
         self._trust_cache.clear()
 
     def _bump(self, family: str, a: bytes, b: bytes) -> None:
         key = (family, a, b)
-        self.counts[key] = self.counts.get(key, 0) + 1
-
-    def copy(self) -> "TrustState":
-        other = TrustState()
-        other.cred = dict(self.cred)
-        other.auth = dict(self.auth)
-        other.sat = dict(self.sat)
-        other.counts = dict(self.counts)
-        other.declared = dict(self.declared)
-        other.epoch = self.epoch
-        return other
+        self._set(self.counts, key, self.counts.get(key, 0) + 1)
 
     # -- comparison --------------------------------------------------------
 
@@ -225,8 +238,7 @@ class TrustState:
                 tuple(sorted(self.auth.items())),
                 tuple(sorted(self.sat.items())),
                 tuple(sorted(self.counts.items())),
-                tuple(sorted(self.declared.items())),
-                self.epoch)
+                tuple(sorted(self.declared.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrustState):
@@ -245,11 +257,3 @@ def fold_block(state: TrustState, blk: ledger.Block) -> None:
             state.register(tx.sender, reg.weight_sat, reg.weight_auth)
         elif tx.kind == TxKind.FEEDBACK:
             state.apply_feedback(ledger.parse_feedback(tx.payload))
-
-
-def replay_from_chain(chain: Chain) -> TrustState:
-    """Rebuild the unique trust state a canonical chain implies."""
-    state = TrustState()
-    for blk in chain.blocks:
-        fold_block(state, blk)
-    return state

@@ -44,6 +44,23 @@ def base_cfg(**overrides):
     return cfg
 
 
+def chain_state(chain) -> tuple:
+    """Every index a Chain keeps, in a form that compares exactly; dicts
+    are listed, so their insertion order counts too."""
+    return (list(chain.blocks), list(chain.token_index.items()),
+            set(chain.nonce_index), set(chain.txids),
+            set(chain.feedback_seen), list(chain.registered.items()),
+            list(chain.gen_records.items()), list(chain.cum_trust))
+
+
+def replica_state(replica) -> tuple:
+    """chain_state plus the trust fold, table order included."""
+    trust = replica.trust
+    tables = (trust.cred, trust.auth, trust.sat, trust.counts, trust.declared)
+    return (chain_state(replica.chain), trust.fingerprint(),
+            [list(t.items()) for t in tables])
+
+
 def make_world(cfg_dict) -> World:
     return World(load_config(cfg_dict))
 

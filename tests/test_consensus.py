@@ -1,7 +1,6 @@
 """Eligibility lottery, block validation order, fork choice, calibration."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -222,21 +221,16 @@ def test_validate_block_catches_ineligible_timestamp():
 # Fork choice
 # ---------------------------------------------------------------------------
 
-def _tipns(height, cum, digest):
-    return SimpleNamespace(height=height, cum_trust=[0, cum],
-                           tip=SimpleNamespace(h_blk=digest))
-
-
 def test_resolve_total_order():
-    low = _tipns(3, fp("0.9"), b"\x01" * 32)
-    high = _tipns(4, fp("0.1"), b"\xff" * 32)
+    low = (3, fp("0.9"), b"\x01" * 32)
+    high = (4, fp("0.1"), b"\xff" * 32)
     assert resolve([low, high]) is high          # height dominates
 
-    heavy = _tipns(4, fp("0.8"), b"\xff" * 32)
+    heavy = (4, fp("0.8"), b"\xff" * 32)
     assert resolve([high, heavy]) is heavy       # trust breaks height ties
 
-    twin_a = _tipns(4, fp("0.8"), b"\xaa" * 32)
-    twin_b = _tipns(4, fp("0.8"), b"\xbb" * 32)
+    twin_a = (4, fp("0.8"), b"\xaa" * 32)
+    twin_b = (4, fp("0.8"), b"\xbb" * 32)
     assert resolve([twin_b, twin_a]) is twin_a   # digest breaks full ties
     assert resolve([twin_a]) is twin_a
 

@@ -2,16 +2,13 @@
 
 from decimal import Decimal
 
-from ctsim.fixedpoint import (
-    HALF, ONE, SCALE, clamp01, fp_div, fp_from, fp_mean, fp_mul, to_float,
-)
+from ctsim.fixedpoint import ONE, SCALE, fp_from, fp_mul, to_float
 from ctsim.crypto import DetRng
 
 
 def test_scale_constants():
     assert SCALE == 10 ** 12
     assert ONE == SCALE
-    assert HALF * 2 == ONE
 
 
 def test_fp_from_decimal_strings_are_exact():
@@ -36,29 +33,9 @@ def test_fp_mul_floors():
     assert fp_mul(ONE - 1, ONE - 1) == ONE - 2
 
 
-def test_fp_div_and_inverse():
-    assert fp_div(ONE, fp_from("0.5")) == fp_from(2)
-    assert fp_div(fp_from("0.3"), ONE) == fp_from("0.3")
-    assert fp_div(1, 3) == SCALE // 3     # floors, no rounding
-    assert fp_div(ONE, 3) == ONE * ONE // 3
-
-
-def test_fp_mean_floor_semantics():
-    assert fp_mean([fp_from("0.9"), fp_from("0.5")]) == fp_from("0.7")
-    assert fp_mean([3]) == 3
-    assert fp_mean([1, 2]) == 1       # floor of 1.5 ulp
-
-
 def test_to_float_round_trip_on_coarse_values():
     for text in ("0", "0.1", "0.325", "0.5", "0.95", "1"):
         assert to_float(fp_from(text)) == float(text)
-
-
-def test_clamp01():
-    assert clamp01(-5) == 0
-    assert clamp01(0) == 0
-    assert clamp01(ONE) == ONE
-    assert clamp01(ONE + 123) == ONE
 
 
 def test_mul_closure_fuzz():

@@ -19,10 +19,13 @@ from ctsim.ledger import (
     build_feedback_tx, build_register_tx, build_token_tx,
     LEDGER_MAGIC, canonical_serialize, check_genesis_shape, compute_tx_root,
     make_genesis,
-    make_transaction, read_ledger, ser_block, ser_feedback, ser_register,
-    ser_token, tx_from_wire, tx_to_wire, unpack_genesis_pub, write_ledger,
+    make_transaction, parse_feedback, read_ledger, ser_block, ser_feedback,
+    ser_register, ser_token, tx_from_wire, tx_to_wire, unpack_genesis_pub,
+    write_ledger,
 )
 from ctsim.replica import VerifyFailure, replay_blocks
+
+from conftest import chain_state
 
 HOME = generate_keypair(DetRng(601, b"home").take(32))
 FOREIGN = generate_keypair(DetRng(601, b"foreign").take(32))
@@ -357,13 +360,49 @@ def test_builder_input_checks():
             ZERO_DIGEST)
 
 
-def test_same_block_duplicate_caught_by_stage():
+def _fb_tx(key, fb, prev=ZERO_DIGEST):
+    return make_transaction(TxKind.FEEDBACK, (), (), prev, ser_feedback(fb),
+                            key)
+
+
+def _touch_every_index():
+    """Txs that each add to a different chain index, in a valid order: a
+    registration, a token, and feedback on that token."""
+    token_tx = make_token_tx()
+    token = token_tx.outputs[0].token
+    cred = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
+                        token.token_id)
+    return [_reg(OUTSIDER), token_tx, _fb_tx(FOREIGN, cred)]
+
+
+def test_same_block_duplicates_are_rejected():
+    reg, token_tx, fb = _touch_every_index()
+    twin_token = build_token_tx(HOME, b"other-profile", RESOURCE,
+                                FOREIGN.pub_bytes, make_token(),
+                                token_tx.txid, DetRng(78, b"ec2"))
+    twin_nonce = build_token_tx(
+        HOME, b"p", resource_address("queue"), FOREIGN.pub_bytes,
+        make_token(nonce=1, resource=resource_address("queue")),
+        token_tx.txid, DetRng(79, b"ec3"))
+    twin_fb = _fb_tx(FOREIGN, replace(parse_feedback(fb.payload), label=4),
+                     prev=b"\x01" * 32)
+    twin_reg = build_register_tx(OUTSIDER, RegisterData(
+        fp_from("0.5"), fp_from("0.5"), fp_from("0.1")))
+    for txs, reason in (([token_tx, token_tx], "DUPLICATE_TX"),
+                        ([token_tx, twin_token], "DUPLICATE_TOKEN"),
+                        ([token_tx, twin_nonce], "DUPLICATE_NONCE"),
+                        ([token_tx, fb, twin_fb], "DUPLICATE_FEEDBACK"),
+                        ([reg, twin_reg], "DUPLICATE_CSP")):
+        chain = fresh_chain()
+        with pytest.raises(LedgerError) as err:
+            chain.apply_block(bare_block(chain, txs))
+        assert err.value.reason == reason
+        assert err.value.txid == txs[-1].txid
+    # a token issued earlier in the same block is visible to its feedback,
+    # and a registration to the new registrant's own txs
     chain = fresh_chain()
-    tx = make_token_tx()
-    blk = bare_block(chain, [tx, tx])
-    with pytest.raises(LedgerError) as err:
-        chain.apply_block(blk)
-    assert err.value.reason == "DUPLICATE_TX"
+    chain.apply_block(bare_block(chain, [reg, token_tx, fb]))
+    assert OUTSIDER.address in chain.registered
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +411,20 @@ def test_same_block_duplicate_caught_by_stage():
 
 def test_apply_block_is_atomic():
     chain = fresh_chain()
-    good = make_token_tx()
+    chain.apply_block(bare_block(chain, []), generator_trust=fp_from("0.3"))
+    before = chain_state(chain)
     bad = replace(make_token_tx(make_token(nonce=9)), sig=b"\x00" * 64)
-    before_height = chain.height
+    txs = _touch_every_index() + [bad]
     with pytest.raises(LedgerError) as err:
-        chain.apply_block(bare_block(chain, [good, bad]))
+        chain.apply_block(bare_block(chain, txs))
     assert err.value.reason == "BAD_SIGNATURE"
-    assert chain.height == before_height
-    assert good.txid not in chain.txids
+    assert err.value.txid == bad.txid
+    assert chain_state(chain) == before
+    good = txs[1]
     assert chain.lookup_token(good.outputs[0].token.token_id) is None
+    # the same txs without the bad one still apply
+    chain.apply_block(bare_block(chain, txs[:-1]))
+    assert chain.height == 2
 
 
 def test_apply_block_linkage_and_root():
@@ -412,12 +456,32 @@ def test_lookup_token_and_gen_records():
     assert chain.cum_trust[-1] == fp_from("0.5")
 
 
-def test_chain_clone_is_independent():
+def test_pop_block_undoes_apply_block():
     chain = fresh_chain()
-    cloned = chain.clone()
-    chain.apply_block(bare_block(chain, [make_token_tx()]))
-    assert cloned.height == 0
-    assert not cloned.token_index
+    with pytest.raises(ValueError, match="genesis"):
+        chain.pop_block()
+    reg, token_tx, fb = _touch_every_index()
+    states = [chain_state(chain)]
+    blocks = []
+    for gen, txs in ((HOME, [reg]), (FOREIGN, [token_tx]), (HOME, [fb]),
+                     (OUTSIDER, [])):
+        blk = bare_block(chain, txs)
+        blk = Block(replace(blk.header, generator_pub=gen.pub_bytes), txs)
+        chain.apply_block(blk, generator_trust=fp_from("0.25"))
+        blocks.append(blk)
+        states.append(chain_state(chain))
+    # HOME's third-block record replaced its first-block one
+    assert chain.gen_records[HOME.address].last_height == 3
+    for blk in reversed(blocks):
+        states.pop()
+        assert chain.pop_block() is blk
+        assert chain_state(chain) == states[-1]
+    assert chain.height == 0
+    with pytest.raises(ValueError, match="genesis"):
+        chain.pop_block()
+    for blk in blocks:
+        chain.apply_block(blk, generator_trust=fp_from("0.25"))
+    assert chain.height == len(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Config validation messages and the command-line round trip."""
 
 import contextlib
+import hashlib
 import io
 import json
+import pathlib
 
 import pytest
 import yaml
@@ -184,6 +186,38 @@ def test_seed_override_changes_the_run(scenario_file, run_dir, tmp_path):
                            str(tmp_path / "x"), "--seed-override", "-1")
     assert code == 2
     assert "seed override" in err
+
+
+# sha256 of each artifact of the bundled scenarios. Any change to consensus,
+# validation, fork handling or event logging that moves one byte shows here.
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+PINNED = {
+    "demo": {
+        "ledger.bin": "b1cd33cbc94e90ab384cd3fbcfe6a5512d109c60df814640b3c91bd6842bd29c",
+        "events.jsonl": "146a45709e797a133d603752052729811c7d166ea4ce59bd576234ba77e4edb6",
+        "report.json": "fe9828533b1806431cda5a938569b731e3dd6e557792bae857b393e416e6c792",
+    },
+    "partition": {
+        "ledger.bin": "3bd5b69db36c80d11430b5fb30cd504e8c375a2ddd6d8baa208f1d35256fba8e",
+        "events.jsonl": "e31e297b72dcf49ab46916b87fb692d41164501655c9498936c18354fed27ab7",
+        "report.json": "db73ac9f3f25b1dd9338c52a281a55eebde6d7b40f517a4f8d95c18a2b82042b",
+    },
+    "adversaries": {
+        "ledger.bin": "5e5c4e12c554db038e67e553a1272d959da8a8826e59ff903af0c4649eb4077a",
+        "events.jsonl": "41cfbdb37f9dbb78d5ba8014634a98c13bd4f3c2646630b1b7bf2648fff58a00",
+        "report.json": "853235cf65b03a843b70bba11f557a1e79e49a3e36cbf452a7a14a8908807889",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_scenario_artifacts_are_pinned(name, tmp_path):
+    code, stdout, _ = run_cli("run", str(SCENARIOS / f"{name}.yaml"),
+                              "--out-dir", str(tmp_path))
+    assert code == 0, stdout
+    got = {art: hashlib.sha256((tmp_path / art).read_bytes()).hexdigest()
+           for art in PINNED[name]}
+    assert got == PINNED[name]
 
 
 def test_invalid_config_exits_2(tmp_path):

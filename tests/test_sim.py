@@ -7,14 +7,31 @@ import pytest
 
 from ctsim import consensus
 from ctsim.fixedpoint import ONE, fp_from
-from ctsim.ledger import RegisterData, build_register_tx, ser_block
-from ctsim.crypto import DetRng, generate_keypair
+from ctsim.ledger import (
+    Block, BlockHeader, RegisterData, TxKind, ZERO_DIGEST, build_register_tx,
+    compute_tx_root, ser_block,
+)
+from ctsim.crypto import DetRng, address_of, generate_keypair
+from ctsim.replica import replay_blocks
+from ctsim.sim import Node, _corrupt_block
 
-from conftest import base_cfg, four_nodes, make_world, run_cfg
+from conftest import (
+    base_cfg, chain_state, four_nodes, make_world, replica_state, run_cfg,
+)
 
 
 def canonical_bytes(world) -> bytes:
     return b"".join(ser_block(b) for b in world.canonical.chain.blocks)
+
+
+# a user registers at alpha and asks beta for a resource, so blocks carry
+# token and feedback transactions
+FLOW = [
+    {"at_ms": 500, "action": "register_user", "user": "wanderer",
+     "home": "alpha"},
+    {"at_ms": 1500, "action": "request_access", "user": "wanderer",
+     "target": "beta", "resource": "vm-small"},
+]
 
 
 def events_of(world, name):
@@ -85,7 +102,7 @@ def test_zero_jitter_is_constant():
 
 def test_partition_cuts_then_heals():
     cfg = base_cfg(
-        seed=11, duration_ms=16000,
+        seed=11, duration_ms=16000, actions=FLOW,
         partitions=[
             {"at_ms": 3000, "groups": [["alpha", "beta"],
                                        ["gamma", "delta"]]},
@@ -100,6 +117,12 @@ def test_partition_cuts_then_heals():
         assert 3000 <= e["ts"] <= 9000
     world.drain()
     assert len(set(tips(world).values())) == 1
+    # every node rewound and re-applied its way there, the losing side of
+    # the heal included; each must hold exactly what a replay derives
+    assert max(e["depth"] for e in events_of(world, "fork_switch")) > 1
+    for node in world.nodes.values():
+        redo = replay_blocks(node.chain.blocks, world.overrides)
+        assert replica_state(node.replica) == replica_state(redo), node.name
 
 
 def test_heal_without_cut_is_noop():
@@ -240,3 +263,177 @@ def test_node_rejecting_its_own_block_raises(monkeypatch):
     monkeypatch.setattr(alpha.replica, "apply", lambda blk: "BAD_LINK")
     with pytest.raises(RuntimeError, match="own block rejected: BAD_LINK"):
         alpha.try_generate(world)
+
+
+# ---------------------------------------------------------------------------
+# Fork handling: rewind to the fork point, apply, keep the winner
+# ---------------------------------------------------------------------------
+
+BRANCH_EVENTS = ("block_accepted", "block_rejected", "fork_switch")
+
+
+def _extend(replica, world, txs=(), avoid=None) -> Block:
+    """Seal and apply the next block on replica, by the first node in name
+    order (other than avoid) to become eligible."""
+    chain = replica.chain
+    tip = chain.tip
+    ts = tip.header.timestamp
+    while ts < tip.header.timestamp + 1_000_000:
+        ts += world.params.slot_ms
+        for name in sorted(world.nodes):
+            node = world.nodes[name]
+            if node.address == avoid:
+                continue
+            header = BlockHeader(
+                height=tip.height + 1, prev_block=tip.h_blk,
+                tx_root=compute_tx_root(txs), timestamp=ts,
+                generator_pub=node.key.pub_bytes, prf=ZERO_DIGEST,
+                base_target=chain.base_target, sig=b"\x00" * 64)
+            cand = Block(header, tuple(txs))
+            sealed = consensus.generate_block(
+                cand, world.params, node.key,
+                consensus.consensus_state_at(chain, node.address),
+                replica.trust_for(node.address))
+            if sealed is not None:
+                blk = consensus.seal_block(cand, *sealed)
+                assert replica.apply(blk) is None
+                return blk
+    raise AssertionError("nobody became eligible")
+
+
+def _fresh_registration(tag: bytes):
+    key = generate_keypair(DetRng(97, tag).take(32))
+    return build_register_tx(key, RegisterData(fp_from("0.5"), fp_from("0.5"),
+                                               fp_from("0.1")))
+
+
+def _rival(node, world, fork: int, length: int):
+    """A valid branch leaving node's chain at fork, length blocks long; its
+    last block carries a fresh registration."""
+    scratch = replay_blocks(node.chain.blocks[:fork + 1], world.overrides)
+    ours = node.chain.blocks[fork + 1].header.generator_pub
+    blocks = [_extend(scratch, world, avoid=address_of(ours))]
+    while len(blocks) < length - 1:
+        blocks.append(_extend(scratch, world))
+    if length > 1:
+        blocks.append(_extend(scratch, world,
+                              txs=(_fresh_registration(b"rival"),)))
+    return tuple(node.chain.blocks[:fork + 1]) + tuple(blocks)
+
+
+def _receive(node, world, branch):
+    """Deliver a branch; the branch-handling events it logged."""
+    start = len(world.events)
+    node.receive_branch(world, branch, source="test")
+    return [e for e in world.events[start:] if e["event"] in BRANCH_EVENTS]
+
+
+@pytest.fixture
+def settled():
+    world = run_cfg(base_cfg(seed=29, duration_ms=6000, actions=FLOW))
+    world.drain()
+    node = world.nodes["alpha"]
+    # fork below the highest block that carries txs, so a switch orphans them
+    fork = max(b.height for b in node.chain.blocks if b.txs) - 1
+    assert 0 < fork < node.chain.height - 1
+    return world, node, fork
+
+
+def test_rejected_and_losing_branches_leave_the_node_unchanged(settled):
+    world, node, fork = settled
+    before = replica_state(node.replica)
+    mempool = dict(node.mempool)
+    depth = node.chain.height - fork
+
+    # shorter than ours: validated, then our blocks are re-applied
+    assert _receive(node, world, _rival(node, world, fork, depth - 1)) == []
+    assert replica_state(node.replica) == before
+
+    # longer than ours, but its last block fails: all or nothing
+    rival = _rival(node, world, fork, depth + 1)
+    evil = _corrupt_block(rival[-1])
+    got = _receive(node, world, rival[:-1] + (evil,))
+    assert [(e["event"], e["height"], e["reason"], e["txid"]) for e in got] \
+        == [("block_rejected", evil.height, "BAD_SIGNATURE",
+             evil.txs[-1].txid.hex())]
+    assert replica_state(node.replica) == before
+
+    # a branch from another network's genesis
+    other = run_cfg(base_cfg(seed=30, duration_ms=1500))
+    foreign = tuple(other.nodes["alpha"].chain.blocks)
+    got = _receive(node, world, foreign)
+    assert [(e["event"], e["reason"], "txid" in e) for e in got] \
+        == [("block_rejected", "BAD_LINK", False)]
+    assert replica_state(node.replica) == before
+    assert node.mempool == mempool
+
+
+def test_winning_branches_switch_like_a_replay(settled):
+    world, node, fork = settled
+    old = list(node.chain.blocks)
+    rival = _rival(node, world, fork, node.chain.height - fork + 1)
+    got = _receive(node, world, rival)
+    assert [(e["event"], e["old_height"], e["new_height"], e["depth"])
+            for e in got] == [("fork_switch", len(old) - 1, len(rival) - 1,
+                               len(old) - 1 - fork)]
+    assert node.chain.blocks == list(rival)
+    redo = replay_blocks(node.chain.blocks, world.overrides)
+    assert replica_state(node.replica) == replica_state(redo)
+    orphaned = [tx.txid for blk in old[fork + 1:] for tx in blk.txs]
+    assert orphaned and all(t in node.mempool for t in orphaned)
+
+    # a direct one-block extension is accepted; a longer one is a switch
+    scratch = replay_blocks(node.chain.blocks, world.overrides)
+    one = _extend(scratch, world)
+    got = _receive(node, world, tuple(node.chain.blocks) + (one,))
+    assert [(e["event"], e["height"], e["generator"]) for e in got] \
+        == [("block_accepted", one.height, "test")]
+    two = (_extend(scratch, world), _extend(scratch, world))
+    got = _receive(node, world, tuple(node.chain.blocks) + two)
+    assert [(e["event"], e["depth"]) for e in got] == [("fork_switch", 0)]
+    assert node.chain.tip is two[-1]
+    assert replica_state(node.replica) == replica_state(scratch)
+
+
+def test_pop_then_reapply_equals_replay():
+    world = run_cfg(base_cfg(seed=31, duration_ms=6000, actions=FLOW))
+    blocks = world.canonical.chain.blocks
+    assert {tx.kind for b in blocks[1:] for tx in b.txs} \
+        >= {TxKind.TOKEN, TxKind.FEEDBACK}
+    replica = replay_blocks(blocks, world.overrides)
+    for k in (1, 3, len(blocks) - 1):
+        for n in range(len(blocks) - 1, len(blocks) - 1 - k, -1):
+            assert replica.pop() is blocks[n]
+            redo = replay_blocks(blocks[:n], world.overrides)
+            assert replica_state(replica) == replica_state(redo)
+        for blk in blocks[len(blocks) - k:]:
+            assert replica.apply(blk) is None
+        assert replica_state(replica) \
+            == replica_state(replay_blocks(blocks, world.overrides))
+
+
+def test_pack_txs_leaves_the_chain_as_found(monkeypatch):
+    pack = Node._pack_txs
+    picked = []
+
+    def checked(node, world):
+        before = chain_state(node.chain)
+        txs = pack(node, world)
+        assert chain_state(node.chain) == before
+        picked.extend(txs)
+        return txs
+
+    monkeypatch.setattr(Node, "_pack_txs", checked)
+    run_cfg(base_cfg(seed=31, duration_ms=6000, actions=FLOW))
+    assert {tx.kind for tx in picked} >= {TxKind.TOKEN, TxKind.FEEDBACK}
+
+
+def test_own_block_failing_on_reapply_raises(settled):
+    world, node, fork = settled
+    orphans = node.chain.blocks[fork + 1:]
+    loser = _rival(node, world, fork, len(orphans) - 1)
+    apply = node.replica.apply
+    node.replica.apply = lambda blk: ("BAD_LINK" if blk in orphans
+                                      else apply(blk))
+    with pytest.raises(RuntimeError, match="rejected on re-apply: BAD_LINK"):
+        node.receive_branch(world, loser, source="test")

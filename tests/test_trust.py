@@ -16,8 +16,7 @@ from ctsim.ledger import (
 from ctsim.trust import (
     BOOTSTRAP_TRUST, CredLabel, INITIAL_AUTH, INITIAL_CRED, INITIAL_SAT,
     SatLabel, TrustState, auth_curr_from_feedback, auth_update, bucketize,
-    cred_update, fold_block, is_cred_label, overall_trust, replay_from_chain,
-    sat_update,
+    cred_update, fold_block, is_cred_label, overall_trust, sat_update,
 )
 
 fp = fp_from
@@ -247,15 +246,38 @@ def test_fold_order_cred_before_sat_matters():
     assert a.fingerprint() != b.fingerprint()
 
 
-def test_copy_and_fingerprint_equality():
-    st = TrustState()
-    st.register(_addr("a"), fp("0.6"), fp("0.4"))
-    st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"), CredLabel.BAD))
-    dup = st.copy()
-    assert dup == st
-    dup.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
-                           CredLabel.EXCELLENT))
-    assert dup != st
+def _tables(st):
+    return [list(t.items())
+            for t in (st.cred, st.auth, st.sat, st.counts, st.declared)]
+
+
+def test_undo_and_fingerprint_equality():
+    def build():
+        st = TrustState()
+        st.register(_addr("a"), fp("0.6"), fp("0.4"))
+        st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
+                              CredLabel.BAD))
+        return st
+
+    st, ref = build(), build()
+    assert st == ref and hash(st) == hash(ref)
+    trust_before = st.trust_of(_addr("H"))
+    mark = st.mark()
+    # rewrites existing keys and adds new ones in every table
+    st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
+                          CredLabel.EXCELLENT))
+    st.apply_feedback(_fb(_addr("G"), _addr("H"), _addr("v"), CredLabel.GOOD))
+    st.apply_feedback(_fb(_addr("H"), _addr("F"), _addr("u"),
+                          SatLabel.SATISFIED))
+    st.register(_addr("b"), fp("0.5"), fp("0.5"))
+    assert st != ref
+    assert st.trust_of(_addr("H")) != trust_before
+    st.undo(mark)
+    assert st == ref
+    assert _tables(st) == _tables(ref)
+    assert st.trust_of(_addr("H")) == trust_before     # cache was dropped
+    st.undo(mark)                                      # nothing left to undo
+    assert st == ref
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +327,10 @@ def test_replay_matches_incremental_fold():
         chain.apply_block(blk)
         fold_block(incremental, blk)
 
-    assert replay_from_chain(chain).fingerprint() == incremental.fingerprint()
+    replayed = TrustState()
+    for blk in chain.blocks:
+        fold_block(replayed, blk)
+    assert replayed.fingerprint() == incremental.fingerprint()
     # the rating provider had no history, so its trust was 0 at fold time
     assert incremental.cred[(foreign.address, user.address)] \
         == cred_update(ONE, 0, fp("0.7"))
