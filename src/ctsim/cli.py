@@ -103,8 +103,8 @@ def cmd_verify(args) -> int:
         print(f"FAIL height={exc.height} txid={txid} reason={exc.reason}")
         return 1
     ntx = sum(len(b.txs) for b in blocks[1:])
-    print(f"OK height={replica.height} txs={ntx} "
-          f"tip={replica.tip.h_blk.hex()}")
+    chain = replica.chain
+    print(f"OK height={chain.height} txs={ntx} tip={chain.tip.h_blk.hex()}")
     return 0
 
 

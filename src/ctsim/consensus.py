@@ -137,11 +137,11 @@ def consensus_state_at(chain: Chain, address: bytes) -> CspConsensusState:
 
 
 def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,
-                   trust_of) -> str | None:
+                   generator_trust: int) -> str | None:
     """Reason a block fails consensus checks against its parent, or None.
 
-    trust_of maps a provider address to its consensus trust at the parent
-    state (bootstrap and overrides already applied by the caller).
+    generator_trust is the consensus trust of the block's generator at the
+    parent state (bootstrap and overrides already applied by the caller).
     """
     parent = parent_chain.tip
     h = blk.header
@@ -161,8 +161,7 @@ def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,
         return "PRF_MISMATCH"
     time_elapsed = elapsed_intervals(h.timestamp, state.last_generated_ts,
                                      params)
-    d_csp = csp_difficulty(params, time_elapsed, state.stake,
-                           trust_of(generator))
+    d_csp = csp_difficulty(params, time_elapsed, state.stake, generator_trust)
     if not _eligible(h.prf, d_csp, params.k_bits):
         return "NOT_ELIGIBLE"
     if not crypto.verify(h.generator_pub, h.h_blk, h.sig):
@@ -197,8 +196,7 @@ def consensus_trust(trust_state, address: bytes, overrides=None) -> int:
     return trust_state.trust_of(address)
 
 
-def calibrate_base_target(stakes: list[int], trusts: list[int],
-                          params_interval_ms: int | None = None) -> int:
+def calibrate_base_target(stakes: list[int], trusts: list[int]) -> int:
     """Pick d so the network produces about one block per target interval.
 
     Each provider's prefix draw is uniform; with difficulty growing

@@ -16,9 +16,9 @@ the event log alone.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .crypto import derive_child_key, resource_address
-from .fixedpoint import to_float
 from .ledger import (
     AccessToken,
     FeedbackData,
@@ -35,6 +35,51 @@ TRANSIENT_REASONS = frozenset({"UNKNOWN_TOKEN", "UNKNOWN_RATER",
                                "UNKNOWN_ISSUER"})
 
 PRIVILEGES = (b"access",)
+
+
+@dataclass
+class HomeUser:
+    """Home-side account record for a registered user."""
+    username: str
+    pseudonym: bytes
+    credential: bytes
+    profile: bytes
+
+
+@dataclass
+class ForeignRequest:
+    """Foreign-side context for an access request awaiting confirmation."""
+    req_id: str
+    user: str
+    home: str
+    resource: bytes
+    resource_label: str
+    state: str
+    token_id: bytes | None = None
+    deadline: int | None = None
+
+
+@dataclass
+class UserInfo:
+    """World-level user directory entry (who registered where)."""
+    username: str
+    pseudonym: bytes
+    homes: list[str]
+    credentials: dict[str, bytes]
+    profile: bytes
+
+
+@dataclass
+class RequestRecord:
+    """Bookkeeping mirror of a request's lifecycle, for inspection."""
+    req_id: str
+    user: str
+    home: str | None
+    target: str
+    resource: str
+    state: str
+    reason: str | None = None
+    token_id: bytes | None = None
 
 
 def _timeout_ms(world) -> int:
@@ -80,19 +125,8 @@ def run_action(world, action) -> None:
 
 def register_csp(world, spec) -> None:
     """Bring a provider online mid-run; it announces itself on-chain."""
-    from .crypto import generate_keypair
-    key = generate_keypair(world.rng.child(f"key:{spec.name}").take(32))
-    if spec.trust_override is not None:
-        world.overrides[key.address] = spec.trust_override
+    key = world._provider_key(spec)
     node = world._add_node(spec, key)
-    extra = {}
-    if spec.trust_override is not None:
-        extra["trust_override"] = to_float(spec.trust_override)
-    world.log_event("register", node=spec.name, address=key.address.hex(),
-                    stake=to_float(spec.stake),
-                    weight_sat=to_float(spec.weight_sat),
-                    weight_auth=to_float(spec.weight_auth),
-                    behavior=spec.behavior, **extra)
     tx = build_register_tx(key, RegisterData(spec.weight_sat,
                                              spec.weight_auth, spec.stake))
     node.wallet_prev = tx.txid
@@ -101,7 +135,6 @@ def register_csp(world, spec) -> None:
 
 def register_user(world, home_name: str, username: str) -> None:
     """Enroll a user at a home provider; pseudonym survives extra homes."""
-    from .sim import HomeUser, UserInfo
     home = world.nodes[home_name]
     child = derive_child_key(home.key, home.child_index)
     home.child_index += 1
@@ -125,7 +158,6 @@ def request_access(world, req_id: str, username: str, target: str,
                    resource: str, home: str | None = None,
                    bad_credential: bool = False) -> None:
     """Step one: the user asks the target provider for a resource."""
-    from .sim import ForeignRequest, RequestRecord
     world.requests[req_id] = RequestRecord(req_id, username, home, target,
                                            resource, "REQUESTED")
     _log_request(world, req_id, "REQUESTED", node=target)

@@ -12,8 +12,6 @@ from decimal import Decimal, ROUND_HALF_EVEN
 SCALE = 10**12
 ONE = SCALE
 
-_QUANTUM = Decimal(1) / SCALE
-
 
 def fp_from(value: float | int | str | Decimal) -> int:
     """Parse a number into fixed-point, rounding half-even at 12 places."""

@@ -1,13 +1,15 @@
 """A node's full state: chain, trust fold, and consensus validation.
 
-A Replica owns a Chain plus the TrustState implied by that chain. It
-advances only through apply(), which runs the complete validation stack
-(consensus header checks, per-transaction checks, trust fold) exactly the
-way every node and the offline verifier must agree on, and retreats only
-through pop(), the exact undo of the latest apply(). A simulator node holds
-one replica and handles a competing branch by popping to the fork point
-and applying the branch's blocks; the ledger verifier replays a file
-through a fresh replica from genesis.
+A Replica owns a Chain plus the TrustState implied by that chain; the
+consensus parameters it validates against come from the genesis block
+alone. It advances only through apply(), which runs the complete
+validation stack (consensus header checks, per-transaction checks, trust
+fold) exactly the way every node and the offline verifier must agree on,
+and raises VerifyFailure on a rejected block. It retreats only through
+pop(), the exact undo of the latest apply(). A simulator node holds one
+replica and handles a competing branch by popping to the fork point and
+applying the branch's blocks; the ledger verifier replays a file through
+a fresh replica from genesis.
 """
 
 from __future__ import annotations
@@ -39,21 +41,23 @@ def params_from_genesis(genesis: Block) -> ConsensusParams:
 
 
 class Replica:
-    """Chain + trust state, advanced by full validation, undone per block."""
+    """Chain + trust state, advanced by full validation, undone per block.
 
-    def __init__(self, genesis: Block, params: ConsensusParams | None = None,
+    overrides maps provider addresses to pinned consensus trust. The dict
+    is kept, not copied, so a pin its owner adds later applies here too.
+    """
+
+    def __init__(self, genesis: Block,
                  overrides: dict[bytes, int] | None = None):
         try:
             self.chain = Chain(genesis)
-            genesis_params = params_from_genesis(genesis)
+            self.params = params_from_genesis(genesis)
         except LedgerError as exc:
             raise VerifyFailure(0, exc.txid, exc.reason) from None
         except ValueError:  # parameters out of ConsensusParams' range
             raise VerifyFailure(0, None, "BAD_SIGNATURE") from None
-        self.params = params or genesis_params
-        self.overrides = overrides or {}
+        self.overrides = {} if overrides is None else overrides
         self.trust = trust.TrustState()
-        self.last_reject_txid: bytes | None = None
         trust.fold_block(self.trust, genesis)
         # per height above genesis: the trust journal mark before its fold
         self._trust_marks: list[int] = []
@@ -61,31 +65,20 @@ class Replica:
     def trust_for(self, address: bytes) -> int:
         return consensus.consensus_trust(self.trust, address, self.overrides)
 
-    @property
-    def tip(self) -> Block:
-        return self.chain.tip
-
-    @property
-    def height(self) -> int:
-        return self.chain.height
-
-    def apply(self, blk: Block) -> str | None:
-        """Validate and append one block; reason code on rejection."""
-        self.last_reject_txid = None
+    def apply(self, blk: Block) -> None:
+        """Validate and append one block; VerifyFailure on rejection, with
+        the txid of the failing transaction, None for header failures."""
+        gen_trust = self.trust_for(crypto.address_of(blk.header.generator_pub))
         reason = consensus.validate_block(blk, self.params, self.chain,
-                                          self.trust_for)
+                                          gen_trust)
         if reason:
-            return reason
-        generator = crypto.address_of(blk.header.generator_pub)
-        gen_trust = self.trust_for(generator)
+            raise VerifyFailure(blk.height, None, reason)
         try:
             self.chain.apply_block(blk, gen_trust)
         except LedgerError as exc:
-            self.last_reject_txid = exc.txid
-            return exc.reason
+            raise VerifyFailure(blk.height, exc.txid, exc.reason) from None
         self._trust_marks.append(self.trust.mark())
         trust.fold_block(self.trust, blk)
-        return None
 
     def pop(self) -> Block:
         """Undo the latest apply(): chain indices and trust fold, exactly."""
@@ -103,9 +96,7 @@ def replay_blocks(blocks: list[Block],
     """
     if not blocks:
         raise VerifyFailure(0, None, "BAD_ENCODING")
-    replica = Replica(blocks[0], overrides=overrides)
+    replica = Replica(blocks[0], overrides)
     for blk in blocks[1:]:
-        reason = replica.apply(blk)
-        if reason:
-            raise VerifyFailure(blk.height, replica.last_reject_txid, reason)
+        replica.apply(blk)
     return replica

@@ -17,11 +17,10 @@ traffic into a fresh partition is dropped (and logged).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from . import consensus, federation
-from .consensus import ConsensusParams
 from .crypto import DetRng, KeyPair, generate_keypair
+from .federation import ForeignRequest, HomeUser, RequestRecord, UserInfo
 from .fixedpoint import to_float
 from .ledger import (
     Block,
@@ -35,7 +34,7 @@ from .ledger import (
     compute_tx_root,
     make_genesis,
 )
-from .replica import Replica
+from .replica import Replica, VerifyFailure
 from .scenario import NodeSpec, ScenarioConfig
 from .trust import BOOTSTRAP_TRUST
 
@@ -50,41 +49,18 @@ SCENARIO_ACTION = "scenario_action"
 PARTITION_CHANGE = "partition_change"
 
 
-@dataclass
-class HomeUser:
-    """Home-side account record for a registered user."""
-    username: str
-    pseudonym: bytes
-    credential: bytes
-    profile: bytes
-
-
-@dataclass
-class ForeignRequest:
-    """Foreign-side context for an access request awaiting confirmation."""
-    req_id: str
-    user: str
-    home: str
-    resource: bytes
-    resource_label: str
-    state: str
-    token_id: bytes | None = None
-    deadline: int | None = None
-
-
 class Node:
     """One cloud service provider: replica, mempool, protocol state."""
 
     def __init__(self, name: str, spec: NodeSpec, key: KeyPair,
-                 rng: DetRng, genesis: Block, params: ConsensusParams,
-                 overrides: dict[bytes, int]):
+                 rng: DetRng, genesis: Block, overrides: dict[bytes, int]):
         self.name = name
         self.spec = spec
         self.behavior = spec.behavior
         self.key = key
         self.rng = rng
         self.address = key.address
-        self.replica = Replica(genesis, params, overrides)
+        self.replica = Replica(genesis, overrides)
         self.mempool: dict[bytes, tuple[int, Transaction]] = {}
         self._arrival = 0
         # federation state
@@ -152,9 +128,10 @@ class Node:
             return
         if self.address not in chain.registered:
             return
+        params = self.replica.params
         state = consensus.consensus_state_at(chain, self.address)
         trust = self.replica.trust_for(self.address)
-        if not consensus.check_eligibility(tip.h_blk, world.params, state,
+        if not consensus.check_eligibility(tip.h_blk, params, state,
                                            trust, self.key.pub_bytes,
                                            world.now):
             return
@@ -165,7 +142,7 @@ class Node:
             generator_pub=self.key.pub_bytes, prf=ZERO_DIGEST,
             base_target=chain.base_target, sig=b"\x00" * 64)
         cand = Block(header, txs)
-        sealed = consensus.generate_block(cand, world.params, self.key,
+        sealed = consensus.generate_block(cand, params, self.key,
                                           state, trust)
         if sealed is None:  # eligibility was just checked
             raise RuntimeError(f"{self.name}: eligible but no block sealed")
@@ -181,9 +158,11 @@ class Node:
             world.broadcast_block(self, tuple(chain.blocks) + (evil,))
             return
 
-        reason = self.replica.apply(blk)
-        if reason is not None:
-            raise RuntimeError(f"{self.name}: own block rejected: {reason}")
+        try:
+            self.replica.apply(blk)
+        except VerifyFailure as exc:
+            raise RuntimeError(f"{self.name}: own block rejected: "
+                               f"{exc.reason}") from exc
         self._evict_included()
         world.log_event("block_accepted", node=self.name, height=blk.height,
                         h_blk=blk.h_blk.hex(), generator=self.name)
@@ -226,11 +205,13 @@ class Node:
         orphans = chain.blocks[fork + 1:]
         self._rewind(fork)
         for blk in branch[fork + 1:]:
-            reason = replica.apply(blk)
-            if reason is not None:
+            try:
+                replica.apply(blk)
+            except VerifyFailure as exc:
                 world.log_event("block_rejected", node=self.name,
                                 height=blk.height, h_blk=blk.h_blk.hex(),
-                                reason=reason, txid=_reject_txid(replica),
+                                reason=exc.reason,
+                                txid=exc.txid.hex() if exc.txid else None,
                                 source=source)
                 self._restore(fork, orphans)
                 return
@@ -259,11 +240,12 @@ class Node:
         """Pop back to the fork point and re-apply our own blocks."""
         self._rewind(fork)
         for blk in blocks:
-            reason = self.replica.apply(blk)
-            if reason is not None:
+            try:
+                self.replica.apply(blk)
+            except VerifyFailure as exc:
                 raise RuntimeError(f"{self.name}: own block at height "
                                    f"{blk.height} rejected on re-apply: "
-                                   f"{reason}")
+                                   f"{exc.reason}") from exc
 
     def _reconcile_mempool(self, orphans: list[Block]) -> None:
         """After a switch: re-add orphaned txs, evict newly included ones."""
@@ -279,11 +261,6 @@ class Node:
 def _fork_tip(chain: Chain) -> tuple[int, int, bytes]:
     """What consensus.resolve orders fork tips by."""
     return chain.height, chain.cum_trust[-1], chain.tip.h_blk
-
-
-def _reject_txid(replica: Replica) -> str | None:
-    txid = replica.last_reject_txid
-    return txid.hex() if txid else None
 
 
 def _corrupt_block(blk: Block) -> Block:
@@ -304,29 +281,6 @@ def _corrupt_block(blk: Block) -> Block:
         prf=hdr.prf, base_target=hdr.base_target, sig=bad_sig), blk.txs)
 
 
-@dataclass
-class UserInfo:
-    """World-level user directory entry (who registered where)."""
-    username: str
-    pseudonym: bytes
-    homes: list[str]
-    credentials: dict[str, bytes]
-    profile: bytes
-
-
-@dataclass
-class RequestRecord:
-    """Bookkeeping mirror of a request's lifecycle, for inspection."""
-    req_id: str
-    user: str
-    home: str | None
-    target: str
-    resource: str
-    state: str
-    reason: str | None = None
-    token_id: bytes | None = None
-
-
 class World:
     """Event loop, link model, and shared directories for one run."""
 
@@ -343,14 +297,7 @@ class World:
         self.requests: dict[str, RequestRecord] = {}
         self.overrides: dict[bytes, int] = {}
 
-        # keys first, in roster order, so node identity is config-stable
-        keys = {spec.name: generate_keypair(
-                    self.rng.child(f"key:{spec.name}").take(32))
-                for spec in cfg.nodes}
-        for spec in cfg.nodes:
-            if spec.trust_override is not None:
-                self.overrides[keys[spec.name].address] = spec.trust_override
-
+        keys = {spec.name: self._provider_key(spec) for spec in cfg.nodes}
         regs = [build_register_tx(keys[spec.name],
                                   RegisterData(spec.weight_sat,
                                                spec.weight_auth, spec.stake))
@@ -366,29 +313,13 @@ class World:
             regs, base, interval_ms=cfg.consensus.block_interval_ms,
             slot_ms=cfg.consensus.slot_ms, k_bits=cfg.consensus.k_bits,
             time_cap=cfg.consensus.time_cap_intervals)
-        self.params = ConsensusParams(
-            base_target=base, k_bits=cfg.consensus.k_bits,
-            block_interval_ms=cfg.consensus.block_interval_ms,
-            slot_ms=cfg.consensus.slot_ms,
-            time_cap_intervals=cfg.consensus.time_cap_intervals)
+        self.log_event("genesis", h_blk=self.genesis.h_blk.hex(),
+                       base_target=to_float(base),
+                       interval_ms=cfg.consensus.block_interval_ms)
 
         self.nodes: dict[str, Node] = {}
         for spec in cfg.nodes:
             self._add_node(spec, keys[spec.name])
-
-        self.log_event("genesis", h_blk=self.genesis.h_blk.hex(),
-                       base_target=to_float(base),
-                       interval_ms=cfg.consensus.block_interval_ms)
-        for spec in cfg.nodes:
-            extra = {}
-            if spec.trust_override is not None:
-                extra["trust_override"] = to_float(spec.trust_override)
-            self.log_event("register", node=spec.name,
-                           address=keys[spec.name].address.hex(),
-                           stake=to_float(spec.stake),
-                           weight_sat=to_float(spec.weight_sat),
-                           weight_auth=to_float(spec.weight_auth),
-                           behavior=spec.behavior, **extra)
 
         self.schedule(cfg.consensus.slot_ms, SLOT_TICK, ())
         for part in cfg.partitions:
@@ -396,11 +327,28 @@ class World:
         for action in cfg.actions:
             self.schedule(action.at_ms, SCENARIO_ACTION, (action,))
 
+    def _provider_key(self, spec: NodeSpec) -> KeyPair:
+        """A provider's key, drawn from a stream named after it so node
+        identity is config-stable; records the provider's trust pin."""
+        key = generate_keypair(self.rng.child(f"key:{spec.name}").take(32))
+        if spec.trust_override is not None:
+            self.overrides[key.address] = spec.trust_override
+        return key
+
     def _add_node(self, spec: NodeSpec, key: KeyPair) -> Node:
+        """Bring a provider's node online and log its registration."""
         node = Node(spec.name, spec, key,
                     self.rng.child(f"node:{spec.name}"),
-                    self.genesis, self.params, self.overrides)
+                    self.genesis, self.overrides)
         self.nodes[spec.name] = node
+        extra = {}
+        if spec.trust_override is not None:
+            extra["trust_override"] = to_float(spec.trust_override)
+        self.log_event("register", node=spec.name, address=key.address.hex(),
+                       stake=to_float(spec.stake),
+                       weight_sat=to_float(spec.weight_sat),
+                       weight_auth=to_float(spec.weight_auth),
+                       behavior=spec.behavior, **extra)
         return node
 
     # --- logging -----------------------------------------------------------
@@ -526,22 +474,6 @@ class World:
             self.now = at
             self._step(kind, data)
         self.now = self.cfg.duration_ms
-
-    def drain(self) -> None:
-        """Flush in-flight deliveries past the horizon, without new slots.
-
-        After run() stops the clock there may still be blocks and messages
-        on the wire.  Letting those land (and nothing else: no ticks, no
-        scripted actions) settles every replica on its final tip, which is
-        what convergence checks want to compare.
-        """
-        deliver = (DELIVER_TX, DELIVER_BLOCK, DELIVER_MSG)
-        while self._queue:
-            at, _, kind, data = heapq.heappop(self._queue)
-            if kind not in deliver:
-                continue
-            self.now = max(self.now, at)
-            self._step(kind, data)
 
     # --- results -----------------------------------------------------------
 

@@ -113,7 +113,7 @@ def overall_trust(sat: int, auth: int, weight_sat: int, weight_auth: int) -> int
 # ===========================================================================
 
 class TrustState:
-    """All pairwise scores plus registration-declared weights.
+    """The cred, auth and sat pair tables plus registration-declared weights.
 
     Mutation happens through register() and apply_feedback() only; the
     per-provider trust cache is dropped on every mutation and rebuilt
@@ -121,14 +121,13 @@ class TrustState:
 
     The fold floors, so it cannot be inverted: every table write is
     journaled with the value it replaced, and undo(mark) rolls the state
-    back to an earlier mark().
+    back to an earlier mark(). Compare two states by their fingerprint().
     """
 
     def __init__(self):
         self.cred: dict[tuple[bytes, bytes], int] = {}
         self.auth: dict[tuple[bytes, bytes], int] = {}
         self.sat: dict[tuple[bytes, bytes], int] = {}
-        self.counts: dict[tuple[str, bytes, bytes], int] = {}
         self.declared: dict[bytes, tuple[int, int]] = {}
         self._journal: list[tuple[dict, object, object]] = []
         self._trust_cache: dict[bytes, int] = {}
@@ -212,23 +211,16 @@ class TrustState:
             prev = self.cred.get((foreign, user), INITIAL_CRED)
             self._set(self.cred, (foreign, user),
                       cred_update(prev, trust_f, value))
-            self._bump("cred", foreign, user)
             prev_a = self.auth.get((foreign, home), INITIAL_AUTH)
             self._set(self.auth, (foreign, home),
                       auth_update(prev_a, auth_curr_from_feedback(value)))
-            self._bump("auth", foreign, home)
         else:
             home, foreign, user = fb.rater, fb.subject, fb.user
             cred_u = self.cred_user(user)
             prev = self.sat.get((home, foreign), INITIAL_SAT)
             self._set(self.sat, (home, foreign),
                       sat_update(prev, cred_u, value))
-            self._bump("sat", home, foreign)
         self._trust_cache.clear()
-
-    def _bump(self, family: str, a: bytes, b: bytes) -> None:
-        key = (family, a, b)
-        self._set(self.counts, key, self.counts.get(key, 0) + 1)
 
     # -- comparison --------------------------------------------------------
 
@@ -237,16 +229,7 @@ class TrustState:
         return (tuple(sorted(self.cred.items())),
                 tuple(sorted(self.auth.items())),
                 tuple(sorted(self.sat.items())),
-                tuple(sorted(self.counts.items())),
                 tuple(sorted(self.declared.items())))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrustState):
-            return NotImplemented
-        return self.fingerprint() == other.fingerprint()
-
-    def __hash__(self):
-        return hash(self.fingerprint())
 
 
 def fold_block(state: TrustState, blk: ledger.Block) -> None:

@@ -6,10 +6,12 @@ one line per acceptance criterion and prints them after the run, outside
 pytest's output capture.
 """
 
+import heapq
+
 import pytest
 
 from ctsim.scenario import load_config
-from ctsim.sim import World
+from ctsim.sim import DELIVER_BLOCK, DELIVER_MSG, DELIVER_TX, World
 
 _criterion_lines: list[str] = []
 
@@ -56,9 +58,26 @@ def chain_state(chain) -> tuple:
 def replica_state(replica) -> tuple:
     """chain_state plus the trust fold, table order included."""
     trust = replica.trust
-    tables = (trust.cred, trust.auth, trust.sat, trust.counts, trust.declared)
+    tables = (trust.cred, trust.auth, trust.sat, trust.declared)
     return (chain_state(replica.chain), trust.fingerprint(),
             [list(t.items()) for t in tables])
+
+
+def drain(world) -> None:
+    """Flush in-flight deliveries past the horizon, without new slots.
+
+    After run() stops the clock there may still be blocks and messages
+    on the wire.  Letting those land (and nothing else: no ticks, no
+    scripted actions) settles every replica on its final tip, which is
+    what convergence checks want to compare.
+    """
+    deliver = (DELIVER_TX, DELIVER_BLOCK, DELIVER_MSG)
+    while world._queue:
+        at, _, kind, data = heapq.heappop(world._queue)
+        if kind not in deliver:
+            continue
+        world.now = max(world.now, at)
+        world._step(kind, data)
 
 
 def make_world(cfg_dict) -> World:

@@ -25,7 +25,9 @@ from ctsim.trust import (
     TrustState, auth_update, bucketize, cred_update, overall_trust,
 )
 
-from conftest import base_cfg, four_nodes, record_criterion, run_cfg
+from conftest import (
+    base_cfg, drain, four_nodes, record_criterion, run_cfg,
+)
 
 fp = fp_from
 
@@ -202,7 +204,7 @@ def test_c07_no_token_serves_twice():
                  "resource": "vm-small"},
             ])
         world = run_cfg(cfg)
-        world.drain()
+        drain(world)
         grants: dict[str, int] = {}
         for e in world.events:
             if e["event"] == "request_state" and e["state"] == "GRANTED" \
@@ -238,7 +240,7 @@ def test_c08_partitions_heal():
                 {"at_ms": 9000, "heal": True},      # 20 intervals apart
             ])
         world = run_cfg(cfg)    # ends 10 intervals after the heal
-        world.drain()
+        drain(world)
         tips = {n.chain.tip.h_blk for n in world.nodes.values()}
         if len(tips) != 1:
             split.append(seed)
@@ -256,7 +258,7 @@ def test_c09_distrusted_node_stays_silent():
     cfg = base_cfg(seed=109, duration_ms=150_000,    # 500 intervals
                    nodes=nodes, auto_feedback=False)
     world = run_cfg(cfg)
-    world.drain()
+    drain(world)
     pub = world.nodes["delta"].key.pub_bytes
     landed = sum(1 for n in world.nodes.values()
                  for b in n.chain.blocks[1:]

@@ -147,7 +147,7 @@ def test_generate_then_validate_round_trip():
     chain = two_node_chain()
     p = params_with("0.9")
     blk = sealed_block(chain, ALPHA, p)
-    assert validate_block(blk, p, chain, lambda a: BOOTSTRAP_TRUST) is None
+    assert validate_block(blk, p, chain, BOOTSTRAP_TRUST) is None
     chain.apply_block(blk, BOOTSTRAP_TRUST)
     assert chain.height == 1
     # prf chain advances: the next block's prf hashes the previous one
@@ -166,7 +166,7 @@ def test_generate_declines_when_not_eligible():
 def test_validate_block_reason_order():
     chain = two_node_chain()
     p = params_with("0.9")
-    trust = lambda a: BOOTSTRAP_TRUST
+    trust = BOOTSTRAP_TRUST
     good = sealed_block(chain, ALPHA, p)
 
     bad_link = Block(replace(good.header, prev_block=b"\x09" * 32), good.txs)
@@ -213,8 +213,7 @@ def test_validate_block_catches_ineligible_timestamp():
     header = replace(blk.header, prf=prf)
     import ctsim.crypto as crypto
     sealed = Block(replace(header, sig=crypto.sign(ALPHA, header.h_blk)), ())
-    assert validate_block(sealed, p, chain,
-                          lambda a: BOOTSTRAP_TRUST) == "NOT_ELIGIBLE"
+    assert validate_block(sealed, p, chain, BOOTSTRAP_TRUST) == "NOT_ELIGIBLE"
 
 
 # ---------------------------------------------------------------------------

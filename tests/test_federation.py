@@ -5,7 +5,7 @@ from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import TxKind
 from ctsim.trust import CredLabel, SatLabel
 
-from conftest import base_cfg, four_nodes, run_cfg
+from conftest import base_cfg, drain, four_nodes, run_cfg
 
 
 def req_states(world, req):
@@ -41,7 +41,7 @@ def test_grant_walks_all_five_steps():
 
     granted = req_states(world, "req-1")[-1][1]
     token_id = bytes.fromhex(granted["token"])
-    world.drain()
+    drain(world)
     alpha = world.nodes["alpha"]
     beta = world.nodes["beta"]
     token = beta.chain.lookup_token(token_id)
@@ -71,7 +71,7 @@ def test_home_grant_is_local_and_off_chain():
     states = req_states(world, "req-1")
     assert [s for s, _ in states] == ["REQUESTED", "GRANTED"]
     assert states[-1][1]["local"] is True
-    world.drain()
+    drain(world)
     assert chain_txs(world, TxKind.TOKEN) == []
     assert chain_txs(world, TxKind.FEEDBACK) == []
 
@@ -99,7 +99,7 @@ def test_bad_credential_fails_authentication():
     assert req_states(world, "req-1")[-1][1]["reason"] == "AUTH_FAILED"
     assert any(e["event"] == "auth_failed" and e["node"] == "alpha"
                for e in world.events)
-    world.drain()
+    drain(world)
     assert chain_txs(world, TxKind.TOKEN) == []
 
 
@@ -130,7 +130,7 @@ def test_replayed_token_is_consumed_once():
     assert first[-1][0] == "GRANTED"
     assert second[-1][0] == "DENIED"
     assert second[-1][1]["reason"] == "TOKEN_REUSED"
-    world.drain()
+    drain(world)
     tokens = chain_txs(world, TxKind.TOKEN)
     assert len(tokens) == 1     # the replay never lands a second time
     granted = [e for e in world.events if e["event"] == "request_state"
@@ -151,7 +151,7 @@ def test_iaas_share_borrower_issues_for_lender():
                and e["lender"] == "gamma" for e in world.events)
     states = req_states(world, "req-1")
     assert states[-1][0] == "GRANTED"
-    world.drain()
+    drain(world)
     beta, gamma = world.nodes["beta"], world.nodes["gamma"]
     token_id = bytes.fromhex(states[-1][1]["token"])
     token = gamma.chain.lookup_token(token_id)
@@ -182,7 +182,7 @@ def test_smearer_drags_scores_down():
     cfg["nodes"] = nodes
     sour = run_cfg(cfg)
     for w in (honest, sour):
-        w.drain()
+        drain(w)
         assert req_states(w, "req-1")[-1][0] == "GRANTED"
         assert req_states(w, "req-2")[-1][0] == "GRANTED"
     pseudo = honest.users["wanderer"].pseudonym
@@ -201,7 +201,7 @@ def test_flatterer_pushes_scores_up():
     nodes[0]["behavior"] = "flatterer"   # alpha rates its own grants top
     cfg["nodes"] = nodes
     world = run_cfg(cfg)
-    world.drain()
+    drain(world)
     labels = [e["label"] for e in world.events
               if e["event"] == "feedback_submitted" and e["node"] == "alpha"]
     assert labels == [int(SatLabel.FULLY_SATISFIED)]
@@ -228,7 +228,7 @@ def test_pseudonym_survives_second_home():
     assert info.homes == ["alpha", "beta"]
     states = req_states(world, "req-1")
     assert states[-1][0] == "GRANTED"
-    world.drain()
+    drain(world)
     token = world.nodes["gamma"].chain.lookup_token(
         bytes.fromhex(states[-1][1]["token"]))
     assert token.issuer == world.nodes["beta"].address
@@ -240,7 +240,7 @@ def test_fifth_provider_joins_the_weighting():
         {"at_ms": 2000, "action": "register_csp", "name": "echo",
          "stake": 0.1, "weights": [0.9, 0.1]}])
     world = run_cfg(cfg)
-    world.drain()
+    drain(world)
     trust = world.canonical.replica.trust
     assert len(trust.declared) == 5
     w_sat, w_auth = trust.global_weights()
@@ -252,7 +252,7 @@ def test_fifth_provider_joins_the_weighting():
 def test_auto_feedback_can_be_disabled():
     world = run_cfg(flow_cfg(auto_feedback=False))
     assert req_states(world, "req-1")[-1][0] == "GRANTED"
-    world.drain()
+    drain(world)
     assert chain_txs(world, TxKind.FEEDBACK) == []
     assert not any(e["event"] == "feedback_submitted" for e in world.events)
     assert all(not n.pending_sat for n in world.nodes.values())
@@ -277,7 +277,7 @@ def test_scripted_feedback_paths():
     assert [e["reason"] for e in failed] == ["NOT_GRANTED"]
     dropped = [e for e in world.events if e["event"] == "feedback_dropped"]
     assert [e["reason"] for e in dropped] == ["DUPLICATE_FEEDBACK"]
-    world.drain()
+    drain(world)
     labels = sorted(fb_label(tx) for tx in chain_txs(world, TxKind.FEEDBACK))
     assert labels == [int(CredLabel.MEDIUM), int(SatLabel.PARTIALLY_SATISFIED)]
 

@@ -12,11 +12,12 @@ from ctsim.ledger import (
     compute_tx_root, ser_block,
 )
 from ctsim.crypto import DetRng, address_of, generate_keypair
-from ctsim.replica import replay_blocks
+from ctsim.replica import VerifyFailure, replay_blocks
 from ctsim.sim import Node, _corrupt_block
 
 from conftest import (
-    base_cfg, chain_state, four_nodes, make_world, replica_state, run_cfg,
+    base_cfg, chain_state, drain, four_nodes, make_world, replica_state,
+    run_cfg,
 )
 
 
@@ -60,16 +61,16 @@ def test_seed_actually_matters():
 
 
 def test_honest_network_converges(world_10s):
-    world_10s.drain()
+    drain(world_10s)
     got = tips(world_10s)
     assert len(set(got.values())) == 1, got
     assert world_10s.canonical.chain.height > 5
 
 
 def test_drain_is_idempotent(world_10s):
-    world_10s.drain()
+    drain(world_10s)
     before = tips(world_10s)
-    world_10s.drain()
+    drain(world_10s)
     assert tips(world_10s) == before
 
 
@@ -115,7 +116,7 @@ def test_partition_cuts_then_heals():
     assert drops, "no traffic ever crossed the cut"
     for e in drops:
         assert 3000 <= e["ts"] <= 9000
-    world.drain()
+    drain(world)
     assert len(set(tips(world).values())) == 1
     # every node rewound and re-applied its way there, the losing side of
     # the heal included; each must hold exactly what a replay derives
@@ -152,7 +153,7 @@ def test_tamperer_feeds_nobody():
     nodes = four_nodes()
     nodes[1]["behavior"] = "tamperer"
     world = run_cfg(base_cfg(seed=13, duration_ms=12000, nodes=nodes))
-    world.drain()
+    drain(world)
     tampered = events_of(world, "block_tampered")
     assert tampered, "tamperer never won a slot; scenario too short"
     bad_pub = world.nodes["beta"].key.pub_bytes
@@ -180,10 +181,10 @@ def test_trust_override_zero_silences_node():
 
 def test_fixed_base_target_skips_calibration():
     cfg = base_cfg(consensus={"base_target": 0.25})
-    world = make_world(cfg)
-    assert world.params.base_target == fp_from("0.25")
-    auto = make_world(base_cfg())
-    assert auto.params.base_target != world.params.base_target
+    params = make_world(cfg).canonical.replica.params
+    assert params.base_target == fp_from("0.25")
+    auto = make_world(base_cfg()).canonical.replica.params
+    assert auto.base_target != params.base_target
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +215,39 @@ def test_midrun_registration_reaches_everyone():
     cfg = base_cfg(
         seed=23, duration_ms=12000,
         actions=[{"at_ms": 2000, "action": "register_csp",
-                  "name": "echo", "stake": 0.1}])
+                  "name": "echo", "stake": 0.1},
+                 {"at_ms": 2500, "action": "register_csp",
+                  "name": "foxtrot", "stake": 0.1, "trust_override": 0}])
     world = run_cfg(cfg)
-    world.drain()
+    drain(world)
     echo = world.nodes["echo"]
+    pinned = world.nodes["foxtrot"].address
     for n in world.nodes.values():
         assert echo.address in n.chain.registered
         # eviction invariant: nothing already on-chain lingers in a mempool
         assert not (n.mempool.keys() & n.chain.txids)
+        # a pin added mid-run binds the nodes built before it as well
+        assert n.replica.trust_for(pinned) == 0, n.name
 
 
 # ---------------------------------------------------------------------------
 # Invariants fail loudly, also under python -O
 # ---------------------------------------------------------------------------
 
-def test_src_holds_no_assert_statements():
-    # python -O strips assert statements, so invariants must raise instead
+def test_src_holds_no_asserts_or_function_level_imports():
+    # python -O strips assert statements, so invariants must raise instead;
+    # an import inside a function hides a module cycle, so imports sit at
+    # module level
     src = pathlib.Path(consensus.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, (path.name, lines)
+        funcs = [f for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        imports = sorted({n.lineno for f in funcs for n in ast.walk(f)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))})
+        assert not imports, (path.name, imports)
 
 
 def test_schedule_into_the_past_raises():
@@ -258,9 +271,13 @@ def test_eligible_node_that_seals_nothing_raises(monkeypatch):
         alpha.try_generate(world)
 
 
+def _refuse(blk):
+    raise VerifyFailure(blk.height, None, "BAD_LINK")
+
+
 def test_node_rejecting_its_own_block_raises(monkeypatch):
     world, alpha = _eligible_alpha(monkeypatch)
-    monkeypatch.setattr(alpha.replica, "apply", lambda blk: "BAD_LINK")
+    monkeypatch.setattr(alpha.replica, "apply", _refuse)
     with pytest.raises(RuntimeError, match="own block rejected: BAD_LINK"):
         alpha.try_generate(world)
 
@@ -279,7 +296,7 @@ def _extend(replica, world, txs=(), avoid=None) -> Block:
     tip = chain.tip
     ts = tip.header.timestamp
     while ts < tip.header.timestamp + 1_000_000:
-        ts += world.params.slot_ms
+        ts += replica.params.slot_ms
         for name in sorted(world.nodes):
             node = world.nodes[name]
             if node.address == avoid:
@@ -291,12 +308,12 @@ def _extend(replica, world, txs=(), avoid=None) -> Block:
                 base_target=chain.base_target, sig=b"\x00" * 64)
             cand = Block(header, tuple(txs))
             sealed = consensus.generate_block(
-                cand, world.params, node.key,
+                cand, replica.params, node.key,
                 consensus.consensus_state_at(chain, node.address),
                 replica.trust_for(node.address))
             if sealed is not None:
                 blk = consensus.seal_block(cand, *sealed)
-                assert replica.apply(blk) is None
+                replica.apply(blk)
                 return blk
     raise AssertionError("nobody became eligible")
 
@@ -331,7 +348,7 @@ def _receive(node, world, branch):
 @pytest.fixture
 def settled():
     world = run_cfg(base_cfg(seed=29, duration_ms=6000, actions=FLOW))
-    world.drain()
+    drain(world)
     node = world.nodes["alpha"]
     # fork below the highest block that carries txs, so a switch orphans them
     fork = max(b.height for b in node.chain.blocks if b.txs) - 1
@@ -407,9 +424,24 @@ def test_pop_then_reapply_equals_replay():
             redo = replay_blocks(blocks[:n], world.overrides)
             assert replica_state(replica) == replica_state(redo)
         for blk in blocks[len(blocks) - k:]:
-            assert replica.apply(blk) is None
+            replica.apply(blk)
         assert replica_state(replica) \
             == replica_state(replay_blocks(blocks, world.overrides))
+
+    # a corrupted block is refused whole: a bad tx signature names the tx,
+    # a bad header signature names none
+    tx_height = max(n for n, b in enumerate(blocks) if b.txs)
+    bare_height = max(n for n, b in enumerate(blocks) if n and not b.txs)
+    for n, txid, reason in (
+            (tx_height, blocks[tx_height].txs[-1].txid, "BAD_SIGNATURE"),
+            (bare_height, None, "BAD_HEADER_SIG")):
+        replica = replay_blocks(blocks[:n], world.overrides)
+        before = replica_state(replica)
+        with pytest.raises(VerifyFailure) as caught:
+            replica.apply(_corrupt_block(blocks[n]))
+        got = caught.value
+        assert (got.height, got.txid, got.reason) == (n, txid, reason)
+        assert replica_state(replica) == before
 
 
 def test_pack_txs_leaves_the_chain_as_found(monkeypatch):
@@ -433,7 +465,7 @@ def test_own_block_failing_on_reapply_raises(settled):
     orphans = node.chain.blocks[fork + 1:]
     loser = _rival(node, world, fork, len(orphans) - 1)
     apply = node.replica.apply
-    node.replica.apply = lambda blk: ("BAD_LINK" if blk in orphans
+    node.replica.apply = lambda blk: (_refuse(blk) if blk in orphans
                                       else apply(blk))
     with pytest.raises(RuntimeError, match="rejected on re-apply: BAD_LINK"):
         node.receive_branch(world, loser, source="test")
