@@ -6,28 +6,32 @@ addition adds an affine point (mixed addition), and a result costs one field
 inversion, ``pow(z, -1, P)``. ``BACKEND`` names the kernel so benchmarks can
 record which one they measured.
 
-Algorithms:
+Every multiplication is one Lim-Lee comb walk. A comb table with t teeth
+holds ``sum(b_j * 2**(33*j) * B)`` for every nonzero t-bit b; bit i of each
+of the t 33-bit chunks of a scalar picks the entry added at column i, so a
+walk over any number of tables shares one run of 33 doublings.
 
-- ``scalar_base_mult`` reads k in 4-bit windows from a fixed-base comb table
-  of ``d * 16**i * G`` (1 <= d <= 15, i < 64). The table is built once at
-  import and normalized to affine with Montgomery's batch inversion, so a
-  base multiplication is at most 64 mixed additions and no doublings.
-- ``scalar_mult`` splits k with the GLV endomorphism
-  ``LAMBDA * (x, y) == (BETA * x, y)`` into two halves of about 128 bits and
-  runs one interleaved width-5 wNAF ladder over the batch-normalized odd
-  multiples of Q and LAMBDA * Q: about 128 doublings instead of 256.
-- ``shamir_mult`` runs that ladder for ``u2 * Q`` and adds ``u1 * G`` from
-  the comb table.
+- G has an 8-tooth table (255 points), built at import: ``scalar_base_mult``
+  is 33 doublings and at most 33 mixed additions.
+- A variable point Q gets 4-tooth tables for Q and for
+  ``LAMBDA * Q == (BETA * x, y)`` (15 points each), built on first use and
+  cached per point, since a run checks many signatures under few keys.
+  ``scalar_mult`` splits k with the GLV endomorphism into two signed halves
+  below 2**129 and walks both tables; ``shamir_mult`` adds u1 on G's table
+  in the same walk: 33 doublings and at most 99 additions.
 
-References: D. Hankerson, A. Menezes and S. Vanstone, *Guide to Elliptic
-Curve Cryptography*, Springer 2004, section 3.3 (wNAF, fixed-base comb,
-interleaving) and section 3.5 (balanced length-two scalar decomposition);
+References: C. H. Lim and P. J. Lee, "More flexible exponentiation with
+precomputation", CRYPTO 1994; D. Hankerson, A. Menezes and S. Vanstone,
+*Guide to Elliptic Curve Cryptography*, Springer 2004, sections 3.3.2
+(fixed-base comb) and 3.5 (balanced length-two scalar decomposition);
 R. Gallant, R. Lambert and S. Vanstone, "Faster point multiplication on
 elliptic curves with efficient endomorphisms", CRYPTO 2001.
 
 The three public functions never call one another, so each call of one of
 them is one unit of kernel work to anything that wraps them.
 """
+
+from functools import lru_cache
 
 BACKEND = "pure"
 
@@ -48,9 +52,7 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-_WNAF_WIDTH = 5   # variable-base digits are odd, |d| < 2**(_WNAF_WIDTH - 1)
-_COMB_BITS = 4    # fixed-base window: comb rows hold d * 2**(4*i) * G
-_COMB_ROW = 1 << _COMB_BITS
+_COMB_SPACING = 33  # columns per comb: 8 teeth cover N, 4 cover a GLV half
 
 _INF = (0, 1, 0)  # Jacobian encoding of the point at infinity (z == 0)
 
@@ -119,49 +121,6 @@ def _batch_to_affine(points):
     return out
 
 
-def _comb_table():
-    """Flat affine table: entry ``i * _COMB_ROW + d`` is
-    ``d * 2**(_COMB_BITS * i) * G`` for 1 <= d < _COMB_ROW; slot d == 0 of
-    each row is None."""
-    rows = -(-N.bit_length() // _COMB_BITS)
-    bases = [(GX, GY, 1)]
-    for _ in range(rows - 1):
-        pt = bases[-1]
-        for _ in range(_COMB_BITS):
-            pt = _jac_double(pt)
-        bases.append(pt)
-    multiples = []
-    for bx, by in _batch_to_affine(bases):
-        pt = (bx, by, 1)
-        multiples.append(pt)
-        for _ in range(_COMB_ROW - 2):
-            pt = _jac_add_affine(pt, bx, by)
-            multiples.append(pt)
-    flat = _batch_to_affine(multiples)
-    table = []
-    for i in range(0, len(flat), _COMB_ROW - 1):
-        table.append(None)
-        table.extend(flat[i:i + _COMB_ROW - 1])
-    return table
-
-
-_COMB = _comb_table()
-
-
-def _comb_add(acc, k):
-    """acc + k*G for 0 <= k < N, one table point per nonzero window of k."""
-    mask = _COMB_ROW - 1
-    row = 0
-    while k:
-        d = k & mask
-        if d:
-            x, y = _COMB[row + d]
-            acc = _jac_add_affine(acc, x, y)
-        k >>= _COMB_BITS
-        row += _COMB_ROW
-    return acc
-
-
 def _glv_split(k):
     """(k1, k2) with k1 + k2*LAMBDA == k (mod N) and |k1|, |k2| < 2**129,
     for 0 <= k < N: k rounded against the short lattice basis."""
@@ -170,85 +129,72 @@ def _glv_split(k):
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _wnaf(k):
-    """Width-_WNAF_WIDTH NAF of k >= 0, least significant digit first.
-
-    Every digit is 0 or odd with |d| < 2**(_WNAF_WIDTH - 1), any nonzero
-    digit is followed by at least _WNAF_WIDTH - 1 zeros, and
-    sum(d * 2**i) == k.
-    """
-    window = 1 << _WNAF_WIDTH
-    half = window >> 1
-    digits = []
-    while k:
-        if k & 1:
-            d = k & (window - 1)
-            if d >= half:
-                d -= window
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
+def _comb_points(base, teeth):
+    """Comb table of the affine point base: entry b is
+    ``sum(b_j * 2**(_COMB_SPACING * j) * base)`` over the bits b_j of b, for
+    1 <= b < 2**teeth; entry 0 is None."""
+    teeth_pts = [(base[0], base[1], 1)]
+    for _ in range(teeth - 1):
+        pt = teeth_pts[-1]
+        for _ in range(_COMB_SPACING):
+            pt = _jac_double(pt)
+        teeth_pts.append(pt)
+    entries = []
+    for tx, ty in _batch_to_affine(teeth_pts):
+        entries += [(tx, ty, 1)] + [_jac_add_affine(e, tx, ty)
+                                    for e in entries]
+    # No entry is infinity: each is a nonzero multiple of base below
+    # 2**232 < N, and base has prime order N.
+    return [None] + _batch_to_affine(entries)
 
 
-def _signed_multiples(odd):
-    """Lookup list for wNAF digits: ``table[d]`` is d*Q for odd d with
-    |d| < 2**(_WNAF_WIDTH - 1), where odd = [Q, 3Q, 5Q, ...] in affine
-    form. Negative d index from the end, which holds the negations."""
-    table = [None] * (1 << _WNAF_WIDTH)
-    for j, (x, y) in enumerate(odd):
-        table[2 * j + 1] = (x, y)
-        table[-(2 * j + 1)] = (x, P - y)
-    return table
+_G_TABLE = _comb_points((GX, GY), 8)
 
 
-def _glv_ladder(k, qx, qy):
-    """k * Q in Jacobian form: GLV split, then one interleaved wNAF ladder
-    over the odd multiples of Q and LAMBDA * Q."""
-    k1, k2 = _glv_split(k % N)
-    # Odd multiples Q, 3Q, ... by repeated addition of an affine 2Q.
-    tx, ty = _to_affine(_jac_double((qx, qy, 1)))
-    odd = [(qx, qy, 1)]
-    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
-        odd.append(_jac_add_affine(odd[-1], tx, ty))
-    odd = _batch_to_affine(odd)
-    table1 = _signed_multiples(odd)
-    table2 = _signed_multiples([((_BETA * x) % P, y) for x, y in odd])
-    n1 = _wnaf(abs(k1))
-    n2 = _wnaf(abs(k2))
-    if k1 < 0:
-        n1 = [-d for d in n1]
-    if k2 < 0:
-        n2 = [-d for d in n2]
-    length = max(len(n1), len(n2))
-    n1 += [0] * (length - len(n1))
-    n2 += [0] * (length - len(n2))
+@lru_cache(maxsize=4096)
+def _point_tables(px, py):
+    """4-tooth comb tables of Q = (px, py) and of LAMBDA * Q."""
+    table = _comb_points((px, py), 4)
+    return table, [None] + [((_BETA * x) % P, y) for x, y in table[1:]]
+
+
+def _comb_walk(terms):
+    """Jacobian sum of k * B over terms (comb table of B, k), for
+    |k| < 2**(teeth * _COMB_SPACING); a negative k adds negated entries.
+    All terms share one run of _COMB_SPACING doublings."""
+    walks = []
+    for table, k in terms:
+        teeth = len(table).bit_length() - 1
+        bits = format(abs(k), "0%db" % (teeth * _COMB_SPACING))
+        # bits[i::33] holds bit 32 - i of every 33-bit chunk of |k|, top
+        # chunk first: the table index of column 32 - i
+        walks.append((table, k < 0, [int(bits[i::_COMB_SPACING], 2)
+                                     for i in range(_COMB_SPACING)]))
     acc = _INF
-    for i in range(length - 1, -1, -1):
+    for i in range(_COMB_SPACING):
         acc = _jac_double(acc)
-        d = n1[i]
-        if d:
-            x, y = table1[d]
-            acc = _jac_add_affine(acc, x, y)
-        d = n2[i]
-        if d:
-            x, y = table2[d]
-            acc = _jac_add_affine(acc, x, y)
+        for table, negate, columns in walks:
+            if columns[i]:
+                x, y = table[columns[i]]
+                acc = _jac_add_affine(acc, x, P - y if negate else y)
     return acc
 
 
 def scalar_mult(k, px, py):
     """k * (px, py) in affine form, or None for the point at infinity."""
-    return _to_affine(_glv_ladder(k, px, py))
+    k1, k2 = _glv_split(k % N)
+    table, lam_table = _point_tables(px, py)
+    return _to_affine(_comb_walk(((table, k1), (lam_table, k2))))
 
 
 def scalar_base_mult(k):
     """k * G in affine form, or None for the point at infinity."""
-    return _to_affine(_comb_add(_INF, k % N))
+    return _to_affine(_comb_walk(((_G_TABLE, k % N),)))
 
 
 def shamir_mult(u1, u2, px, py):
-    """u1*G + u2*(px, py): the GLV ladder for u2, the comb table for u1."""
-    return _to_affine(_comb_add(_glv_ladder(u2, px, py), u1 % N))
+    """u1*G + u2*(px, py): both GLV halves of u2 and u1 in one comb walk."""
+    k1, k2 = _glv_split(u2 % N)
+    table, lam_table = _point_tables(px, py)
+    return _to_affine(_comb_walk(
+        ((table, k1), (lam_table, k2), (_G_TABLE, u1 % N))))

@@ -216,13 +216,29 @@ def _openssl_or_none(k: int):
     return None if k % N == 0 else _openssl_point(k)
 
 
-def test_comb_table_rows_match_openssl():
-    table, row = _ecbackend._COMB, _ecbackend._COMB_ROW
-    assert len(table) == 64 * row
-    for i in (0, 1, 2, 31, 62, 63):
-        assert table[i * row] is None
-        for d in (1, 2, 7, 15):
-            assert table[i * row + d] == _openssl_point(d * 16**i), (i, d)
+SPACING = _ecbackend._COMB_SPACING
+
+
+def _comb_scalar(b: int) -> int:
+    """The multiple of its base that comb table entry b holds."""
+    return sum(1 << (SPACING * j) for j in range(b.bit_length()) if b >> j & 1)
+
+
+def test_g_comb_table_matches_openssl():
+    table = _ecbackend._G_TABLE
+    assert len(table) == 256 and table[0] is None
+    for b in range(1, 256):
+        assert table[b] == _openssl_point(_comb_scalar(b)), b
+
+
+def test_point_tables_match_openssl():
+    q = _random_scalars(1, b"table-q")[0]
+    table, lam_table = _ecbackend._point_tables(*_openssl_point(q))
+    assert len(table) == len(lam_table) == 16
+    assert table[0] is None and lam_table[0] is None
+    for b in range(1, 16):
+        assert table[b] == _openssl_point(_comb_scalar(b) * q), b
+        assert lam_table[b] == _openssl_point(_comb_scalar(b) * q * LAMBDA), b
 
 
 def test_glv_endomorphism_and_split():
@@ -234,15 +250,51 @@ def test_glv_endomorphism_and_split():
         assert abs(k1) < 2**129 and abs(k2) < 2**129, k
 
 
-def test_wnaf_digits_are_sparse_odd_and_rebuild_k():
-    for k in GLV_SCALARS + [2**129 - 1, 0xABCDEF] + _random_scalars(16, b"naf"):
-        digits = _ecbackend._wnaf(k)
-        assert sum(d << i for i, d in enumerate(digits)) == k
-        nonzero = [i for i, d in enumerate(digits) if d]
-        for i in nonzero:
-            assert digits[i] % 2 == 1 and abs(digits[i]) < 16, (k, i)
-        # width 5: at least four zeros between two nonzero digits
-        assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:])), k
+# every column and tooth seam of G's comb, and the top of the group
+COMB_SEAMS = [0, 1, N - 1] + [(1 << SPACING * j) + d
+                              for j in range(1, 8) for d in (-1, 0)]
+# GLV halves at the tooth seams of a 4-tooth comb, with each sign pair
+HALF_SEAMS = [(s1 * a, s2 * b)
+              for a in (1, 2**33 - 1, 2**66, 2**99 - 1)
+              for b in (2**33, 2**66 - 1, 2**99)
+              for s1 in (1, -1) for s2 in (1, -1)]
+
+
+def test_comb_seams_match_openssl():
+    q = _random_scalars(1, b"comb-seam-q")[0]
+    qx, qy = _openssl_point(q)
+    halves = []
+    for k1, k2 in HALF_SEAMS:
+        k = (k1 + k2 * LAMBDA) % N
+        assert _ecbackend._glv_split(k) == (k1, k2)
+        halves.append(k)
+    for k in COMB_SEAMS + halves:
+        assert _ecbackend.scalar_base_mult(k) == _openssl_or_none(k), k
+        assert _ecbackend.scalar_mult(k, qx, qy) == _openssl_or_none(k * q), k
+        for u in (0, 1, 2**231):
+            assert (_ecbackend.shamir_mult(k, u, qx, qy)
+                    == _openssl_or_none(k + u * q)), (k, u)
+            assert (_ecbackend.shamir_mult(u, k, qx, qy)
+                    == _openssl_or_none(u + k * q)), (u, k)
+
+
+def test_point_tables_cold_and_warm_agree_and_build_once():
+    q = _random_scalars(1, b"cache-q")[0]
+    qx, qy = _openssl_point(q)
+    ks = _random_scalars(6, b"cache-k")
+    cold = []
+    for k in ks:
+        _ecbackend._point_tables.cache_clear()
+        cold.append((_ecbackend.scalar_mult(k, qx, qy),
+                     _ecbackend.shamir_mult(k, k + 1, qx, qy)))
+    _ecbackend._point_tables.cache_clear()
+    warm = [(_ecbackend.scalar_mult(k, qx, qy),
+             _ecbackend.shamir_mult(k, k + 1, qx, qy)) for k in ks]
+    assert cold == warm
+    assert warm[0] == (_openssl_point(ks[0] * q),
+                       _openssl_point(ks[0] + (ks[0] + 1) * q))
+    info = _ecbackend._point_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(ks) - 1)
 
 
 def test_batch_inversion_matches_single_inversions():
