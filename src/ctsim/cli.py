@@ -12,6 +12,8 @@ import logging
 import os
 import sys
 
+import yaml
+
 from .ledger import LedgerError, read_ledger, write_ledger
 from .replica import VerifyFailure, replay_blocks
 from .report import (
@@ -38,7 +40,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
     if args.seed_override is not None:

@@ -164,7 +164,7 @@ def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,
     d_csp = csp_difficulty(params, time_elapsed, state.stake, generator_trust)
     if not _eligible(h.prf, d_csp, params.k_bits):
         return "NOT_ELIGIBLE"
-    if not crypto.verify(h.generator_pub, h.h_blk, h.sig):
+    if not crypto.verify(*h.sig_triple):
         return "BAD_HEADER_SIG"
     return None
 

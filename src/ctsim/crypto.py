@@ -2,9 +2,11 @@
 
 Every provider owns a secp256k1 keypair; child keys for user pseudonyms are
 derived additively from the parent key. Signing is ECDSA with RFC 6979
-deterministic nonces so identical runs produce identical bytes. User
-profile data travels encrypted under an ECIES-style hybrid scheme
-(ephemeral ECDH + AES-256-GCM).
+deterministic nonces so identical runs produce identical bytes.
+Verification is memoized per (key, digest, signature), and a ledger
+replay checks its signatures ahead of time on every CPU the process may
+use (:func:`verify_many`). User profile data travels encrypted under an
+ECIES-style hybrid scheme (ephemeral ECDH + AES-256-GCM).
 
 All randomness used here is caller-supplied via :class:`DetRng`, a SHA-256
 counter DRBG, which keeps whole-simulation determinism in one seed.
@@ -14,6 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +40,7 @@ __all__ = [
     "derive_child_key",
     "sign",
     "verify",
+    "verify_many",
     "encrypt_for",
     "decrypt",
 ]
@@ -247,9 +253,20 @@ def _verify_uncached(pub_bytes: bytes, msg: bytes, sig: bytes) -> bool:
     return res is not None and res[0] % N == r
 
 
-@lru_cache(maxsize=1 << 16)
-def _verify_cached(pub_bytes: bytes, msg: bytes, sig: bytes) -> bool:
-    return _verify_uncached(pub_bytes, msg, sig)
+# (pub_bytes, msg, sig) -> verdict, oldest first; evicted in insertion order
+_verify_memo: dict[tuple, bool] = {}
+_VERIFY_MEMO_MAX = 1 << 16
+
+# fan-out is worth a fork only with this many uncached triples per CPU: a
+# fork, pipe and wait round trip costs about as much as 3-4 checks
+_MIN_SHARE = 16
+
+
+def _remember(triple: tuple, ok: bool) -> bool:
+    if len(_verify_memo) >= _VERIFY_MEMO_MAX:
+        del _verify_memo[next(iter(_verify_memo))]
+    _verify_memo[triple] = ok
+    return ok
 
 
 def verify(pub_bytes: bytes, msg: bytes, sig: bytes) -> bool:
@@ -259,10 +276,91 @@ def verify(pub_bytes: bytes, msg: bytes, sig: bytes) -> bool:
     are memoized: the same triple is re-checked constantly as transactions
     and blocks are validated by every replica.
     """
+    triple = (pub_bytes, msg, sig)
     try:
-        return _verify_cached(pub_bytes, msg, sig)
+        ok = _verify_memo.get(triple)
+        if ok is None:
+            ok = _remember(triple, _verify_uncached(*triple))
+        return ok
     except TypeError:
         return False
+
+
+def verify_many(triples) -> None:
+    """Check (pub_bytes, msg, sig) triples ahead of verify(), on every CPU.
+
+    Only seeds the memo, so a later verify() of any triple returns the same
+    verdict it would have computed itself. Uncached triples are split into
+    contiguous shares; one forked helper per extra CPU checks a share and
+    writes one result byte per triple to its pipe, while this process
+    checks the first. Without a second CPU, with other threads running
+    (forking those is unsafe) or with fewer than _MIN_SHARE triples per
+    share, nothing is checked here and verify() works lazily. A share
+    whose helper fails stays unseeded, so verify() checks it lazily too.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or threading.active_count() != 1:
+        return
+    # more new triples than the memo holds would evict each other unused
+    todo = [t for t in dict.fromkeys(triples) if t not in _verify_memo]
+    todo = todo[:_VERIFY_MEMO_MAX]
+    nshares = min(len(affinity(0)), len(todo) // _MIN_SHARE)
+    if nshares < 2:
+        return
+    cuts = [len(todo) * i // nshares for i in range(nshares + 1)]
+    shares = [todo[a:b] for a, b in zip(cuts, cuts[1:])]
+    helpers = []
+    try:
+        for share in shares[1:]:
+            helper = _fork_helper(share)
+            if helper is not None:
+                helpers.append(helper)
+        for triple in shares[0]:
+            _remember(triple, _verify_uncached(*triple))
+        while helpers:
+            pid, pipe, share = helpers[0]
+            out = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            helpers.pop(0)
+            if os.waitstatus_to_exitcode(status) == 0 \
+                    and len(out) == len(share):
+                for triple, ok in zip(share, out):
+                    _remember(triple, ok == 1)
+    finally:
+        # helpers are left here only when this process raised
+        for pid, pipe, _ in helpers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_helper(share: list):
+    """Fork a process that checks share and writes one verdict byte per
+    triple to a pipe: (pid, read end, share), or None if none started."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            out = bytes(_verify_uncached(*t) for t in share)
+            with os.fdopen(wfd, "wb") as pipe:
+                pipe.write(out)
+            code = 0
+        finally:
+            # skip the parent's exit handlers, buffered output and spans
+            os._exit(code)
+    os.close(wfd)
+    return pid, os.fdopen(rfd, "rb"), share
 
 
 # ---------------------------------------------------------------------------

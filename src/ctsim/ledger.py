@@ -195,6 +195,11 @@ class Transaction:
     def sender(self) -> bytes:
         return crypto.address_of(self.sender_pub)
 
+    @property
+    def sig_triple(self) -> tuple[bytes, bytes, bytes]:
+        """What validate_tx passes to crypto.verify."""
+        return self.sender_pub, self.txid, self.sig
+
 
 @dataclass(frozen=True)
 class FeedbackData:
@@ -438,6 +443,11 @@ class BlockHeader:
     def h_blk(self) -> bytes:
         return sha256(self.core_bytes)
 
+    @property
+    def sig_triple(self) -> tuple[bytes, bytes, bytes]:
+        """What consensus.validate_block passes to crypto.verify."""
+        return self.generator_pub, self.h_blk, self.sig
+
 
 @dataclass(frozen=True)
 class Block:
@@ -613,7 +623,7 @@ class Chain:
             return "BAD_TXID"
         if tx.txid in self.txids:
             return "DUPLICATE_TX"
-        if not crypto.verify(tx.sender_pub, tx.txid, tx.sig):
+        if not crypto.verify(*tx.sig_triple):
             return "BAD_SIGNATURE"
         if tx.kind == TxKind.TOKEN:
             return self._validate_token_tx(tx)

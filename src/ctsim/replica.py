@@ -93,9 +93,15 @@ def replay_blocks(blocks: list[Block],
 
     This is the offline verification path: everything needed (consensus
     parameters, stakes, trust history) is recovered from the blocks alone.
+    Every signature the replay may check is checked up front on all CPUs;
+    the replay then finds the verdicts memoized, so its order, its
+    failure reasons and its result are those of a one-CPU replay.
     """
     if not blocks:
         raise VerifyFailure(0, None, "BAD_ENCODING")
+    crypto.verify_many(triple for blk in blocks[1:]
+                       for triple in (blk.header.sig_triple,
+                                      *(tx.sig_triple for tx in blk.txs)))
     replica = Replica(blocks[0], overrides)
     for blk in blocks[1:]:
         replica.apply(blk)

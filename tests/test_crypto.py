@@ -7,6 +7,8 @@ normalization). That keeps the curve arithmetic honest without trusting
 our own code to judge itself.
 """
 
+import os
+
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -361,10 +363,22 @@ def test_crypto_reaches_kernel_through_module_globals(monkeypatch):
     digest = sha256(b"kernel reach")
     sig, used = delta(sign, kp, digest)
     assert used == {"scalar_base_mult": 1, "scalar_mult": 0, "shamir_mult": 0}
-    crypto._verify_cached.cache_clear()  # verify memoizes; count a miss
+    crypto._verify_memo.clear()  # verify memoizes; count a miss
     ok, used = delta(verify, kp.pub_bytes, digest, sig)
     assert ok and used == {"scalar_base_mult": 0, "scalar_mult": 0,
                            "shamir_mult": 1}
+    # a triple verify_many checked is memoized for verify
+    crypto._verify_memo.clear()
+    monkeypatch.setattr(crypto, "_MIN_SHARE", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    other = sha256(b"kernel miss")
+    triples = [(kp.pub_bytes, digest, sig), (kp.pub_bytes, other, sig)]
+    _, used = delta(crypto.verify_many, triples)
+    assert used["shamir_mult"] == 1  # the parent's share; the other forked
+    ok, used = delta(verify, kp.pub_bytes, digest, sig)
+    assert ok and used == dict.fromkeys(kernel, 0)
+    ok, used = delta(verify, kp.pub_bytes, other, sig)
+    assert not ok and used == dict.fromkeys(kernel, 0)
     ct, used = delta(encrypt_for, kp.pub_bytes, b"profile", DetRng(62))
     assert used == {"scalar_base_mult": 1, "scalar_mult": 1, "shamir_mult": 0}
     plain, used = delta(decrypt, kp.private_key, ct)

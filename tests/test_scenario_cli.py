@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -9,6 +10,7 @@ import pathlib
 import pytest
 import yaml
 
+from ctsim import scenario
 from ctsim.cli import main
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.scenario import ConfigError, load_config
@@ -232,6 +234,38 @@ def test_invalid_config_exits_2(tmp_path):
     code, _, err = run_cli("run", str(tmp_path / "absent.yaml"),
                            "--out-dir", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["seed: 1\nnodes: [a, b\n",
+                                  "seed: 1\nnodes:\n\t- name: a\n"],
+                         ids=["unclosed-list", "tab-indent"])
+def test_malformed_yaml_exits_2(text, tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    code, _, err = run_cli("run", str(path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("cannot load config: ")
+
+
+def _perfbench_workloads():
+    path = SCENARIOS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_libyaml_and_pure_loaders_agree(monkeypatch, tmp_path):
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    crowd = tmp_path / "crowd.yaml"
+    crowd.write_text(_perfbench_workloads().scenario_yaml("crowd", 1))
+    paths = [SCENARIOS / f"{name}.yaml" for name in sorted(PINNED)] + [crowd]
+    for path in paths:
+        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.CSafeLoader)
+        fast = load_config(path)
+        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(path) == fast, path.name
 
 
 def test_verify_accepts_and_reports(run_dir):
