@@ -55,9 +55,7 @@ class ConsensusParams:
 @dataclass(frozen=True)
 class CspConsensusState:
     """Per-provider view needed for an eligibility decision."""
-    account: bytes                    # staking account address
     stake: int                        # normalized share, fixed-point
-    last_generated_height: int
     last_generated_ts: int
     prf_old: bytes
 
@@ -132,8 +130,7 @@ def consensus_state_at(chain: Chain, address: bytes) -> CspConsensusState:
     total = chain.total_declared_stake()
     share = reg.stake * ONE // total if reg and total > 0 else 0
     rec = chain.gen_record(address)
-    return CspConsensusState(address, share, rec.last_height,
-                             rec.last_timestamp, rec.prf_old)
+    return CspConsensusState(share, rec.last_timestamp, rec.prf_old)
 
 
 def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,

@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ._ecbackend import N, P, scalar_base_mult, scalar_mult, shamir_mult
@@ -32,7 +31,6 @@ __all__ = [
     "Ciphertext",
     "DetRng",
     "CryptoError",
-    "DecryptError",
     "sha256",
     "address_of",
     "resource_address",
@@ -42,7 +40,6 @@ __all__ = [
     "verify",
     "verify_many",
     "encrypt_for",
-    "decrypt",
 ]
 
 DIGEST_LEN = 32
@@ -57,10 +54,6 @@ _HALF_N = N // 2
 
 class CryptoError(Exception):
     pass
-
-
-class DecryptError(CryptoError):
-    """Authentication failure when decrypting an Enc(U) blob."""
 
 
 def sha256(data: bytes) -> bytes:
@@ -393,13 +386,3 @@ def encrypt_for(recipient_pub: bytes, plaintext: bytes, rng: DetRng) -> Cipherte
     sealed = AESGCM(key).encrypt(nonce, plaintext, eph.pub_bytes)
     return Ciphertext(eph.pub_bytes, nonce, sealed[:-16], sealed[-16:])
 
-
-def decrypt(private_key: int, ct: Ciphertext) -> bytes:
-    point = decompress_point(ct.ephemeral_pub)
-    if point is None:
-        raise DecryptError("invalid ephemeral key")
-    key = _shared_key(private_key, point)
-    try:
-        return AESGCM(key).decrypt(ct.nonce, ct.body + ct.tag, ct.ephemeral_pub)
-    except InvalidTag as exc:
-        raise DecryptError("ciphertext authentication failed") from exc

@@ -8,8 +8,9 @@ strict framing. Parsing is strict: every length must be consumed exactly.
 The chain tracks three uniqueness indices next to the block list: token ids
 (a token exists in at most one transaction), (issuer, nonce) pairs, and
 transaction ids. Registration records and per-generator production history
-are maintained as blocks apply (and undone as they pop) so consensus and
-trust can be replayed from the raw file alone.
+are maintained as blocks apply so consensus and trust can be replayed from
+the raw file alone. Every index write is logged in one Journal, which undoes
+a popped or rejected block, and also backs the trust fold's undo.
 """
 
 from __future__ import annotations
@@ -538,20 +539,40 @@ def check_genesis_shape(blk: Block) -> str | None:
 # Chain state
 # ===========================================================================
 
-@dataclass(frozen=True)
-class RegInfo:
-    address: bytes
-    pub: bytes
-    weight_sat: int
-    weight_auth: int
-    stake: int              # declared; consensus normalizes over the total
-    height: int
+_ABSENT = object()          # journal marker: the key was not in the table
+
+
+class Journal:
+    """The one undo log for a replica's dict state.
+
+    Every write goes through set(), which logs (table, key, previous value
+    or absent). undo(mark) rolls back to an earlier mark() strictly
+    last-first, so each table's insertion order comes back too.
+    """
+
+    def __init__(self):
+        self._log: list[tuple[dict, object, object]] = []
+
+    def mark(self) -> int:
+        return len(self._log)
+
+    def set(self, table: dict, key, value) -> None:
+        self._log.append((table, key, table.get(key, _ABSENT)))
+        table[key] = value
+
+    def undo(self, mark: int) -> None:
+        log = self._log
+        while len(log) > mark:
+            table, key, prev = log.pop()
+            if prev is _ABSENT:
+                del table[key]
+            else:
+                table[key] = prev
 
 
 @dataclass(frozen=True)
 class GenRecord:
     """Per-generator production history (consensus clock source)."""
-    last_height: int
     last_timestamp: int
     prf_old: bytes
 
@@ -561,9 +582,9 @@ class Chain:
 
     Genesis registrations pass the same per-transaction validation as any
     later block's transactions; LedgerError carries the first failure.
-    Every index key a transaction adds is unique (the DUPLICATE_* rules),
-    so pop_block() undoes a block from its own transactions; only the
-    generator's replaced GenRecord is kept per height.
+    The set-like indices map their keys to None. Every index write goes
+    through one Journal under a mark per height, so pop_block() and a
+    rejected block undo exactly what the block wrote.
     """
 
     def __init__(self, genesis: Block):
@@ -572,15 +593,15 @@ class Chain:
             raise LedgerError(bad, "genesis")
         self.blocks: list[Block] = []
         self.token_index: dict[bytes, AccessToken] = {}
-        self.nonce_index: set[tuple[bytes, int]] = set()
-        self.txids: set[bytes] = set()
-        self.feedback_seen: set[tuple[bytes, bytes]] = set()
-        self.registered: dict[bytes, RegInfo] = {}
+        self.nonce_index: dict[tuple[bytes, int], None] = {}
+        self.txids: dict[bytes, None] = {}
+        self.feedback_seen: dict[tuple[bytes, bytes], None] = {}
+        self.registered: dict[bytes, RegisterData] = {}
         self.gen_records: dict[bytes, GenRecord] = {}
-        # per height above genesis: the generator's record that block replaced
-        self._replaced_records: list[GenRecord | None] = []
+        self.journal = Journal()
+        # per height: the journal mark before that block's writes
+        self._marks: list[int] = []
         self.cum_trust: list[int] = []
-        self._validate_txs(genesis)
         self._append(genesis, 0)
 
     # -- views ------------------------------------------------------------
@@ -612,7 +633,7 @@ class Chain:
         if rec is not None:
             return rec
         # never generated: clock runs from genesis, prf chain from its seed
-        return GenRecord(0, self.genesis.header.timestamp,
+        return GenRecord(self.genesis.header.timestamp,
                          sha256(self.genesis.h_blk + address))
 
     # -- transaction validation -------------------------------------------
@@ -701,6 +722,13 @@ class Chain:
 
     # -- block application -------------------------------------------------
 
+    def try_absorb(self, tx: Transaction) -> str | None:
+        """validate_tx, then absorb tx if it passed; the reason or None."""
+        reason = self.validate_tx(tx)
+        if reason is None:
+            self._absorb(tx)
+        return reason
+
     def apply_block(self, blk: Block, generator_trust: int = 0) -> None:
         """Extend the chain; atomic, raises LedgerError with the reason.
 
@@ -714,77 +742,48 @@ class Chain:
                               f"height {blk.height} onto {self.height}")
         if blk.header.tx_root != compute_tx_root(blk.txs):
             raise LedgerError("BAD_TX_ROOT", f"height {blk.height}")
-        self._validate_txs(blk)
         self._append(blk, generator_trust)
 
     def pop_block(self) -> Block:
         """Undo the tip block exactly, the inverse of apply_block."""
         if self.height == 0:
             raise ValueError("genesis cannot be popped")
-        blk = self.blocks.pop()
         self.cum_trust.pop()
-        addr = crypto.address_of(blk.header.generator_pub)
-        replaced = self._replaced_records.pop()
-        if replaced is None:
-            del self.gen_records[addr]
-        else:
-            self.gen_records[addr] = replaced
-        for tx in reversed(blk.txs):
-            self._unabsorb(tx)
-        return blk
-
-    def _validate_txs(self, blk: Block) -> None:
-        """Check and absorb blk's txs in order; on a rejection, unabsorb the
-        earlier ones and raise LedgerError naming the rejected tx."""
-        for n, tx in enumerate(blk.txs):
-            reason = self.validate_tx(tx)
-            if reason:
-                for prev in reversed(blk.txs[:n]):
-                    self._unabsorb(prev)
-                raise LedgerError(reason, f"tx {tx.txid.hex()[:16]}",
-                                  txid=tx.txid)
-            self._absorb(tx, blk.height)
-
-    def _absorb(self, tx: Transaction, height: int) -> None:
-        """Add one validated tx's index keys."""
-        self.txids.add(tx.txid)
-        if tx.kind == TxKind.TOKEN:
-            token = tx.outputs[0].token
-            self.token_index[token.token_id] = token
-            self.nonce_index.add((token.issuer, token.nonce))
-        elif tx.kind == TxKind.FEEDBACK:
-            fb = parse_feedback(tx.payload)
-            self.feedback_seen.add((fb.token_id, fb.rater))
-        else:
-            reg = parse_register(tx.payload)
-            self.registered[tx.sender] = RegInfo(
-                tx.sender, tx.sender_pub, reg.weight_sat,
-                reg.weight_auth, reg.stake, height)
-
-    def _unabsorb(self, tx: Transaction) -> None:
-        """Remove the index keys _absorb(tx) added; the latest absorbed tx
-        goes first, so dict insertion order is restored as well."""
-        self.txids.remove(tx.txid)
-        if tx.kind == TxKind.TOKEN:
-            token = tx.outputs[0].token
-            del self.token_index[token.token_id]
-            self.nonce_index.remove((token.issuer, token.nonce))
-        elif tx.kind == TxKind.FEEDBACK:
-            fb = parse_feedback(tx.payload)
-            self.feedback_seen.remove((fb.token_id, fb.rater))
-        else:
-            del self.registered[tx.sender]
+        self.journal.undo(self._marks.pop())
+        return self.blocks.pop()
 
     def _append(self, blk: Block, generator_trust: int) -> None:
+        """Absorb blk's txs in order, then append it; on a rejected tx,
+        undo the block's writes and raise LedgerError naming that tx."""
+        mark = self.journal.mark()
+        for tx in blk.txs:
+            reason = self.try_absorb(tx)
+            if reason:
+                self.journal.undo(mark)
+                raise LedgerError(reason, f"tx {tx.txid.hex()[:16]}",
+                                  txid=tx.txid)
         if blk.height > 0:
-            addr = crypto.address_of(blk.header.generator_pub)
-            self._replaced_records.append(self.gen_records.get(addr))
-            self.gen_records[addr] = GenRecord(blk.height,
-                                               blk.header.timestamp,
-                                               blk.header.prf)
+            self.journal.set(self.gen_records,
+                             crypto.address_of(blk.header.generator_pub),
+                             GenRecord(blk.header.timestamp, blk.header.prf))
+        self._marks.append(mark)
         self.blocks.append(blk)
         prev = self.cum_trust[-1] if self.cum_trust else 0
         self.cum_trust.append(prev + generator_trust)
+
+    def _absorb(self, tx: Transaction) -> None:
+        """Add one validated tx's index keys, each through the journal."""
+        put = self.journal.set
+        put(self.txids, tx.txid, None)
+        if tx.kind == TxKind.TOKEN:
+            token = tx.outputs[0].token
+            put(self.token_index, token.token_id, token)
+            put(self.nonce_index, (token.issuer, token.nonce), None)
+        elif tx.kind == TxKind.FEEDBACK:
+            fb = parse_feedback(tx.payload)
+            put(self.feedback_seen, (fb.token_id, fb.rater), None)
+        else:
+            put(self.registered, tx.sender, parse_register(tx.payload))
 
 
 # ===========================================================================

@@ -17,6 +17,7 @@ traffic into a fresh partition is dropped (and logged).
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 
 from . import consensus, federation
 from .crypto import DetRng, KeyPair, generate_keypair
@@ -95,6 +96,7 @@ class Node:
         """Oldest-first selection, each tx validated against the chain plus
         the ones picked before it; the chain is left as it was found."""
         chain = self.chain
+        mark = chain.journal.mark()
         picked: list[Transaction] = []
         order = sorted(self.mempool.items(), key=lambda kv: kv[1][0])
         try:
@@ -106,12 +108,10 @@ class Node:
                     if token.expires_at <= world.now:
                         del self.mempool[txid]      # stale token, drop it
                         continue
-                if chain.validate_tx(tx) is None:
-                    chain._absorb(tx, chain.height + 1)
+                if chain.try_absorb(tx) is None:
                     picked.append(tx)
         finally:
-            for tx in reversed(picked):
-                chain._unabsorb(tx)
+            chain.journal.undo(mark)
         return tuple(picked)
 
     def _evict_included(self) -> None:
@@ -265,20 +265,11 @@ def _fork_tip(chain: Chain) -> tuple[int, int, bytes]:
 
 def _corrupt_block(blk: Block) -> Block:
     """Flip one signature byte; framing stays intact, crypto checks fail."""
+    victim = blk.txs[-1] if blk.txs else blk.header
+    bad = replace(victim, sig=victim.sig[:-1] + bytes([victim.sig[-1] ^ 0x01]))
     if blk.txs:
-        victim = blk.txs[-1]
-        bad_sig = victim.sig[:-1] + bytes([victim.sig[-1] ^ 0x01])
-        txs = blk.txs[:-1] + (Transaction(
-            kind=victim.kind, inputs=victim.inputs, outputs=victim.outputs,
-            prev_tx=victim.prev_tx, payload=victim.payload,
-            sender_pub=victim.sender_pub, txid=victim.txid, sig=bad_sig),)
-        return Block(blk.header, txs)
-    hdr = blk.header
-    bad_sig = hdr.sig[:-1] + bytes([hdr.sig[-1] ^ 0x01])
-    return Block(BlockHeader(
-        height=hdr.height, prev_block=hdr.prev_block, tx_root=hdr.tx_root,
-        timestamp=hdr.timestamp, generator_pub=hdr.generator_pub,
-        prf=hdr.prf, base_target=hdr.base_target, sig=bad_sig), blk.txs)
+        return Block(blk.header, blk.txs[:-1] + (bad,))
+    return Block(bad, blk.txs)
 
 
 class World:

@@ -66,8 +66,6 @@ INITIAL_SAT = 0
 
 BOOTSTRAP_TRUST = ONE // 2  # consensus-only default for providers with no history
 
-_ABSENT = object()          # journal marker: the key was not in the table
-
 
 def bucketize(label: int) -> int:
     """Label code -> canonical fixed-point bucket midpoint."""
@@ -119,9 +117,10 @@ class TrustState:
     per-provider trust cache is dropped on every mutation and rebuilt
     lazily, so cached values always equal recomputation.
 
-    The fold floors, so it cannot be inverted: every table write is
-    journaled with the value it replaced, and undo(mark) rolls the state
-    back to an earlier mark(). Compare two states by their fingerprint().
+    The fold floors, so it cannot be inverted: every table write goes
+    through the same ledger.Journal the chain indices use, and undo(mark)
+    rolls the state back to an earlier mark(), dict insertion order
+    included. Compare two states by their fingerprint().
     """
 
     def __init__(self):
@@ -129,26 +128,16 @@ class TrustState:
         self.auth: dict[tuple[bytes, bytes], int] = {}
         self.sat: dict[tuple[bytes, bytes], int] = {}
         self.declared: dict[bytes, tuple[int, int]] = {}
-        self._journal: list[tuple[dict, object, object]] = []
+        self._journal = ledger.Journal()
+        self._set = self._journal.set
         self._trust_cache: dict[bytes, int] = {}
 
-    def _set(self, table: dict, key, value) -> None:
-        self._journal.append((table, key, table.get(key, _ABSENT)))
-        table[key] = value
-
     def mark(self) -> int:
-        return len(self._journal)
+        return self._journal.mark()
 
     def undo(self, mark: int) -> None:
-        """Restore the state as of mark(), dict insertion order included:
-        writes are undone strictly last-first."""
-        journal = self._journal
-        while len(journal) > mark:
-            table, key, prev = journal.pop()
-            if prev is _ABSENT:
-                del table[key]
-            else:
-                table[key] = prev
+        """Restore the state as of mark()."""
+        self._journal.undo(mark)
         self._trust_cache.clear()
 
     # -- registration and weights -----------------------------------------

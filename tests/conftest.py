@@ -50,8 +50,8 @@ def chain_state(chain) -> tuple:
     """Every index a Chain keeps, in a form that compares exactly; dicts
     are listed, so their insertion order counts too."""
     return (list(chain.blocks), list(chain.token_index.items()),
-            set(chain.nonce_index), set(chain.txids),
-            set(chain.feedback_seen), list(chain.registered.items()),
+            list(chain.nonce_index), list(chain.txids),
+            list(chain.feedback_seen), list(chain.registered.items()),
             list(chain.gen_records.items()), list(chain.cum_trust))
 
 

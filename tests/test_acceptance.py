@@ -284,8 +284,7 @@ def _race_share(probe_stake, probe_trust, filler_stake, filler_trust,
         base_target=calibrate_base_target(stakes, trusts))
     rng = DetRng(110 + seed, b"race")
     keys = [generate_keypair(rng.take(32)) for _ in range(4)]
-    states = [CspConsensusState(k.address, s, 0, 0, rng.take(32))
-              for k, s in zip(keys, stakes)]
+    states = [CspConsensusState(s, 0, rng.take(32)) for s in stakes]
     wins = [0] * 4
     now = 0
     while sum(wins) < blocks:

@@ -103,7 +103,7 @@ def test_elapsed_intervals():
 
 def test_eligibility_boundary_is_exclusive():
     p = params_with("0.5", time_cap_intervals=64)
-    state = CspConsensusState(ALPHA.address, ONE, 0, 0, b"\x00" * 32)
+    state = CspConsensusState(ONE, 0, b"\x00" * 32)
     # engineered prefixes: d_csp == 0.5 at one elapsed interval and full
     # stake/trust, so the cutoff sits exactly at 2^63
     from ctsim.consensus import _eligible
@@ -118,7 +118,7 @@ def test_eligibility_boundary_is_exclusive():
 
 def test_zero_trust_never_eligible():
     p = params_with("0.9")
-    state = CspConsensusState(ALPHA.address, ONE, 0, 0, sha256(b"seed"))
+    state = CspConsensusState(ONE, 0, sha256(b"seed"))
     for slot in range(200):
         assert not check_eligibility(b"\x00" * 32, p, state, 0,
                                      ALPHA.pub_bytes, 100 * (slot + 1))
@@ -127,7 +127,7 @@ def test_zero_trust_never_eligible():
 def test_eligibility_rate_tracks_difficulty():
     # frequency over fresh uniform prfs approximates d_csp within 20%
     p = params_with("0.1")
-    state = CspConsensusState(ALPHA.address, fp("0.5"), 0, 0, b"")
+    state = CspConsensusState(fp("0.5"), 0, b"")
     rng = DetRng(661, b"mc")
     hits = 0
     trials = 10_000

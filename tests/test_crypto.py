@@ -10,18 +10,19 @@ our own code to judge itself.
 import os
 
 import pytest
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
     Prehashed, decode_dss_signature, encode_dss_signature,
 )
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ctsim import _ecbackend, crypto
 from ctsim._ecbackend import GX, GY, N, P
 from ctsim.crypto import (
-    CryptoError, DecryptError, DetRng, KeyPair, address_of, compress_point,
-    decompress_point, decrypt, derive_child_key, encrypt_for,
+    Ciphertext, CryptoError, DetRng, KeyPair, address_of, compress_point,
+    decompress_point, derive_child_key, encrypt_for,
     generate_keypair, resource_address, sha256, sign, verify,
 )
 
@@ -35,6 +36,27 @@ def _openssl_priv(k: int) -> ec.EllipticCurvePrivateKey:
 def _openssl_pub(pub_bytes: bytes) -> ec.EllipticCurvePublicKey:
     return ec.EllipticCurvePublicKey.from_encoded_point(
         ec.SECP256K1(), pub_bytes)
+
+
+class DecryptError(CryptoError):
+    """Authentication failure when decrypting an Enc(U) blob."""
+
+
+def decrypt(private_key: int, ct: Ciphertext) -> bytes:
+    """The ECIES round-trip oracle: what the recipient of encrypt_for runs.
+
+    Nothing in ctsim reads Enc(U) yet, so the inverse lives here; it goes
+    through crypto's own key derivation, and so through its curve kernel.
+    """
+    point = decompress_point(ct.ephemeral_pub)
+    if point is None:
+        raise DecryptError("invalid ephemeral key")
+    key = crypto._shared_key(private_key, point)
+    try:
+        return AESGCM(key).decrypt(ct.nonce, ct.body + ct.tag,
+                                   ct.ephemeral_pub)
+    except InvalidTag as exc:
+        raise DecryptError("ciphertext authentication failed") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -451,9 +451,42 @@ def test_lookup_token_and_gen_records():
     assert chain.lookup_token(token.token_id) == token
     assert chain.lookup_token(b"\x00" * 32) is None
     rec = chain.gen_records[HOME.address]
-    assert rec.last_height == 1
     assert rec.last_timestamp == blk.header.timestamp
+    assert rec.prf_old == blk.header.prf
     assert chain.cum_trust[-1] == fp_from("0.5")
+
+
+_JOURNAL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 5),
+              st.sampled_from([None, 0, 1, 2])),
+    st.tuples(st.just("mark")),
+    st.tuples(st.just("undo"), st.integers(0, 1 << 16))), max_size=80)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_JOURNAL_OPS)
+def test_journal_undo_restores_each_dict_with_its_order(ops):
+    journal = ledger.Journal()
+    tables = ({}, {})
+
+    def snapshot():
+        return [list(t.items()) for t in tables]
+
+    marks = [(journal.mark(), snapshot())]
+    for op in ops:
+        if op[0] == "set":
+            journal.set(tables[op[1]], op[2], op[3])
+        elif op[0] == "mark":
+            marks.append((journal.mark(), snapshot()))
+        else:
+            # undo to an earlier mark; the marks after it are spent
+            n = op[1] % len(marks)
+            del marks[n + 1:]
+            mark, before = marks[n]
+            journal.undo(mark)
+            assert snapshot() == before
+    journal.undo(0)
+    assert snapshot() == [[], []]
 
 
 def test_pop_block_undoes_apply_block():
@@ -463,15 +496,18 @@ def test_pop_block_undoes_apply_block():
     reg, token_tx, fb = _touch_every_index()
     states = [chain_state(chain)]
     blocks = []
-    for gen, txs in ((HOME, [reg]), (FOREIGN, [token_tx]), (HOME, [fb]),
-                     (OUTSIDER, [])):
+    for n, (gen, txs) in enumerate(((HOME, [reg]), (FOREIGN, [token_tx]),
+                                    (HOME, [fb]), (OUTSIDER, []))):
         blk = bare_block(chain, txs)
-        blk = Block(replace(blk.header, generator_pub=gen.pub_bytes), txs)
+        blk = Block(replace(blk.header, generator_pub=gen.pub_bytes,
+                            prf=bytes([n]) * 32), txs)
         chain.apply_block(blk, generator_trust=fp_from("0.25"))
         blocks.append(blk)
         states.append(chain_state(chain))
     # HOME's third-block record replaced its first-block one
-    assert chain.gen_records[HOME.address].last_height == 3
+    rec = chain.gen_records[HOME.address]
+    assert rec.last_timestamp == blocks[2].header.timestamp
+    assert rec.prf_old == blocks[2].header.prf != blocks[0].header.prf
     for blk in reversed(blocks):
         states.pop()
         assert chain.pop_block() is blk

@@ -250,6 +250,32 @@ def test_src_holds_no_asserts_or_function_level_imports():
         assert not imports, (path.name, imports)
 
 
+def _referenced_names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.asname or n.name.rsplit(".", 1)[-1]
+
+
+def test_src_holds_no_test_only_helpers():
+    # every module-level def or class is used by src/ctsim code outside its
+    # own body; a helper only tests call belongs under tests/. Strings in
+    # __all__ are not uses.
+    src = pathlib.Path(consensus.__file__).parent
+    stmts = [(path.stem, stmt) for path in sorted(src.glob("*.py"))
+             for stmt in ast.parse(path.read_text(), str(path)).body]
+    refs = [(stmt, set(_referenced_names(stmt))) for _, stmt in stmts]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [f"{module}.{stmt.name}" for module, stmt in stmts
+              if isinstance(stmt, defs)
+              and not any(stmt.name in names
+                          for other, names in refs if other is not stmt)]
+    assert not unused
+
+
 def test_schedule_into_the_past_raises():
     world = make_world(base_cfg())
     world.now = 500
