@@ -6,19 +6,26 @@ addition adds an affine point (mixed addition), and a result costs one field
 inversion, ``pow(z, -1, P)``. ``BACKEND`` names the kernel so benchmarks can
 record which one they measured.
 
-Every multiplication is one Lim-Lee comb walk. A comb table with t teeth
-holds ``sum(b_j * 2**(33*j) * B)`` for every nonzero t-bit b; bit i of each
-of the t 33-bit chunks of a scalar picks the entry added at column i, so a
-walk over any number of tables shares one run of 33 doublings.
+Every multiplication is one Lim-Lee comb walk over tables of one shape: 8
+teeth at spacing 17. The table of a point B holds
+``sum(b_j * 2**(17*j) * B)`` for every nonzero 8-bit b (255 points), so it
+covers multipliers below 2**136. Bit i of each of the 8 17-bit chunks of a
+multiplier picks the entry added at column i, and a walk over any number of
+terms shares one run of 17 doublings.
 
-- G has an 8-tooth table (255 points), built at import: ``scalar_base_mult``
-  is 33 doublings and at most 33 mixed additions.
-- A variable point Q gets 4-tooth tables for Q and for
-  ``LAMBDA * Q == (BETA * x, y)`` (15 points each), built on first use and
-  cached per point, since a run checks many signatures under few keys.
-  ``scalar_mult`` splits k with the GLV endomorphism into two signed halves
-  below 2**129 and walks both tables; ``shamir_mult`` adds u1 on G's table
-  in the same walk: 33 doublings and at most 99 additions.
+Every scalar is split with the GLV endomorphism into two signed halves
+below 2**129, k == k1 + k2*LAMBDA (mod N), and ``LAMBDA * (x, y) ==
+(BETA * x, y)``, so the k2 term walks B's own table and maps each entry's x
+as it adds it: one field multiplication per such addition, and no second
+table in memory.
+
+- G's table is built at import: ``scalar_base_mult`` walks (G, k1) and
+  (LAMBDA*G, k2), 17 doublings and at most 34 mixed additions.
+- A variable point Q gets its table on first use, cached per point, since a
+  run checks many signatures under few keys. ``scalar_mult`` walks (Q, k1)
+  and (LAMBDA*Q, k2) in the same 17 doublings and at most 34 additions;
+  ``shamir_mult`` walks both halves of u1 on G and of u2 on Q together, 17
+  doublings and at most 68 additions.
 
 References: C. H. Lim and P. J. Lee, "More flexible exponentiation with
 precomputation", CRYPTO 1994; D. Hankerson, A. Menezes and S. Vanstone,
@@ -52,7 +59,11 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-_COMB_SPACING = 33  # columns per comb: 8 teeth cover N, 4 cover a GLV half
+# Every comb table: 8 teeth, 17 columns, covering multipliers below 2**136,
+# which holds any GLV half.
+_COMB_TEETH = 8
+_COMB_SPACING = 17
+_COMB_BITS = _COMB_TEETH * _COMB_SPACING
 
 _INF = (0, 1, 0)  # Jacobian encoding of the point at infinity (z == 0)
 
@@ -102,22 +113,29 @@ def _to_affine(pt):
     return ((x * zi2) % P, (y * zi2 * zi) % P)
 
 
-def _batch_to_affine(points):
-    """Affine forms of Jacobian points, none at infinity, for one field
-    inversion in all (Montgomery's trick)."""
+def _batch_inverse(values):
+    """Inverses mod P of nonzero field elements, for one field inversion in
+    all (Montgomery's trick)."""
     prefix = []
     acc = 1
-    for _, _, z in points:
+    for v in values:
         prefix.append(acc)
-        acc = (acc * z) % P
-    inv = pow(acc, -1, P)  # 1 / (z_0 * ... * z_last)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zi = (inv * prefix[i]) % P
-        inv = (inv * z) % P
+        acc = (acc * v) % P
+    inv = pow(acc, -1, P)  # 1 / (v_0 * ... * v_last)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = (inv * prefix[i]) % P
+        inv = (inv * values[i]) % P
+    return out
+
+
+def _batch_to_affine(points):
+    """Affine forms of Jacobian points, none at infinity, for one field
+    inversion in all."""
+    out = []
+    for (x, y, _), zi in zip(points, _batch_inverse([p[2] for p in points])):
         zi2 = (zi * zi) % P
-        out[i] = ((x * zi2) % P, (y * zi2 * zi) % P)
+        out.append(((x * zi2) % P, (y * zi2 * zi) % P))
     return out
 
 
@@ -129,72 +147,90 @@ def _glv_split(k):
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _comb_points(base, teeth):
+def _comb_points(base):
     """Comb table of the affine point base: entry b is
     ``sum(b_j * 2**(_COMB_SPACING * j) * base)`` over the bits b_j of b, for
-    1 <= b < 2**teeth; entry 0 is None."""
-    teeth_pts = [(base[0], base[1], 1)]
-    for _ in range(teeth - 1):
-        pt = teeth_pts[-1]
+    1 <= b < 2**_COMB_TEETH; entry 0 is None.
+
+    The tooth bases T_j come from Jacobian doublings and one batch
+    inversion. The table then grows one tooth at a time in affine
+    coordinates: tooth j appends T_j, then e + T_j for every earlier entry e,
+    with one batch inversion for all the slopes. No e equals +-T_j, since
+    both are distinct nonzero multiples of base below 2**136 < N and base
+    has prime order N, so no addition meets a doubling or infinity."""
+    teeth = [(base[0], base[1], 1)]
+    for _ in range(_COMB_TEETH - 1):
+        pt = teeth[-1]
         for _ in range(_COMB_SPACING):
             pt = _jac_double(pt)
-        teeth_pts.append(pt)
-    entries = []
-    for tx, ty in _batch_to_affine(teeth_pts):
-        entries += [(tx, ty, 1)] + [_jac_add_affine(e, tx, ty)
-                                    for e in entries]
-    # No entry is infinity: each is a nonzero multiple of base below
-    # 2**232 < N, and base has prime order N.
-    return [None] + _batch_to_affine(entries)
+        teeth.append(pt)
+    table = [None]
+    for tx, ty in _batch_to_affine(teeth):
+        earlier = table[1:]
+        table.append((tx, ty))
+        slopes = _batch_inverse([ex - tx for ex, _ in earlier])
+        for (ex, ey), inv in zip(earlier, slopes):
+            m = ((ey - ty) * inv) % P
+            x = (m * m - tx - ex) % P
+            table.append((x, (m * (tx - x) - ty) % P))
+    return table
 
 
-_G_TABLE = _comb_points((GX, GY), 8)
+_G_TABLE = _comb_points((GX, GY))
 
 
-@lru_cache(maxsize=4096)
-def _point_tables(px, py):
-    """4-tooth comb tables of Q = (px, py) and of LAMBDA * Q."""
-    table = _comb_points((px, py), 4)
-    return table, [None] + [((_BETA * x) % P, y) for x, y in table[1:]]
+# An entry (255 points) takes about 45 KB, so the cache holds at most
+# about 12 MB.
+@lru_cache(maxsize=256)
+def _point_table(px, py):
+    """The comb table of Q = (px, py)."""
+    return _comb_points((px, py))
 
 
 def _comb_walk(terms):
-    """Jacobian sum of k * B over terms (comb table of B, k), for
-    |k| < 2**(teeth * _COMB_SPACING); a negative k adds negated entries.
+    """Jacobian sum of k * B over terms (comb table of B, k, lam), with
+    |k| < 2**_COMB_BITS. A negative k adds negated entries, and with lam set
+    the term is k * LAMBDA * B, each entry (x, y) added as (BETA * x, y).
     All terms share one run of _COMB_SPACING doublings."""
     walks = []
-    for table, k in terms:
-        teeth = len(table).bit_length() - 1
-        bits = format(abs(k), "0%db" % (teeth * _COMB_SPACING))
-        # bits[i::33] holds bit 32 - i of every 33-bit chunk of |k|, top
-        # chunk first: the table index of column 32 - i
-        walks.append((table, k < 0, [int(bits[i::_COMB_SPACING], 2)
-                                     for i in range(_COMB_SPACING)]))
+    for table, k, lam in terms:
+        bits = format(abs(k), "0%db" % _COMB_BITS)
+        # bits[i::17] holds bit 16 - i of every 17-bit chunk of |k|, top
+        # chunk first: the table index of column 16 - i
+        walks.append((table, lam, k < 0, [int(bits[i::_COMB_SPACING], 2)
+                                          for i in range(_COMB_SPACING)]))
     acc = _INF
     for i in range(_COMB_SPACING):
-        acc = _jac_double(acc)
-        for table, negate, columns in walks:
+        if i:
+            acc = _jac_double(acc)
+        for table, lam, negate, columns in walks:
             if columns[i]:
                 x, y = table[columns[i]]
-                acc = _jac_add_affine(acc, x, P - y if negate else y)
+                acc = _jac_add_affine(acc, (_BETA * x) % P if lam else x,
+                                      P - y if negate else y)
     return acc
 
 
 def scalar_mult(k, px, py):
     """k * (px, py) in affine form, or None for the point at infinity."""
     k1, k2 = _glv_split(k % N)
-    table, lam_table = _point_tables(px, py)
-    return _to_affine(_comb_walk(((table, k1), (lam_table, k2))))
+    table = _point_table(px, py)
+    return _to_affine(_comb_walk(((table, k1, False), (table, k2, True))))
 
 
 def scalar_base_mult(k):
     """k * G in affine form, or None for the point at infinity."""
-    return _to_affine(_comb_walk(((_G_TABLE, k % N),)))
+    k1, k2 = _glv_split(k % N)
+    return _to_affine(_comb_walk(((_G_TABLE, k1, False),
+                                  (_G_TABLE, k2, True))))
 
 
 def shamir_mult(u1, u2, px, py):
-    """u1*G + u2*(px, py): both GLV halves of u2 and u1 in one comb walk."""
+    """u1*G + u2*(px, py): both GLV halves of u1 and of u2 in one comb
+    walk."""
+    g1, g2 = _glv_split(u1 % N)
     k1, k2 = _glv_split(u2 % N)
-    table, lam_table = _point_tables(px, py)
+    table = _point_table(px, py)
     return _to_affine(_comb_walk(
-        ((table, k1), (lam_table, k2), (_G_TABLE, u1 % N))))
+        ((table, k1, False), (table, k2, True),
+         (_G_TABLE, g1, False), (_G_TABLE, g2, True))))

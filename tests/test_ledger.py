@@ -24,6 +24,7 @@ from ctsim.ledger import (
     write_ledger,
 )
 from ctsim.replica import VerifyFailure, replay_blocks
+from ctsim.trust import TrustState, fold_block
 
 from conftest import chain_state
 
@@ -403,6 +404,34 @@ def test_same_block_duplicates_are_rejected():
     chain = fresh_chain()
     chain.apply_block(bare_block(chain, [reg, token_tx, fb]))
     assert OUTSIDER.address in chain.registered
+
+
+def test_each_tx_is_hashed_and_parsed_once(monkeypatch):
+    # Every replica that applies a block reads the same Transaction
+    # objects, so each txid check and payload parse runs once per object:
+    # not again on a second chain, a re-apply after a pop, or the fold.
+    txs = _touch_every_index()
+    chains = [fresh_chain(), fresh_chain()]
+    calls = dict.fromkeys(
+        ("canonical_serialize", "parse_feedback", "parse_register"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(ledger, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ledger, name, counted)
+    blk = bare_block(chains[0], txs)
+    for chain in chains:
+        chain.apply_block(blk)
+    chains[0].pop_block()
+    chains[0].apply_block(blk)
+    fold_block(TrustState(), blk)
+    assert calls == {"canonical_serialize": 3, "parse_feedback": 1,
+                     "parse_register": 1}
+    assert [tx.txid_ok for tx in txs] == [True] * 3
+    assert txs[2].data == parse_feedback(txs[2].payload)
+    assert txs[0].sender == OUTSIDER.address and txs[1].data is None
+    # the cache is per object: a tampered copy is checked afresh
+    assert not replace(txs[0], prev_tx=b"\x07" * 32).txid_ok
 
 
 # ---------------------------------------------------------------------------
