@@ -155,9 +155,10 @@ def _comb_points(base):
     The tooth bases T_j come from Jacobian doublings and one batch
     inversion. The table then grows one tooth at a time in affine
     coordinates: tooth j appends T_j, then e + T_j for every earlier entry e,
-    with one batch inversion for all the slopes. No e equals +-T_j, since
-    both are distinct nonzero multiples of base below 2**136 < N and base
-    has prime order N, so no addition meets a doubling or infinity."""
+    with one batch inversion for the denominators of all the slopes. No e
+    equals +-T_j, since both are distinct nonzero multiples of base below
+    2**136 < N and base has prime order N, so no addition meets a doubling
+    or infinity."""
     teeth = [(base[0], base[1], 1)]
     for _ in range(_COMB_TEETH - 1):
         pt = teeth[-1]
@@ -168,8 +169,8 @@ def _comb_points(base):
     for tx, ty in _batch_to_affine(teeth):
         earlier = table[1:]
         table.append((tx, ty))
-        slopes = _batch_inverse([ex - tx for ex, _ in earlier])
-        for (ex, ey), inv in zip(earlier, slopes):
+        inv_dx = _batch_inverse([ex - tx for ex, _ in earlier])
+        for (ex, ey), inv in zip(earlier, inv_dx):
             m = ((ey - ty) * inv) % P
             x = (m * m - tx - ex) % P
             table.append((x, (m * (tx - x) - ty) % P))
