@@ -94,6 +94,13 @@ def _read_ledger_checked(path) -> tuple[list | None, int]:
     return blocks, 0
 
 
+def _fail(exc: VerifyFailure) -> int:
+    """Print the one FAIL line for a ledger that does not replay."""
+    txid = exc.txid.hex() if exc.txid else "-"
+    print(f"FAIL height={exc.height} txid={txid} reason={exc.reason}")
+    return 1
+
+
 def cmd_verify(args) -> int:
     blocks, rc = _read_ledger_checked(args.ledger)
     if blocks is None:
@@ -101,9 +108,7 @@ def cmd_verify(args) -> int:
     try:
         replica = replay_blocks(blocks)
     except VerifyFailure as exc:
-        txid = exc.txid.hex() if exc.txid else "-"
-        print(f"FAIL height={exc.height} txid={txid} reason={exc.reason}")
-        return 1
+        return _fail(exc)
     ntx = sum(len(b.txs) for b in blocks[1:])
     chain = replica.chain
     print(f"OK height={chain.height} txs={ntx} tip={chain.tip.h_blk.hex()}")
@@ -117,9 +122,7 @@ def cmd_trust_report(args) -> int:
     try:
         report = build_report(blocks)
     except VerifyFailure as exc:
-        txid = exc.txid.hex() if exc.txid else "-"
-        print(f"FAIL height={exc.height} txid={txid} reason={exc.reason}")
-        return 1
+        return _fail(exc)
     if args.json:
         json.dump(report, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")

@@ -138,7 +138,7 @@ def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,
     """Reason a block fails consensus checks against its parent, or None.
 
     generator_trust is the consensus trust of the block's generator at the
-    parent state (bootstrap and overrides already applied by the caller).
+    parent state, as consensus_trust gives it.
     """
     parent = parent_chain.tip
     h = blk.header
@@ -176,18 +176,17 @@ def resolve(tips: list[tuple[int, int, bytes]]) -> tuple[int, int, bytes]:
     return min(tips, key=lambda t: (-t[0], -t[1], t[2]))
 
 
-def consensus_trust(trust_state, address: bytes, overrides=None) -> int:
-    """Trust factor fed into difficulty: override, else computed, else 0.5.
+def consensus_trust(chain: Chain, trust_state, address: bytes) -> int:
+    """Trust factor fed into difficulty: 0 if pinned, else computed, else 0.5.
 
-    A provider nobody has interacted with yet has a computed trust of 0,
-    which would bar it from generation forever; such providers run at the
-    bootstrap value until history exists. Overrides are world-level policy
-    (used to pin a node's trust for exclusion experiments).
+    A provider whose REGISTER on this chain is pinned has trust 0, so it
+    never generates. A provider nobody has interacted with yet has a
+    computed trust of 0, which would bar it from generation forever; such
+    providers run at the bootstrap value until history exists.
     """
-    if overrides:
-        pinned = overrides.get(address)
-        if pinned is not None:
-            return pinned
+    reg = chain.registered.get(address)
+    if reg is not None and reg.pinned:
+        return 0
     if not trust_state.has_history(address):
         return BOOTSTRAP_TRUST
     return trust_state.trust_of(address)

@@ -22,7 +22,6 @@ from .crypto import derive_child_key, resource_address
 from .ledger import (
     AccessToken,
     FeedbackData,
-    RegisterData,
     build_feedback_tx,
     build_register_tx,
     build_token_tx,
@@ -127,8 +126,7 @@ def register_csp(world, spec) -> None:
     """Bring a provider online mid-run; it announces itself on-chain."""
     key = world._provider_key(spec)
     node = world._add_node(spec, key)
-    tx = build_register_tx(key, RegisterData(spec.weight_sat,
-                                             spec.weight_auth, spec.stake))
+    tx = build_register_tx(key, spec.register_data())
     node.wallet_prev = tx.txid
     world.broadcast_tx(node, tx)
 

@@ -28,6 +28,9 @@ from .fixedpoint import ONE
 # ===========================================================================
 
 LEDGER_MAGIC = b"CTSIM1\n"
+# the optional last byte of a REGISTER payload; absent unless pinned, so
+# an unpinned registration keeps its bytes and old ledgers parse unchanged
+REGISTER_PINNED = b"\x01"
 
 DIGEST_LEN = crypto.DIGEST_LEN
 ADDRESS_LEN = crypto.ADDRESS_LEN
@@ -242,6 +245,7 @@ class RegisterData:
     weight_sat: int         # fixed-point declared weights
     weight_auth: int
     stake: int              # fixed-point declared stake
+    pinned: bool = False    # consensus trust pinned to zero: never generates
 
 
 def _ser_ciphertext(ct: Ciphertext) -> bytes:
@@ -357,15 +361,17 @@ def parse_feedback(payload: bytes) -> FeedbackData:
 
 
 def ser_register(reg: RegisterData) -> bytes:
-    return _u64(reg.weight_sat) + _u64(reg.weight_auth) + _u64(reg.stake)
+    out = _u64(reg.weight_sat) + _u64(reg.weight_auth) + _u64(reg.stake)
+    return out + REGISTER_PINNED if reg.pinned else out
 
 
 def parse_register(payload: bytes) -> RegisterData:
     r = _Reader(payload)
-    reg = RegisterData(r.u64(), r.u64(), r.u64())
-    if not r.done():
+    weight_sat, weight_auth, stake = r.u64(), r.u64(), r.u64()
+    tail = payload[r.off:]
+    if tail not in (b"", REGISTER_PINNED):
         raise LedgerError("BAD_ENCODING", "trailing registration bytes")
-    return reg
+    return RegisterData(weight_sat, weight_auth, stake, pinned=bool(tail))
 
 
 # ===========================================================================

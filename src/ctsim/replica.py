@@ -43,12 +43,11 @@ def params_from_genesis(genesis: Block) -> ConsensusParams:
 class Replica:
     """Chain + trust state, advanced by full validation, undone per block.
 
-    overrides maps provider addresses to pinned consensus trust. The dict
-    is kept, not copied, so a pin its owner adds later applies here too.
+    Every consensus input, a provider's trust pin included, is read from
+    the chain this replica holds.
     """
 
-    def __init__(self, genesis: Block,
-                 overrides: dict[bytes, int] | None = None):
+    def __init__(self, genesis: Block):
         try:
             self.chain = Chain(genesis)
             self.params = params_from_genesis(genesis)
@@ -56,14 +55,13 @@ class Replica:
             raise VerifyFailure(0, exc.txid, exc.reason) from None
         except ValueError:  # parameters out of ConsensusParams' range
             raise VerifyFailure(0, None, "BAD_SIGNATURE") from None
-        self.overrides = {} if overrides is None else overrides
         self.trust = trust.TrustState()
         trust.fold_block(self.trust, genesis)
         # per height above genesis: the trust journal mark before its fold
         self._trust_marks: list[int] = []
 
     def trust_for(self, address: bytes) -> int:
-        return consensus.consensus_trust(self.trust, address, self.overrides)
+        return consensus.consensus_trust(self.chain, self.trust, address)
 
     def apply(self, blk: Block) -> None:
         """Validate and append one block; VerifyFailure on rejection, with
@@ -87,22 +85,21 @@ class Replica:
         return blk
 
 
-def replay_blocks(blocks: list[Block],
-                  overrides: dict[bytes, int] | None = None) -> Replica:
+def replay_blocks(blocks: list[Block]) -> Replica:
     """Rebuild a replica from serialized history; VerifyFailure on defects.
 
     This is the offline verification path: everything needed (consensus
-    parameters, stakes, trust history) is recovered from the blocks alone.
-    Every signature the replay may check is checked up front on all CPUs;
-    the replay then finds the verdicts memoized, so its order, its
-    failure reasons and its result are those of a one-CPU replay.
+    parameters, stakes, trust pins, trust history) is recovered from the
+    blocks alone. Every signature the replay may check is checked up front
+    on all CPUs; the replay then finds the verdicts memoized, so its order,
+    its failure reasons and its result are those of a one-CPU replay.
     """
     if not blocks:
         raise VerifyFailure(0, None, "BAD_ENCODING")
     crypto.verify_many(triple for blk in blocks[1:]
                        for triple in (blk.header.sig_triple,
                                       *(tx.sig_triple for tx in blk.txs)))
-    replica = Replica(blocks[0], overrides)
+    replica = Replica(blocks[0])
     for blk in blocks[1:]:
         replica.apply(blk)
     return replica

@@ -12,7 +12,7 @@ import json
 import statistics
 
 from .crypto import address_of
-from .fixedpoint import fp_from, to_float
+from .fixedpoint import to_float
 from .ledger import Block, TxKind
 from .replica import Replica, replay_blocks
 
@@ -166,23 +166,20 @@ def build_report(blocks: list[Block], events: list[dict] | None = None) -> dict:
     """Replay a ledger (verifying it) and summarize it with the event log.
 
     Raises VerifyFailure if the ledger does not replay cleanly; a report
-    is only ever produced over a chain that passed full validation. Trust
-    pins applied during the run are recovered from the register events, so
-    identical artifacts always rebuild an identical report.
+    is only ever produced over a chain that passed full validation. The
+    chain, provider and user figures come from the ledger alone, trust
+    pins included; the events add names and the request and network
+    sections.
     """
     names: dict[str, str] = {}
     user_names: dict[str, str] = {}
-    overrides: dict[bytes, int] = {}
     if events:
         for entry in events:
             if entry.get("event") == "register":
                 names[entry["address"]] = entry["node"]
-                if "trust_override" in entry:
-                    overrides[bytes.fromhex(entry["address"])] = \
-                        fp_from(entry["trust_override"])
             elif entry.get("event") == "user_registered":
                 user_names[entry["pseudonym"]] = entry["user"]
-    replica = replay_blocks(blocks, overrides)
+    replica = replay_blocks(blocks)
     report = {
         "chain": _chain_section(blocks),
         "providers": _provider_section(replica, names),

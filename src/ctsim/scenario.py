@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .fixedpoint import ONE, fp_from
+from .ledger import RegisterData
 from .trust import CredLabel, SatLabel
 
 LABEL_NAMES = {lbl.name: int(lbl) for lbl in (*CredLabel, *SatLabel)}
@@ -48,6 +49,11 @@ class NodeSpec:
     weight_auth: int
     behavior: str = "honest"
     trust_override: int | None = None   # only 0 is allowed (exclusion switch)
+
+    def register_data(self) -> RegisterData:
+        """The REGISTER payload this provider announces itself with."""
+        return RegisterData(self.weight_sat, self.weight_auth, self.stake,
+                            pinned=self.trust_override is not None)
 
 
 @dataclass

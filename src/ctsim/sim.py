@@ -27,7 +27,6 @@ from .ledger import (
     Block,
     BlockHeader,
     Chain,
-    RegisterData,
     Transaction,
     TxKind,
     ZERO_DIGEST,
@@ -54,14 +53,14 @@ class Node:
     """One cloud service provider: replica, mempool, protocol state."""
 
     def __init__(self, name: str, spec: NodeSpec, key: KeyPair,
-                 rng: DetRng, genesis: Block, overrides: dict[bytes, int]):
+                 rng: DetRng, genesis: Block):
         self.name = name
         self.spec = spec
         self.behavior = spec.behavior
         self.key = key
         self.rng = rng
         self.address = key.address
-        self.replica = Replica(genesis, overrides)
+        self.replica = Replica(genesis)
         self.mempool: dict[bytes, tuple[int, Transaction]] = {}
         self._arrival = 0
         # federation state
@@ -286,17 +285,13 @@ class World:
         self._link_rng: dict[tuple[str, str], DetRng] = {}
         self.users: dict[str, UserInfo] = {}
         self.requests: dict[str, RequestRecord] = {}
-        self.overrides: dict[bytes, int] = {}
 
         keys = {spec.name: self._provider_key(spec) for spec in cfg.nodes}
-        regs = [build_register_tx(keys[spec.name],
-                                  RegisterData(spec.weight_sat,
-                                               spec.weight_auth, spec.stake))
+        regs = [build_register_tx(keys[spec.name], spec.register_data())
                 for spec in cfg.nodes]
         base = cfg.consensus.base_target
         if base is None:
-            trusts = [self.overrides.get(keys[s.name].address,
-                                         BOOTSTRAP_TRUST)
+            trusts = [BOOTSTRAP_TRUST if s.trust_override is None else 0
                       for s in cfg.nodes]
             base = consensus.calibrate_base_target(
                 [s.stake for s in cfg.nodes], trusts)
@@ -320,17 +315,14 @@ class World:
 
     def _provider_key(self, spec: NodeSpec) -> KeyPair:
         """A provider's key, drawn from a stream named after it so node
-        identity is config-stable; records the provider's trust pin."""
-        key = generate_keypair(self.rng.child(f"key:{spec.name}").take(32))
-        if spec.trust_override is not None:
-            self.overrides[key.address] = spec.trust_override
-        return key
+        identity is config-stable."""
+        return generate_keypair(self.rng.child(f"key:{spec.name}").take(32))
 
     def _add_node(self, spec: NodeSpec, key: KeyPair) -> Node:
         """Bring a provider's node online and log its registration."""
         node = Node(spec.name, spec, key,
                     self.rng.child(f"node:{spec.name}"),
-                    self.genesis, self.overrides)
+                    self.genesis)
         self.nodes[spec.name] = node
         extra = {}
         if spec.trust_override is not None:

@@ -7,11 +7,16 @@ pytest's output capture.
 """
 
 import heapq
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
 from ctsim.scenario import load_config
 from ctsim.sim import DELIVER_BLOCK, DELIVER_MSG, DELIVER_TX, World
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 _criterion_lines: list[str] = []
 
@@ -78,6 +83,18 @@ def drain(world) -> None:
             continue
         world.now = max(world.now, at)
         world._step(kind, data)
+
+
+def perfbench_module(name: str):
+    """Load perfbench/<name>.py without writing a bytecode cache there:
+    the benchmark's directory is read, never written."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(module)
+    return module
 
 
 def make_world(cfg_dict) -> World:

@@ -100,8 +100,7 @@ def test_c03_incremental_equals_replay():
             ])
         world = run_cfg(cfg)
         live = world.canonical.replica.trust.fingerprint()
-        redo = replay_blocks(world.canonical.chain.blocks,
-                             world.overrides).trust.fingerprint()
+        redo = replay_blocks(world.canonical.chain.blocks).trust.fingerprint()
         if live != redo:
             mismatches.append(seed)
     wall = time.monotonic() - t0

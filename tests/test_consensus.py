@@ -242,14 +242,22 @@ def test_resolve_total_order():
 # ---------------------------------------------------------------------------
 
 def test_consensus_trust_sources():
+    chain = two_node_chain()
+    regs = [build_register_tx(k, RegisterData(fp("0.5"), fp("0.5"), fp("0.5"),
+                                              pinned=k is ALPHA))
+            for k in (ALPHA, BETA)]
+    pinned = Chain(make_genesis(regs, fp("0.9")))
     st = TrustState()
     st.register(ALPHA.address, fp("0.5"), fp("0.5"))
     st.register(BETA.address, fp("0.5"), fp("0.5"))
-    assert consensus_trust(st, ALPHA.address) == BOOTSTRAP_TRUST
-    assert consensus_trust(st, ALPHA.address, {ALPHA.address: 0}) == 0
+    assert consensus_trust(chain, st, ALPHA.address) == BOOTSTRAP_TRUST
+    assert consensus_trust(pinned, st, ALPHA.address) == 0
     st.auth[(BETA.address, ALPHA.address)] = fp("0.8")
-    assert consensus_trust(st, ALPHA.address) == st.trust_of(ALPHA.address)
-    assert consensus_trust(st, BETA.address) == BOOTSTRAP_TRUST
+    assert consensus_trust(chain, st, ALPHA.address) \
+        == st.trust_of(ALPHA.address)
+    assert consensus_trust(pinned, st, ALPHA.address) == 0   # beats history
+    assert consensus_trust(chain, st, BETA.address) == BOOTSTRAP_TRUST
+    assert consensus_trust(pinned, st, BETA.address) == BOOTSTRAP_TRUST
 
 
 def test_calibrate_base_target():

@@ -19,7 +19,8 @@ from ctsim.ledger import (
     build_feedback_tx, build_register_tx, build_token_tx,
     LEDGER_MAGIC, canonical_serialize, check_genesis_shape, compute_tx_root,
     make_genesis,
-    make_transaction, parse_feedback, read_ledger, ser_block, ser_feedback,
+    make_transaction, parse_feedback, parse_register, read_ledger, ser_block,
+    ser_feedback,
     ser_register, ser_token, tx_from_wire, tx_to_wire, unpack_genesis_pub,
     write_ledger,
 )
@@ -117,6 +118,29 @@ def test_tx_wire_rejects_trailing_and_unknown_kind():
     bad_kind = wire[:32] + b"\x09" + wire[33:]
     with pytest.raises(LedgerError):
         tx_from_wire(bad_kind)
+
+
+def test_register_payload_takes_one_optional_pin_byte():
+    plain = RegisterData(fp_from("0.5"), fp_from("0.4"), fp_from("0.3"))
+    pinned = replace(plain, pinned=True)
+    assert len(ser_register(plain)) == 24
+    assert ser_register(pinned) == ser_register(plain) + b"\x01"
+    for reg in (plain, pinned):
+        payload = ser_register(reg)
+        assert parse_register(payload) == reg
+        assert ser_register(parse_register(payload)) == payload
+    for tail in (b"\x00", b"\x02", b"\x01\x01", b"\x01\x00"):
+        with pytest.raises(LedgerError) as err:
+            parse_register(ser_register(plain) + tail)
+        assert (err.value.reason, err.value.detail) \
+            == ("BAD_ENCODING", "trailing registration bytes")
+    with pytest.raises(LedgerError) as err:
+        parse_register(ser_register(plain)[:-1])
+    assert err.value.reason == "BAD_ENCODING"
+    # a chain refuses the malformed payload as it would any other
+    bad = make_transaction(TxKind.REGISTER, (), (), ZERO_DIGEST,
+                           ser_register(plain) + b"\x02", OUTSIDER)
+    assert fresh_chain().validate_tx(bad) == "BAD_ENCODING"
 
 
 def test_privilege_count_cap():

@@ -2,20 +2,29 @@
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from ctsim import scenario
+from ctsim import cli, consensus, scenario
 from ctsim.cli import main
+from ctsim.crypto import ZERO_DIGEST
 from ctsim.fixedpoint import ONE, fp_from
+from ctsim.ledger import (
+    Block, BlockHeader, compute_tx_root, read_ledger, write_ledger,
+)
+from ctsim.replica import replay_blocks
 from ctsim.scenario import ConfigError, load_config
+from ctsim.trust import BOOTSTRAP_TRUST
 
-from conftest import base_cfg, four_nodes
+from conftest import base_cfg, four_nodes, make_world, perfbench_module
 
 
 def bad(cfg, needle):
@@ -161,6 +170,31 @@ def run_dir(scenario_file, tmp_path_factory):
     return out
 
 
+PINNED_CFG = {
+    "seed": 5, "duration_ms": 8000,
+    "nodes": [{"name": "a", "stake": 0.4}, {"name": "b", "stake": 0.3},
+              {"name": "c", "stake": 0.3, "trust_override": 0}],
+    "actions": [
+        {"at_ms": 300, "action": "register_user", "user": "u1", "home": "a"},
+        {"at_ms": 400, "action": "register_user", "user": "u2", "home": "c"},
+        {"at_ms": 1000, "action": "request_access", "user": "u1",
+         "target": "b", "resource": "vm"},
+        {"at_ms": 1500, "action": "request_access", "user": "u2",
+         "target": "a", "resource": "vm"},
+    ]}
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """A run in which provider c is pinned to zero trust."""
+    out = tmp_path_factory.mktemp("pinned")
+    path = out / "pinned.yaml"
+    path.write_text(yaml.safe_dump(PINNED_CFG))
+    code, stdout, _ = run_cli("run", str(path), "--out-dir", str(out))
+    assert code == 0, stdout
+    return out
+
+
 def test_run_produces_artifacts(run_dir):
     for name in ("ledger.bin", "events.jsonl", "report.json"):
         assert (run_dir / name).stat().st_size > 0
@@ -222,6 +256,24 @@ def test_bundled_scenario_artifacts_are_pinned(name, tmp_path):
     assert got == PINNED[name]
 
 
+@pytest.mark.parametrize("flags, hashseed", [([], "0"), ([], "1"),
+                                             (["-O"], "0")],
+                         ids=["hashseed-0", "hashseed-1", "optimized"])
+def test_demo_artifacts_are_pinned_in_a_fresh_process(flags, hashseed,
+                                                      tmp_path):
+    src = str(SCENARIOS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "ctsim.cli", "run",
+         str(SCENARIOS / "demo.yaml"), "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = {art: hashlib.sha256((tmp_path / art).read_bytes()).hexdigest()
+           for art in PINNED["demo"]}
+    assert got == PINNED["demo"]
+
+
 def test_invalid_config_exits_2(tmp_path):
     nodes = four_nodes()
     nodes[0]["stake"] = 0.9
@@ -247,19 +299,11 @@ def test_malformed_yaml_exits_2(text, tmp_path):
     assert err.startswith("cannot load config: ")
 
 
-def _perfbench_workloads():
-    path = SCENARIOS.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_libyaml_and_pure_loaders_agree(monkeypatch, tmp_path):
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML was built without libyaml")
     crowd = tmp_path / "crowd.yaml"
-    crowd.write_text(_perfbench_workloads().scenario_yaml("crowd", 1))
+    crowd.write_text(perfbench_module("workloads").scenario_yaml("crowd", 1))
     paths = [SCENARIOS / f"{name}.yaml" for name in sorted(PINNED)] + [crowd]
     for path in paths:
         monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.CSafeLoader)
@@ -298,7 +342,9 @@ def test_verify_catches_truncation(run_dir, tmp_path):
     assert "cannot read" in err
 
 
-def test_trust_report_matches_run_report(run_dir):
+def _offline_report_matches_stored(run_dir) -> dict:
+    """trust-report --json of a run's ledger, checked against its
+    report.json on every field the offline report has."""
     code, out, _ = run_cli("trust-report", str(run_dir / "ledger.bin"),
                            "--json")
     assert code == 0
@@ -311,6 +357,72 @@ def test_trust_report_matches_run_report(run_dir):
     assert anonymous(offline["providers"]) == anonymous(stored["providers"])
     assert anonymous(offline["users"]) == anonymous(stored["users"])
     assert offline["chain"] == stored["chain"]
+    return offline
+
+
+def test_trust_report_matches_run_report(run_dir):
+    _offline_report_matches_stored(run_dir)
+
+
+def test_pinned_run_trust_report_matches_run_report(pinned_run):
+    offline = _offline_report_matches_stored(pinned_run)
+    assert offline["users"]
+    c = make_world(PINNED_CFG).nodes["c"].address
+    blocks = read_ledger(pinned_run / "ledger.bin")
+    assert replay_blocks(blocks).chain.registered[c].pinned
+    trusts = {row["address"]: row["consensus_trust"]
+              for row in offline["providers"]}
+    assert trusts.pop(c.hex()) == 0.0
+    assert trusts and all(t > 0 for t in trusts.values())
+
+
+def test_block_from_pinned_provider_fails_verify(pinned_run, tmp_path):
+    # c seals one more block as if it had bootstrap trust; only its pin
+    # on the ledger makes that block ineligible
+    key = make_world(PINNED_CFG).nodes["c"].key
+    blocks = read_ledger(pinned_run / "ledger.bin")
+    replica = replay_blocks(blocks)
+    chain = replica.chain
+    state = consensus.consensus_state_at(chain, key.address)
+    for step in range(1, 1000):
+        header = BlockHeader(
+            height=chain.height + 1, prev_block=chain.tip.h_blk,
+            tx_root=compute_tx_root(()),
+            timestamp=chain.tip.header.timestamp + step,
+            generator_pub=key.pub_bytes, prf=ZERO_DIGEST,
+            base_target=chain.base_target, sig=b"\x00" * 64)
+        sealed = consensus.generate_block(Block(header, ()), replica.params,
+                                          key, state, BOOTSTRAP_TRUST)
+        if sealed:
+            break
+    assert sealed, "c never eligible at bootstrap trust"
+    forged = consensus.seal_block(Block(header, ()), *sealed)
+    assert consensus.validate_block(forged, replica.params, chain,
+                                    BOOTSTRAP_TRUST) is None
+    path = tmp_path / "forged.bin"
+    write_ledger(path, [*blocks, forged])
+
+    code, out, _ = run_cli("verify", str(path))
+    assert code == 1
+    assert out == f"FAIL height={forged.height} txid=- reason=NOT_ELIGIBLE\n"
+    # trust-report prints the same line for a ledger that does not replay
+    assert run_cli("trust-report", str(path), "--json") == (1, out, "")
+
+
+def test_run_fails_when_its_persisted_ledger_does_not_replay(
+        scenario_file, tmp_path, monkeypatch):
+    def write_bad_sig(path, blocks):
+        tip = blocks[-1]
+        sig = bytes([tip.header.sig[0] ^ 0x01]) + tip.header.sig[1:]
+        write_ledger(path, [*blocks[:-1],
+                            Block(replace(tip.header, sig=sig), tip.txs)])
+
+    monkeypatch.setattr(cli, "write_ledger", write_bad_sig)
+    code, _, err = run_cli("run", str(scenario_file),
+                           "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("persisted ledger failed verification: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_trust_report_table_lists_users(run_dir):

@@ -122,7 +122,7 @@ def test_partition_cuts_then_heals():
     # the heal included; each must hold exactly what a replay derives
     assert max(e["depth"] for e in events_of(world, "fork_switch")) > 1
     for node in world.nodes.values():
-        redo = replay_blocks(node.chain.blocks, world.overrides)
+        redo = replay_blocks(node.chain.blocks)
         assert replica_state(node.replica) == replica_state(redo), node.name
 
 
@@ -353,7 +353,7 @@ def _fresh_registration(tag: bytes):
 def _rival(node, world, fork: int, length: int):
     """A valid branch leaving node's chain at fork, length blocks long; its
     last block carries a fresh registration."""
-    scratch = replay_blocks(node.chain.blocks[:fork + 1], world.overrides)
+    scratch = replay_blocks(node.chain.blocks[:fork + 1])
     ours = node.chain.blocks[fork + 1].header.generator_pub
     blocks = [_extend(scratch, world, avoid=address_of(ours))]
     while len(blocks) < length - 1:
@@ -420,13 +420,13 @@ def test_winning_branches_switch_like_a_replay(settled):
             for e in got] == [("fork_switch", len(old) - 1, len(rival) - 1,
                                len(old) - 1 - fork)]
     assert node.chain.blocks == list(rival)
-    redo = replay_blocks(node.chain.blocks, world.overrides)
+    redo = replay_blocks(node.chain.blocks)
     assert replica_state(node.replica) == replica_state(redo)
     orphaned = [tx.txid for blk in old[fork + 1:] for tx in blk.txs]
     assert orphaned and all(t in node.mempool for t in orphaned)
 
     # a direct one-block extension is accepted; a longer one is a switch
-    scratch = replay_blocks(node.chain.blocks, world.overrides)
+    scratch = replay_blocks(node.chain.blocks)
     one = _extend(scratch, world)
     got = _receive(node, world, tuple(node.chain.blocks) + (one,))
     assert [(e["event"], e["height"], e["generator"]) for e in got] \
@@ -443,16 +443,16 @@ def test_pop_then_reapply_equals_replay():
     blocks = world.canonical.chain.blocks
     assert {tx.kind for b in blocks[1:] for tx in b.txs} \
         >= {TxKind.TOKEN, TxKind.FEEDBACK}
-    replica = replay_blocks(blocks, world.overrides)
+    replica = replay_blocks(blocks)
     for k in (1, 3, len(blocks) - 1):
         for n in range(len(blocks) - 1, len(blocks) - 1 - k, -1):
             assert replica.pop() is blocks[n]
-            redo = replay_blocks(blocks[:n], world.overrides)
+            redo = replay_blocks(blocks[:n])
             assert replica_state(replica) == replica_state(redo)
         for blk in blocks[len(blocks) - k:]:
             replica.apply(blk)
         assert replica_state(replica) \
-            == replica_state(replay_blocks(blocks, world.overrides))
+            == replica_state(replay_blocks(blocks))
 
     # a corrupted block is refused whole: a bad tx signature names the tx,
     # a bad header signature names none
@@ -461,7 +461,7 @@ def test_pop_then_reapply_equals_replay():
     for n, txid, reason in (
             (tx_height, blocks[tx_height].txs[-1].txid, "BAD_SIGNATURE"),
             (bare_height, None, "BAD_HEADER_SIG")):
-        replica = replay_blocks(blocks[:n], world.overrides)
+        replica = replay_blocks(blocks[:n])
         before = replica_state(replica)
         with pytest.raises(VerifyFailure) as caught:
             replica.apply(_corrupt_block(blocks[n]))
