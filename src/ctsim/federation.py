@@ -39,7 +39,6 @@ PRIVILEGES = (b"access",)
 @dataclass
 class HomeUser:
     """Home-side account record for a registered user."""
-    username: str
     pseudonym: bytes
     credential: bytes
     profile: bytes
@@ -48,12 +47,8 @@ class HomeUser:
 @dataclass
 class ForeignRequest:
     """Foreign-side context for an access request awaiting confirmation."""
-    req_id: str
-    user: str
     home: str
     resource: bytes
-    resource_label: str
-    state: str
     token_id: bytes | None = None
     deadline: int | None = None
 
@@ -61,11 +56,9 @@ class ForeignRequest:
 @dataclass
 class UserInfo:
     """World-level user directory entry (who registered where)."""
-    username: str
     pseudonym: bytes
     homes: list[str]
     credentials: dict[str, bytes]
-    profile: bytes
 
 
 @dataclass
@@ -115,11 +108,9 @@ def run_action(world, action) -> None:
     elif action.kind == "iaas_share":
         iaas_share(world, action.req_id, fields["borrower"], fields["lender"],
                    fields["resource"])
-    elif action.kind == "feedback":
+    else:   # "feedback"; the loader rejects unknown kinds
         scripted_feedback(world, fields["request"], fields["by"],
                           fields["label"])
-    else:   # pragma: no cover - loader rejects unknown kinds
-        raise AssertionError(f"unknown action {action.kind}")
 
 
 def register_csp(world, spec) -> None:
@@ -141,10 +132,10 @@ def register_user(world, home_name: str, username: str) -> None:
     pseudonym = info.pseudonym if info else child.address
     profile = json.dumps({"user": username, "home": home_name},
                          sort_keys=True).encode()
-    home.users[pseudonym] = HomeUser(username, pseudonym, credential, profile)
+    home.users[pseudonym] = HomeUser(pseudonym, credential, profile)
     if info is None:
-        world.users[username] = UserInfo(username, pseudonym, [home_name],
-                                         {home_name: credential}, profile)
+        world.users[username] = UserInfo(pseudonym, [home_name],
+                                         {home_name: credential})
     elif home_name not in info.homes:
         info.homes.append(home_name)
         info.credentials[home_name] = credential
@@ -173,9 +164,8 @@ def request_access(world, req_id: str, username: str, target: str,
     credential = b"" if bad_credential else info.credentials.get(home, b"")
     target_node = world.nodes[target]
     target_node.pending[req_id] = ForeignRequest(
-        req_id=req_id, user=username, home=home,
-        resource=resource_address(resource), resource_label=resource,
-        state="REDIRECTED", deadline=world.now + _timeout_ms(world))
+        home=home, resource=resource_address(resource),
+        deadline=world.now + _timeout_ms(world))
     _log_request(world, req_id, "REDIRECTED", node=target, home=home)
     world.send_msg(target, home, {
         "kind": "auth_request", "req_id": req_id,
@@ -225,10 +215,8 @@ def on_message(world, node, src: str, payload: dict) -> None:
         _on_auth_denied(world, node, payload)
     elif kind == "token_issued":
         _on_token_issued(world, node, payload)
-    elif kind == "grant_notice":
+    else:   # "grant_notice"; only the kinds above are ever sent
         _on_grant_notice(world, node, payload)
-    else:   # pragma: no cover - only the kinds above are ever sent
-        raise AssertionError(f"unknown message kind {kind}")
 
 
 def _on_auth_request(world, home, src: str, payload: dict) -> None:
@@ -292,7 +280,6 @@ def _on_token_issued(world, foreign, payload: dict) -> None:
         return
     ctx.token_id = payload["token_id"]
     ctx.deadline = world.now + _timeout_ms(world)
-    ctx.state = "TOKEN_ISSUED"
     _check_pending(world, foreign)   # the tx may already be confirmed
 
 

@@ -9,8 +9,9 @@ The chain tracks three uniqueness indices next to the block list: token ids
 (a token exists in at most one transaction), (issuer, nonce) pairs, and
 transaction ids. Registration records and per-generator production history
 are maintained as blocks apply so consensus and trust can be replayed from
-the raw file alone. Every index write is logged in one Journal, which undoes
-a popped or rejected block, and also backs the trust fold's undo.
+the raw file alone. There is one Journal per replica: every index write,
+and every write of the trust fold on top of the chain, is logged in it, so
+undoing a block's mark takes back a popped or rejected block whole.
 """
 
 from __future__ import annotations
@@ -567,7 +568,8 @@ _ABSENT = object()          # journal marker: the key was not in the table
 
 
 class Journal:
-    """The one undo log for a replica's dict state.
+    """The one undo log for a replica's dict state: the chain's indices and
+    the trust fold write through the same instance.
 
     Every write goes through set(), which logs (table, key, previous value
     or absent). undo(mark) rolls back to an earlier mark() strictly

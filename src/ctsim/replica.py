@@ -31,10 +31,9 @@ class VerifyFailure(Exception):
 
 
 def params_from_genesis(genesis: Block) -> ConsensusParams:
-    unpacked = ledger.unpack_genesis_pub(genesis.header.generator_pub)
-    if unpacked is None:
-        raise LedgerError("BAD_SIGNATURE", "genesis parameter block")
-    interval_ms, slot_ms, k_bits, time_cap = unpacked
+    """The consensus parameters of a genesis that Chain() has accepted."""
+    interval_ms, slot_ms, k_bits, time_cap = ledger.unpack_genesis_pub(
+        genesis.header.generator_pub)
     return ConsensusParams(base_target=genesis.header.base_target,
                            k_bits=k_bits, block_interval_ms=interval_ms,
                            slot_ms=slot_ms, time_cap_intervals=time_cap)
@@ -44,7 +43,8 @@ class Replica:
     """Chain + trust state, advanced by full validation, undone per block.
 
     Every consensus input, a provider's trust pin included, is read from
-    the chain this replica holds.
+    the chain this replica holds. The trust fold writes through the
+    chain's journal, so chain and fold share one undo log.
     """
 
     def __init__(self, genesis: Block):
@@ -55,10 +55,8 @@ class Replica:
             raise VerifyFailure(0, exc.txid, exc.reason) from None
         except ValueError:  # parameters out of ConsensusParams' range
             raise VerifyFailure(0, None, "BAD_SIGNATURE") from None
-        self.trust = trust.TrustState()
+        self.trust = trust.TrustState(self.chain.journal)
         trust.fold_block(self.trust, genesis)
-        # per height above genesis: the trust journal mark before its fold
-        self._trust_marks: list[int] = []
 
     def trust_for(self, address: bytes) -> int:
         return consensus.consensus_trust(self.chain, self.trust, address)
@@ -75,14 +73,14 @@ class Replica:
             self.chain.apply_block(blk, gen_trust)
         except LedgerError as exc:
             raise VerifyFailure(blk.height, exc.txid, exc.reason) from None
-        self._trust_marks.append(self.trust.mark())
         trust.fold_block(self.trust, blk)
 
     def pop(self) -> Block:
-        """Undo the latest apply(): chain indices and trust fold, exactly."""
-        blk = self.chain.pop_block()
-        self.trust.undo(self._trust_marks.pop())
-        return blk
+        """Undo the latest apply(): chain indices and trust fold, exactly.
+
+        The fold writes through the chain's journal after the block's own
+        writes, so undoing the block's mark takes both back together."""
+        return self.chain.pop_block()
 
 
 def replay_blocks(blocks: list[Block]) -> Replica:

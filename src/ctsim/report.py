@@ -94,15 +94,12 @@ def _provider_section(replica: Replica, names: dict[str, str]) -> list[dict]:
 def _user_section(replica: Replica, user_names: dict[str, str]) -> list[dict]:
     """Credibility of every user that has been rated at least once."""
     trust = replica.trust
-    raters: dict[bytes, int] = {}
-    for _, user in trust.cred:
-        raters[user] = raters.get(user, 0) + 1
     rows = []
-    for user in sorted(raters):
+    for user in sorted(trust.cred_sum):
         row = {
             "pseudonym": user.hex(),
             "credibility": to_float(trust.cred_user(user)),
-            "raters": raters[user],
+            "raters": trust.cred_sum[user][1],
         }
         name = user_names.get(user.hex())
         if name is not None:

@@ -55,7 +55,6 @@ class Node:
     def __init__(self, name: str, spec: NodeSpec, key: KeyPair,
                  rng: DetRng, genesis: Block):
         self.name = name
-        self.spec = spec
         self.behavior = spec.behavior
         self.key = key
         self.rng = rng
@@ -443,10 +442,8 @@ class World:
                 federation.on_message(self, self.nodes[dst], src, payload)
         elif kind == SCENARIO_ACTION:
             federation.run_action(self, data[0])
-        elif kind == PARTITION_CHANGE:
+        else:   # PARTITION_CHANGE; the queue only holds the kinds above
             self._on_partition_change(data[0])
-        else:   # pragma: no cover - queue only ever holds known kinds
-            raise AssertionError(f"unknown event kind {kind}")
 
     def run(self) -> None:
         while self._queue:

@@ -12,9 +12,12 @@ recurrence when a feedback transaction lands:
                blended as cred(u) * rating + (1 - cred(u)) * prev
 
 Aggregates are arithmetic means over pairs that have at least one recorded
-interaction; untouched subjects keep their initial value. A provider's
-overall trust combines its satisfaction and authentication aggregates under
-globally averaged weights. All arithmetic is fixed-point (see fixedpoint).
+interaction; untouched subjects keep their initial value. Each is kept as
+an exact running (sum, count) per subject, so reading one costs a lookup;
+the floor of an exact integer sum over a count does not depend on the
+order the pairs were written in. A provider's overall trust combines its
+satisfaction and authentication aggregates under globally averaged
+weights. All arithmetic is fixed-point (see fixedpoint).
 """
 
 from __future__ import annotations
@@ -113,38 +116,41 @@ def overall_trust(sat: int, auth: int, weight_sat: int, weight_auth: int) -> int
 class TrustState:
     """The cred, auth and sat pair tables plus registration-declared weights.
 
-    Mutation happens through register() and apply_feedback() only; the
-    per-provider trust cache is dropped on every mutation and rebuilt
-    lazily, so cached values always equal recomputation.
+    The fold mutates it through register() and apply_feedback(). Every
+    pair write goes through put(), which also moves the pair's subject
+    (the key's second address) in that family's running (sum, count):
+    cred_sum by user, auth_sum by home, sat_sum by foreign provider.
 
-    The fold floors, so it cannot be inverted: every table write goes
-    through the same ledger.Journal the chain indices use, and undo(mark)
-    rolls the state back to an earlier mark(), dict insertion order
-    included. Compare two states by their fingerprint().
+    The fold floors, so it cannot be inverted: every write goes through
+    the journal passed in, the replica's one journal, and undoing it to an
+    earlier mark rolls the state back, dict insertion order included.
+    Compare two states by their fingerprint().
     """
 
-    def __init__(self):
+    def __init__(self, journal: ledger.Journal):
         self.cred: dict[tuple[bytes, bytes], int] = {}
         self.auth: dict[tuple[bytes, bytes], int] = {}
         self.sat: dict[tuple[bytes, bytes], int] = {}
+        self.cred_sum: dict[bytes, tuple[int, int]] = {}
+        self.auth_sum: dict[bytes, tuple[int, int]] = {}
+        self.sat_sum: dict[bytes, tuple[int, int]] = {}
         self.declared: dict[bytes, tuple[int, int]] = {}
-        self._journal = ledger.Journal()
-        self._set = self._journal.set
-        self._trust_cache: dict[bytes, int] = {}
+        self._set = journal.set
 
-    def mark(self) -> int:
-        return self._journal.mark()
-
-    def undo(self, mark: int) -> None:
-        """Restore the state as of mark()."""
-        self._journal.undo(mark)
-        self._trust_cache.clear()
+    def put(self, table: dict, sums: dict, key: tuple[bytes, bytes],
+            value: int) -> None:
+        """Write one pair and its subject's (key[1]) running (sum, count)."""
+        prev = table.get(key)
+        total, count = sums.get(key[1], (0, 0))
+        if prev is None:
+            prev, count = 0, count + 1
+        self._set(sums, key[1], (total + value - prev, count))
+        self._set(table, key, value)
 
     # -- registration and weights -----------------------------------------
 
     def register(self, address: bytes, weight_sat: int, weight_auth: int) -> None:
         self._set(self.declared, address, (weight_sat, weight_auth))
-        self._trust_cache.clear()
 
     def global_weights(self) -> tuple[int, int]:
         """Component-wise means of every registrant's declared weights."""
@@ -158,36 +164,25 @@ class TrustState:
     # -- aggregates --------------------------------------------------------
 
     def cred_user(self, user: bytes) -> int:
-        vals = [v for (f, u), v in self.cred.items() if u == user]
-        if not vals:
-            return INITIAL_CRED
-        return sum(vals) // len(vals)
+        total, count = self.cred_sum.get(user, (INITIAL_CRED, 1))
+        return total // count
 
     def auth_score(self, home: bytes) -> int:
-        vals = [v for (f, h), v in self.auth.items() if h == home]
-        if not vals:
-            return INITIAL_AUTH
-        return sum(vals) // len(vals)
+        total, count = self.auth_sum.get(home, (INITIAL_AUTH, 1))
+        return total // count
 
     def sat_score(self, foreign: bytes) -> int:
-        vals = [v for (h, f), v in self.sat.items() if f == foreign]
-        if not vals:
-            return INITIAL_SAT
-        return sum(vals) // len(vals)
+        total, count = self.sat_sum.get(foreign, (INITIAL_SAT, 1))
+        return total // count
 
     def trust_of(self, csp: bytes) -> int:
-        cached = self._trust_cache.get(csp)
-        if cached is not None:
-            return cached
         w_sat, w_auth = self.global_weights()
-        value = overall_trust(self.sat_score(csp), self.auth_score(csp),
-                              w_sat, w_auth)
-        self._trust_cache[csp] = value
-        return value
+        return overall_trust(self.sat_score(csp), self.auth_score(csp),
+                             w_sat, w_auth)
 
     def has_history(self, csp: bytes) -> bool:
         """True once any feedback has touched this provider in either role."""
-        return any(h == csp for _, h in self.auth) or any(f == csp for _, f in self.sat)
+        return csp in self.auth_sum or csp in self.sat_sum
 
     # -- the fold ----------------------------------------------------------
 
@@ -198,18 +193,17 @@ class TrustState:
             foreign, home, user = fb.rater, fb.subject, fb.user
             trust_f = self.trust_of(foreign)
             prev = self.cred.get((foreign, user), INITIAL_CRED)
-            self._set(self.cred, (foreign, user),
-                      cred_update(prev, trust_f, value))
+            self.put(self.cred, self.cred_sum, (foreign, user),
+                     cred_update(prev, trust_f, value))
             prev_a = self.auth.get((foreign, home), INITIAL_AUTH)
-            self._set(self.auth, (foreign, home),
-                      auth_update(prev_a, auth_curr_from_feedback(value)))
+            self.put(self.auth, self.auth_sum, (foreign, home),
+                     auth_update(prev_a, auth_curr_from_feedback(value)))
         else:
             home, foreign, user = fb.rater, fb.subject, fb.user
             cred_u = self.cred_user(user)
             prev = self.sat.get((home, foreign), INITIAL_SAT)
-            self._set(self.sat, (home, foreign),
-                      sat_update(prev, cred_u, value))
-        self._trust_cache.clear()
+            self.put(self.sat, self.sat_sum, (home, foreign),
+                     sat_update(prev, cred_u, value))
 
     # -- comparison --------------------------------------------------------
 

@@ -61,9 +61,11 @@ def chain_state(chain) -> tuple:
 
 
 def replica_state(replica) -> tuple:
-    """chain_state plus the trust fold, table order included."""
+    """chain_state plus the trust fold, table order included, with the
+    running sums the fold derives from its tables."""
     trust = replica.trust
-    tables = (trust.cred, trust.auth, trust.sat, trust.declared)
+    tables = (trust.cred, trust.auth, trust.sat, trust.declared,
+              trust.cred_sum, trust.auth_sum, trust.sat_sum)
     return (chain_state(replica.chain), trust.fingerprint(),
             [list(t.items()) for t in tables])
 

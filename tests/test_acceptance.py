@@ -19,7 +19,7 @@ from ctsim.consensus import (
 )
 from ctsim.crypto import DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from, to_float
-from ctsim.ledger import FeedbackData, TxKind, read_ledger
+from ctsim.ledger import FeedbackData, Journal, TxKind, read_ledger
 from ctsim.replica import replay_blocks
 from ctsim.trust import (
     TrustState, auth_update, bucketize, cred_update, overall_trust,
@@ -58,19 +58,28 @@ def test_c01_calibrated_interval():
 def test_c02_feedback_closure():
     t0 = time.monotonic()
     rng = DetRng(102, b"closure")
-    st = TrustState()
+    journal = Journal()
+    st = TrustState(journal)
     csps = [rng.take(20) for _ in range(6)]
     users = [rng.take(20) for _ in range(8)]
     for c in csps:
         st.register(c, fp("0.5"), fp("0.5"))
+    cred_feedbacks = 0
     for i in range(100_000):
         a, b = rng.randbelow(6), rng.randbelow(6)
         if a == b:
             b = (b + 1) % 6
+        label = rng.randbelow(10)
+        cred_feedbacks += label <= 4
         st.apply_feedback(FeedbackData(
             rater=csps[a], subject=csps[b],
-            user=users[rng.randbelow(8)], label=rng.randbelow(10),
+            user=users[rng.randbelow(8)], label=label,
             token_id=i.to_bytes(32, "big")))
+    # the fold's work, exactly: one write per registration, then a pair
+    # and its subject's running sum for each pair a feedback touches
+    # (cred and auth for a cred label, sat for a sat label)
+    writes = journal.mark()
+    want_writes = 6 + 4 * cred_feedbacks + 2 * (100_000 - cred_feedbacks)
     stores = [st.cred, st.auth, st.sat]
     in_range = all(0 <= v <= ONE for s in stores for v in s.values())
     derived = [st.trust_of(c) for c in csps] \
@@ -79,9 +88,10 @@ def test_c02_feedback_closure():
         + [st.cred_user(u) for u in users]
     in_range = in_range and all(0 <= v <= ONE for v in derived)
     wall = time.monotonic() - t0
-    ok = in_range and wall < 5
+    ok = in_range and writes == want_writes and wall < 5
     verdict(2, "score closure under load", ok,
             f"100000 feedbacks, all scores in [0,1]: {in_range}, "
+            f"{writes} journal writes (want {want_writes}), "
             f"wall {wall:.1f} s")
 
 

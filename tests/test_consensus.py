@@ -13,7 +13,7 @@ from ctsim.consensus import (
     validate_block,
 )
 from ctsim.ledger import (
-    Block, BlockHeader, Chain, RegisterData, build_register_tx,
+    Block, BlockHeader, Chain, Journal, RegisterData, build_register_tx,
     compute_tx_root, make_genesis,
 )
 from ctsim.trust import BOOTSTRAP_TRUST, TrustState
@@ -247,12 +247,12 @@ def test_consensus_trust_sources():
                                               pinned=k is ALPHA))
             for k in (ALPHA, BETA)]
     pinned = Chain(make_genesis(regs, fp("0.9")))
-    st = TrustState()
+    st = TrustState(Journal())
     st.register(ALPHA.address, fp("0.5"), fp("0.5"))
     st.register(BETA.address, fp("0.5"), fp("0.5"))
     assert consensus_trust(chain, st, ALPHA.address) == BOOTSTRAP_TRUST
     assert consensus_trust(pinned, st, ALPHA.address) == 0
-    st.auth[(BETA.address, ALPHA.address)] = fp("0.8")
+    st.put(st.auth, st.auth_sum, (BETA.address, ALPHA.address), fp("0.8"))
     assert consensus_trust(chain, st, ALPHA.address) \
         == st.trust_of(ALPHA.address)
     assert consensus_trust(pinned, st, ALPHA.address) == 0   # beats history

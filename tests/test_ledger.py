@@ -448,7 +448,7 @@ def test_each_tx_is_hashed_and_parsed_once(monkeypatch):
         chain.apply_block(blk)
     chains[0].pop_block()
     chains[0].apply_block(blk)
-    fold_block(TrustState(), blk)
+    fold_block(TrustState(ledger.Journal()), blk)
     assert calls == {"canonical_serialize": 3, "parse_feedback": 1,
                      "parse_register": 1}
     assert [tx.txid_ok for tx in txs] == [True] * 3

@@ -6,11 +6,12 @@ match a from-scratch replay of the same chain, bit for bit.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from ctsim.crypto import DetRng, ZERO_DIGEST, generate_keypair, resource_address
 from ctsim.fixedpoint import ONE, fp_from, to_float
 from ctsim.ledger import (
-    AccessToken, FeedbackData, RegisterData, build_feedback_tx,
+    AccessToken, FeedbackData, Journal, RegisterData, build_feedback_tx,
     build_register_tx, build_token_tx, make_genesis,
 )
 from ctsim.trust import (
@@ -24,6 +25,10 @@ fp = fp_from
 
 def _addr(tag: str) -> bytes:
     return DetRng(17, tag.encode()).take(20)
+
+
+def _state() -> TrustState:
+    return TrustState(Journal())
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +136,22 @@ def test_update_closure_fuzz():
 # ---------------------------------------------------------------------------
 
 def test_aggregate_means_and_initials():
-    st = TrustState()
+    st = _state()
     u, f1, f2, home = _addr("u"), _addr("f1"), _addr("f2"), _addr("h")
     assert st.cred_user(u) == INITIAL_CRED == ONE
     assert st.auth_score(home) == INITIAL_AUTH == 0
     assert st.sat_score(f1) == INITIAL_SAT == 0
 
-    st.cred[(f1, u)] = fp(1)
-    st.cred[(f2, u)] = fp("0.6")
+    st.put(st.cred, st.cred_sum, (f1, u), fp(1))
+    st.put(st.cred, st.cred_sum, (f2, u), fp("0.6"))
     assert st.cred_user(u) == fp("0.8")
 
-    st.auth[(f1, home)] = fp("0.9")
-    st.auth[(f2, home)] = fp("0.5")
+    st.put(st.auth, st.auth_sum, (f1, home), fp("0.9"))
+    st.put(st.auth, st.auth_sum, (f2, home), fp("0.5"))
     assert st.auth_score(home) == fp("0.7")
 
-    st.sat[(home, f1)] = fp("0.9")
-    st.sat[(_addr("h2"), f1)] = fp("0.3")
+    st.put(st.sat, st.sat_sum, (home, f1), fp("0.9"))
+    st.put(st.sat, st.sat_sum, (_addr("h2"), f1), fp("0.3"))
     assert st.sat_score(f1) == fp("0.6")
 
     # aggregates filter on the subject side, not the rater side
@@ -156,7 +161,7 @@ def test_aggregate_means_and_initials():
 
 
 def test_global_weights():
-    st = TrustState()
+    st = _state()
     with pytest.raises(ValueError):
         st.global_weights()
     st.register(_addr("a"), fp(1), 0)
@@ -168,28 +173,29 @@ def test_global_weights():
 
 
 def test_trust_of_uses_global_weights():
-    st = TrustState()
+    st = _state()
     st.register(_addr("a"), fp("0.25"), fp("0.75"))
     csp = _addr("a")
-    st.sat[(_addr("h"), csp)] = fp("0.4")
-    st.auth[(_addr("f"), csp)] = fp("0.8")
+    st.put(st.sat, st.sat_sum, (_addr("h"), csp), fp("0.4"))
+    st.put(st.auth, st.auth_sum, (_addr("f"), csp), fp("0.8"))
     assert st.trust_of(csp) == fp("0.7")
-    # cache must track mutation
-    st.auth[(_addr("f"), csp)] = fp("0.4")
+    # rewriting a pair moves its subject's sum, not its count
+    st.put(st.auth, st.auth_sum, (_addr("f"), csp), fp("0.4"))
+    assert st.auth_score(csp) == fp("0.4")
     st.apply_feedback(FeedbackData(_addr("x"), _addr("y"), _addr("u"), 9,
-                                   b"\x01" * 32))  # any mutation clears cache
+                                   b"\x01" * 32))  # unrelated feedback
     assert st.trust_of(csp) == overall_trust(
         st.sat_score(csp), st.auth_score(csp), fp("0.25"), fp("0.75"))
 
 
 def test_has_history():
-    st = TrustState()
+    st = _state()
     csp, other = _addr("csp"), _addr("other")
     assert not st.has_history(csp)
-    st.auth[(_addr("f"), csp)] = fp("0.5")
+    st.put(st.auth, st.auth_sum, (_addr("f"), csp), fp("0.5"))
     assert st.has_history(csp)
-    st2 = TrustState()
-    st2.sat[(_addr("h"), other)] = fp("0.5")
+    st2 = _state()
+    st2.put(st2.sat, st2.sat_sum, (_addr("h"), other), fp("0.5"))
     assert st2.has_history(other)
     assert not st2.has_history(csp)
 
@@ -203,7 +209,7 @@ def _fb(rater, subject, user, label, token_id=b"\x07" * 32):
 
 
 def test_cred_feedback_updates_cred_and_auth_together():
-    st = TrustState()
+    st = _state()
     home, foreign, user = _addr("H"), _addr("F"), _addr("u")
     st.register(home, fp("0.5"), fp("0.5"))
     st.register(foreign, fp("0.5"), fp("0.5"))
@@ -215,7 +221,7 @@ def test_cred_feedback_updates_cred_and_auth_together():
 
 
 def test_sat_feedback_weighted_by_user_credibility():
-    st = TrustState()
+    st = _state()
     home, foreign, user = _addr("H"), _addr("F"), _addr("u")
     st.register(home, fp("0.5"), fp("0.5"))
     st.register(foreign, fp("0.5"), fp("0.5"))
@@ -229,7 +235,7 @@ def test_fold_order_cred_before_sat_matters():
     home, foreign, user = _addr("H"), _addr("F"), _addr("u")
 
     def build(order):
-        st = TrustState()
+        st = _state()
         st.register(home, fp("0.5"), fp("0.5"))
         st.register(foreign, fp("0.5"), fp("0.5"))
         for fb in order:
@@ -246,21 +252,23 @@ def test_fold_order_cred_before_sat_matters():
 
 def _tables(st):
     return [list(t.items())
-            for t in (st.cred, st.auth, st.sat, st.declared)]
+            for t in (st.cred, st.auth, st.sat, st.declared,
+                      st.cred_sum, st.auth_sum, st.sat_sum)]
 
 
 def test_undo_and_fingerprint_equality():
-    def build():
-        st = TrustState()
+    def build(journal):
+        st = TrustState(journal)
         st.register(_addr("a"), fp("0.6"), fp("0.4"))
         st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
                               CredLabel.BAD))
         return st
 
-    st, ref = build(), build()
+    journal = Journal()
+    st, ref = build(journal), build(Journal())
     assert st.fingerprint() == ref.fingerprint()
     trust_before = st.trust_of(_addr("H"))
-    mark = st.mark()
+    mark = journal.mark()
     # rewrites existing keys and adds new ones in every table
     st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
                           CredLabel.EXCELLENT))
@@ -270,12 +278,70 @@ def test_undo_and_fingerprint_equality():
     st.register(_addr("b"), fp("0.5"), fp("0.5"))
     assert st.fingerprint() != ref.fingerprint()
     assert st.trust_of(_addr("H")) != trust_before
-    st.undo(mark)
+    journal.undo(mark)
     assert st.fingerprint() == ref.fingerprint()
-    assert _tables(st) == _tables(ref)
-    assert st.trust_of(_addr("H")) == trust_before     # cache was dropped
-    st.undo(mark)                                      # nothing left to undo
+    assert _tables(st) == _tables(ref)                 # sums came back too
+    assert st.trust_of(_addr("H")) == trust_before
+    journal.undo(mark)                                 # nothing left to undo
     assert st.fingerprint() == ref.fingerprint()
+
+
+_CSPS = [_addr(f"csp{i}") for i in range(4)]
+_USERS = [_addr(f"user{i}") for i in range(3)]
+
+_TRUST_OPS = hst.lists(hst.one_of(
+    hst.tuples(hst.just("register"), hst.integers(0, 3),
+               hst.sampled_from([0, ONE // 4, ONE // 2, ONE])),
+    hst.tuples(hst.just("feedback"), hst.integers(0, 3), hst.integers(0, 3),
+               hst.integers(0, 2), hst.integers(0, 9)),
+    hst.tuples(hst.just("mark")),
+    hst.tuples(hst.just("undo"), hst.integers(0, 1 << 16))), max_size=60)
+
+
+def _scan_mean(table, subject, initial):
+    """The reference aggregate: mean over every pair naming the subject."""
+    vals = [v for (_, s), v in table.items() if s == subject]
+    return sum(vals) // len(vals) if vals else initial
+
+
+def _check_against_scan(st):
+    for user in _USERS:
+        assert st.cred_user(user) == _scan_mean(st.cred, user, INITIAL_CRED)
+    w_sat, w_auth = st.global_weights()
+    for csp in _CSPS:
+        auth = _scan_mean(st.auth, csp, INITIAL_AUTH)
+        sat = _scan_mean(st.sat, csp, INITIAL_SAT)
+        assert st.auth_score(csp) == auth
+        assert st.sat_score(csp) == sat
+        assert st.has_history(csp) == (
+            any(s == csp for _, s in st.auth) or any(s == csp for _, s in st.sat))
+        assert st.trust_of(csp) == overall_trust(sat, auth, w_sat, w_auth)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_TRUST_OPS)
+def test_running_means_equal_a_scan_under_register_feedback_and_undo(ops):
+    journal = Journal()
+    st = TrustState(journal)
+    st.register(_CSPS[0], ONE // 2, ONE // 2)
+    marks = [(journal.mark(), _tables(st))]
+    for op in ops:
+        if op[0] == "register":
+            st.register(_CSPS[op[1]], op[2], ONE - op[2])
+        elif op[0] == "feedback":
+            _, rater, subject, user, label = op
+            st.apply_feedback(_fb(_CSPS[rater], _CSPS[subject], _USERS[user],
+                                  label))
+        elif op[0] == "mark":
+            marks.append((journal.mark(), _tables(st)))
+        else:
+            # undo to an earlier mark; the marks after it are spent
+            n = op[1] % len(marks)
+            del marks[n + 1:]
+            mark, before = marks[n]
+            journal.undo(mark)
+            assert _tables(st) == before
+        _check_against_scan(st)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +384,14 @@ def test_replay_matches_incremental_fold():
         home.address, foreign.address, user.address,
         int(SatLabel.SATISFIED), token.token_id), ZERO_DIGEST)
 
-    incremental = TrustState()
+    incremental = _state()
     fold_block(incremental, genesis)
     for txs in ([token_tx], [fb1, fb2]):
         blk = _bare_block(chain, txs)
         chain.apply_block(blk)
         fold_block(incremental, blk)
 
-    replayed = TrustState()
+    replayed = _state()
     for blk in chain.blocks:
         fold_block(replayed, blk)
     assert replayed.fingerprint() == incremental.fingerprint()
