@@ -14,6 +14,7 @@ import sys
 
 import yaml
 
+from .crypto import CryptoError
 from .ledger import LedgerError, read_ledger, write_ledger
 from .replica import VerifyFailure, replay_blocks
 from .report import (
@@ -53,7 +54,11 @@ def cmd_run(args) -> int:
     log.info("running scenario: seed=%d duration=%dms nodes=%d",
              cfg.seed, cfg.duration_ms, len(cfg.nodes))
     world = World(cfg)
-    world.run()
+    try:
+        world.run()
+    except CryptoError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
     ledger_path = os.path.join(args.out_dir, "ledger.bin")
     events_path = os.path.join(args.out_dir, "events.jsonl")

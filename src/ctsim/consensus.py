@@ -73,8 +73,6 @@ def csp_difficulty(params: ConsensusParams, time_elapsed: int, stake: int,
                    trust: int) -> int:
     """d * time * stake * trust, fixed-point, clamped below 1."""
     d = fp_mul(fp_mul(fp_mul(params.base_target, time_elapsed), stake), trust)
-    if d < 0:
-        return 0
     return min(d, ONE - 1)
 
 

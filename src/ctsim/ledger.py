@@ -744,6 +744,15 @@ class Chain:
             return "WEIGHT_ZERO"
         if not 0 <= reg.stake <= ONE:
             return "STAKE_RANGE"
+        # trust weighs scores by the floored means of every registrant's
+        # weights (TrustState.global_weights), so one mean must stay nonzero
+        # once this registrant counts
+        others = self.registered.values()
+        n = len(others) + 1
+        w_sat = reg.weight_sat + sum(r.weight_sat for r in others)
+        w_auth = reg.weight_auth + sum(r.weight_auth for r in others)
+        if w_sat < n and w_auth < n:
+            return "WEIGHT_MEAN_ZERO"
         return None
 
     # -- block application -------------------------------------------------

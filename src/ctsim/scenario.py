@@ -215,6 +215,14 @@ def _parse_nodes(raw, normalize: bool) -> list[NodeSpec]:
     _require(isinstance(raw, list) and len(raw) >= 1, "nodes",
              "at least one node is required")
     nodes = [_parse_one_node(n, f"nodes[{i}]") for i, n in enumerate(raw)]
+    # the genesis registers the roster in order, and the ledger rejects a
+    # REGISTER after which both floored mean weights are zero
+    sums = [0, 0]
+    for count, n in enumerate(nodes, 1):
+        sums = [sums[0] + n.weight_sat, sums[1] + n.weight_auth]
+        _require(max(sums) >= count, f"nodes[{count - 1}].weights",
+                 "the mean weights of this node and those before it "
+                 "round to zero")
     names = [n.name for n in nodes]
     _require(len(set(names)) == len(names), "nodes", "duplicate node name")
     total = sum(n.stake for n in nodes)

@@ -20,7 +20,7 @@ import heapq
 from dataclasses import replace
 
 from . import consensus, federation
-from .crypto import DetRng, KeyPair, generate_keypair
+from .crypto import DetRng, KeyPair, defer_own_checks, generate_keypair
 from .federation import ForeignRequest, HomeUser, RequestRecord, UserInfo
 from .fixedpoint import to_float
 from .ledger import (
@@ -446,13 +446,17 @@ class World:
             self._on_partition_change(data[0])
 
     def run(self) -> None:
-        while self._queue:
-            at, _, kind, data = self._queue[0]
-            if at > self.cfg.duration_ms:
-                break
-            heapq.heappop(self._queue)
-            self.now = at
-            self._step(kind, data)
+        """Process events up to the horizon. The check of each signature a
+        node made in this run is deferred and done before run() returns;
+        one that fails raises CryptoError (see crypto.defer_own_checks)."""
+        with defer_own_checks():
+            while self._queue:
+                at, _, kind, data = self._queue[0]
+                if at > self.cfg.duration_ms:
+                    break
+                heapq.heappop(self._queue)
+                self.now = at
+                self._step(kind, data)
         self.now = self.cfg.duration_ms
 
     # --- results -----------------------------------------------------------

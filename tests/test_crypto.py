@@ -541,6 +541,37 @@ def test_verify_rejects_garbage():
     assert not verify(b"\x09" * 33, digest, sig)
     flipped = bytes([sig[0] ^ 1]) + sig[1:]
     assert not verify(kp.pub_bytes, digest, flipped)
+    # an unhashable argument cannot be memoized, and is no signature
+    assert verify(bytearray(kp.pub_bytes), digest, sig) is False
+
+
+def test_memo_and_own_record_evict_the_oldest_at_their_cap(monkeypatch):
+    monkeypatch.setattr(crypto, "_VERIFY_MEMO_MAX", 2)
+    monkeypatch.setattr(crypto, "_verify_memo", {})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    checks = []
+    real_check = crypto._verify_uncached
+
+    def counted(*triple):
+        checks.append(triple)
+        return real_check(*triple)
+    monkeypatch.setattr(crypto, "_verify_uncached", counted)
+    kp = generate_keypair(DetRng(37).take(32))
+    digests = [sha256(bytes([i])) for i in range(3)]
+    triples = [(kp.pub_bytes, d, sign(kp, d)) for d in digests]
+    assert all(verify(*t) for t in triples)
+    assert list(crypto._verify_memo) == triples[1:]
+    assert verify(*triples[0]) and checks == triples + triples[:1]
+
+    checks.clear()
+    crypto._verify_memo.clear()
+    with crypto.defer_own_checks():
+        assert [sign(kp, d) for d in digests] == [t[2] for t in triples]
+        assert list(crypto._own.signed) == triples[1:]
+        # evicted from the record, so checked at once; the others are owed
+        assert all(verify(*t) for t in triples)
+        assert checks == triples[:1]
+    assert checks == triples
 
 
 def test_sign_requires_digest_length():

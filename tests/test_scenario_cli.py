@@ -15,10 +15,11 @@ import yaml
 
 from ctsim import cli, consensus, scenario
 from ctsim.cli import main
-from ctsim.crypto import ZERO_DIGEST
+from ctsim.crypto import ZERO_DIGEST, DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
-    Block, BlockHeader, compute_tx_root, read_ledger, write_ledger,
+    Block, BlockHeader, RegisterData, build_register_tx, compute_tx_root,
+    make_genesis, read_ledger, write_ledger,
 )
 from ctsim.replica import replay_blocks
 from ctsim.scenario import ConfigError, load_config
@@ -286,6 +287,33 @@ def test_invalid_config_exits_2(tmp_path):
     code, _, err = run_cli("run", str(tmp_path / "absent.yaml"),
                            "--out-dir", str(tmp_path))
     assert code == 2
+
+
+# two registrants whose weights floor to zero means: trust has no weights
+TINY_WEIGHTS = ([1e-12, 0], [0, 1e-12])
+
+
+def test_weights_whose_means_floor_to_zero_exit_2(tmp_path):
+    nodes = [{"name": name, "stake": 0.5, "weights": list(w)}
+             for name, w in zip(("a", "b"), TINY_WEIGHTS)]
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(base_cfg(nodes=nodes, duration_ms=8000)))
+    code, _, err = run_cli("run", str(path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error: nodes[1].weights: the mean weights")
+    assert not list(tmp_path.glob("*.bin"))
+
+
+def test_genesis_whose_mean_weights_floor_to_zero_fails(tmp_path):
+    regs = [build_register_tx(generate_keypair(DetRng(i).take(32)),
+                              RegisterData(fp_from(w_sat), fp_from(w_auth),
+                                           ONE // 2))
+            for i, (w_sat, w_auth) in enumerate(TINY_WEIGHTS)]
+    path = tmp_path / "ledger.bin"
+    write_ledger(path, [make_genesis(regs, fp_from("0.2"))])
+    line = f"FAIL height=0 txid={regs[1].txid.hex()} reason=WEIGHT_MEAN_ZERO\n"
+    assert run_cli("verify", str(path)) == (1, line, "")
+    assert run_cli("trust-report", str(path)) == (1, line, "")
 
 
 @pytest.mark.parametrize("text", ["seed: 1\nnodes: [a, b\n",
