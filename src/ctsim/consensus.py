@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from . import crypto
 from .crypto import KeyPair, sha256
 from .fixedpoint import ONE, fp_mul
-from .ledger import Block, BlockHeader, Chain, compute_tx_root
+from .ledger import Block, Chain, ConsensusParams, compute_tx_root
 from .trust import BOOTSTRAP_TRUST
 
 __all__ = [
@@ -29,27 +29,12 @@ __all__ = [
     "csp_difficulty",
     "elapsed_intervals",
     "check_eligibility",
-    "generate_block",
+    "seal_block",
     "validate_block",
     "resolve",
     "calibrate_base_target",
     "consensus_trust",
 ]
-
-
-@dataclass(frozen=True)
-class ConsensusParams:
-    base_target: int                  # fixed-point d, 0 < d < 1
-    k_bits: int = 64
-    block_interval_ms: int = 300
-    slot_ms: int = 100
-    time_cap_intervals: int = 64
-
-    def __post_init__(self):
-        if not 0 < self.base_target < ONE:
-            raise ValueError("base_target must lie strictly inside (0, 1)")
-        if self.k_bits not in (64, 128):
-            raise ValueError("k_bits must be 64 or 128")
 
 
 @dataclass(frozen=True)
@@ -91,35 +76,22 @@ def _eligible(prf: bytes, d_csp: int, k_bits: int) -> bool:
     return _prefix_int(prf, k_bits) * ONE < d_csp << k_bits
 
 
-def check_eligibility(h_blk: bytes, params: ConsensusParams,
-                      state: CspConsensusState, trust: int, pub: bytes,
-                      now_ms: int) -> bool:
-    """Would this provider lead the block after h_blk, as of now?"""
+def check_eligibility(params: ConsensusParams, state: CspConsensusState,
+                      trust: int, pub: bytes, now_ms: int) -> bool:
+    """Would a provider in this state at a tip lead the next block, as of
+    now?"""
     prf = candidate_prf(pub, state.prf_old)
     time_elapsed = elapsed_intervals(now_ms, state.last_generated_ts, params)
     d_csp = csp_difficulty(params, time_elapsed, state.stake, trust)
     return _eligible(prf, d_csp, params.k_bits)
 
 
-def generate_block(blk: Block, params: ConsensusParams, keys: KeyPair,
-                   state: CspConsensusState,
-                   trust: int) -> tuple[bytes, bytes] | None:
-    """Complete a candidate block if eligible; empty result otherwise.
-
-    The candidate carries every header field except prf and sig; the
-    timestamp doubles as the eligibility clock reading.
+def seal_block(blk: Block, key: KeyPair, prf_old: bytes) -> Block:
+    """Set a candidate's prf and sign its header; the candidate carries
+    every other header field, its timestamp the eligibility clock reading.
     """
-    if not check_eligibility(blk.header.prev_block, params, state, trust,
-                             keys.pub_bytes, blk.header.timestamp):
-        return None
-    prf = candidate_prf(keys.pub_bytes, state.prf_old)
-    header = replace(blk.header, prf=prf)
-    sig = crypto.sign(keys, header.h_blk)
-    return prf, sig
-
-
-def seal_block(blk: Block, prf: bytes, sig: bytes) -> Block:
-    return Block(replace(blk.header, prf=prf, sig=sig), blk.txs)
+    header = replace(blk.header, prf=candidate_prf(key.pub_bytes, prf_old))
+    return Block(replace(header, sig=crypto.sign(key, header.h_blk)), blk.txs)
 
 
 def consensus_state_at(chain: Chain, address: bytes) -> CspConsensusState:
@@ -131,20 +103,23 @@ def consensus_state_at(chain: Chain, address: bytes) -> CspConsensusState:
     return CspConsensusState(share, rec.last_timestamp, rec.prf_old)
 
 
-def validate_block(blk: Block, params: ConsensusParams, parent_chain: Chain,
+def validate_block(blk: Block, parent_chain: Chain,
                    generator_trust: int) -> str | None:
-    """Reason a block fails consensus checks against its parent, or None.
+    """Reason a block's header fails against its parent, or None: the one
+    check of linkage and tx_root, then the consensus checks, under the
+    parameters of the parent chain's genesis.
 
     generator_trust is the consensus trust of the block's generator at the
     parent state, as consensus_trust gives it.
     """
+    params = parent_chain.params
     parent = parent_chain.tip
     h = blk.header
     if h.prev_block != parent.h_blk or h.height != parent.height + 1:
         return "BAD_LINK"
     if h.timestamp <= parent.header.timestamp:
         return "TIMESTAMP"
-    if h.base_target != parent_chain.base_target:
+    if h.base_target != params.base_target:
         return "BASE_TARGET"
     if h.tx_root != compute_tx_root(blk.txs):
         return "BAD_TX_ROOT"

@@ -433,19 +433,32 @@ def pack_genesis_pub(interval_ms: int, slot_ms: int, k_bits: int,
     return packed + b"\x00" * (crypto.PUBKEY_LEN - len(packed))
 
 
-def unpack_genesis_pub(pub: bytes) -> tuple[int, int, int, int] | None:
-    """(interval_ms, slot_ms, k_bits, time_cap), or None if malformed."""
+@dataclass(frozen=True)
+class ConsensusParams:
+    base_target: int                  # fixed-point d, 0 < d < 1
+    k_bits: int = 64
+    block_interval_ms: int = 300
+    slot_ms: int = 100
+    time_cap_intervals: int = 64
+
+
+def genesis_params(header: BlockHeader) -> ConsensusParams | None:
+    """The consensus parameters a genesis header carries, base_target in
+    its own field and the rest packed in generator_pub; None if any of
+    them is malformed or out of range."""
+    pub = header.generator_pub
     if len(pub) != crypto.PUBKEY_LEN or not pub.startswith(GENESIS_PUB_MAGIC):
         return None
     r = _Reader(pub[len(GENESIS_PUB_MAGIC):])
     interval_ms, slot_ms, k_bits, time_cap = r.u32(), r.u32(), r.u8(), r.u16()
     if any(r.data[r.off:]):
         return None
-    if interval_ms <= 0 or not 0 < slot_ms <= interval_ms or time_cap <= 0:
+    if not 0 < header.base_target < ONE or k_bits not in (64, 128):
         return None
-    if k_bits not in (64, 128):
+    if not 0 < slot_ms <= interval_ms or time_cap <= 0:
         return None
-    return interval_ms, slot_ms, k_bits, time_cap
+    return ConsensusParams(header.base_target, k_bits, interval_ms, slot_ms,
+                           time_cap)
 
 
 @dataclass(frozen=True)
@@ -542,22 +555,24 @@ def make_genesis(register_txs, base_target: int, interval_ms: int = 300,
     return Block(replace(header, prf=genesis_prf(header)), txs)
 
 
-def check_genesis_shape(blk: Block) -> str | None:
-    """Invariant checks for height 0; every field is pinned or bound."""
+def check_genesis_shape(blk: Block) -> ConsensusParams:
+    """The consensus parameters of a well-formed height 0, where every
+    field is pinned or bound; LedgerError naming the first defect."""
     h = blk.header
     if h.height != 0 or h.prev_block != ZERO_DIGEST:
-        return "BAD_LINK"
+        raise LedgerError("BAD_LINK", "genesis")
     if h.timestamp != 0:
-        return "TIMESTAMP"
-    if unpack_genesis_pub(h.generator_pub) is None or h.sig != GENESIS_SIG:
-        return "BAD_SIGNATURE"
+        raise LedgerError("TIMESTAMP", "genesis")
+    params = genesis_params(h)
+    if params is None or h.sig != GENESIS_SIG:
+        raise LedgerError("BAD_SIGNATURE", "genesis")
     if h.tx_root != compute_tx_root(blk.txs):
-        return "BAD_TX_ROOT"
+        raise LedgerError("BAD_TX_ROOT", "genesis")
     if h.prf != genesis_prf(h):
-        return "PRF_MISMATCH"
+        raise LedgerError("PRF_MISMATCH", "genesis")
     if not blk.txs or not all(tx.kind == TxKind.REGISTER for tx in blk.txs):
-        return "BAD_ENCODING"
-    return None
+        raise LedgerError("BAD_ENCODING", "genesis")
+    return params
 
 
 # ===========================================================================
@@ -606,17 +621,17 @@ class GenRecord:
 class Chain:
     """A node's canonical replica: block list plus uniqueness indices.
 
-    Genesis registrations pass the same per-transaction validation as any
-    later block's transactions; LedgerError carries the first failure.
-    The set-like indices map their keys to None. Every index write goes
-    through one Journal under a mark per height, so pop_block() and a
-    rejected block undo exactly what the block wrote.
+    The consensus parameters (params) are read from the genesis alone,
+    once, as it is checked. Genesis registrations pass the same
+    per-transaction validation as any later block's transactions;
+    LedgerError carries the first failure. The set-like indices map their
+    keys to None. Every index write goes through one Journal under a mark
+    per height, so pop_block() and a rejected block undo exactly what the
+    block wrote.
     """
 
     def __init__(self, genesis: Block):
-        bad = check_genesis_shape(genesis)
-        if bad:
-            raise LedgerError(bad, "genesis")
+        self.params = check_genesis_shape(genesis)
         self.blocks: list[Block] = []
         self.token_index: dict[bytes, AccessToken] = {}
         self.nonce_index: dict[tuple[bytes, int], None] = {}
@@ -643,10 +658,6 @@ class Chain:
     @property
     def genesis(self) -> Block:
         return self.blocks[0]
-
-    @property
-    def base_target(self) -> int:
-        return self.genesis.header.base_target
 
     def lookup_token(self, token_id: bytes) -> AccessToken | None:
         return self.token_index.get(token_id)
@@ -765,18 +776,11 @@ class Chain:
         return reason
 
     def apply_block(self, blk: Block, generator_trust: int = 0) -> None:
-        """Extend the chain; atomic, raises LedgerError with the reason.
-
-        Consensus-level header checks (signature, prf, eligibility,
-        timestamps) belong to the caller; this enforces linkage, tx_root,
-        and per-transaction validity, each tx against the chain plus the
-        ones before it in the block.
+        """Extend the chain by a block whose header consensus.validate_block
+        has passed (linkage and tx_root included); atomic, raises
+        LedgerError naming the first failing tx, each tx checked against
+        the chain plus the ones before it in the block.
         """
-        if blk.header.prev_block != self.tip.h_blk or blk.height != self.height + 1:
-            raise LedgerError("BAD_LINK",
-                              f"height {blk.height} onto {self.height}")
-        if blk.header.tx_root != compute_tx_root(blk.txs):
-            raise LedgerError("BAD_TX_ROOT", f"height {blk.height}")
         self._append(blk, generator_trust)
 
     def pop_block(self) -> Block:

@@ -1,21 +1,20 @@
 """A node's full state: chain, trust fold, and consensus validation.
 
 A Replica owns a Chain plus the TrustState implied by that chain; the
-consensus parameters it validates against come from the genesis block
-alone. It advances only through apply(), which runs the complete
-validation stack (consensus header checks, per-transaction checks, trust
-fold) exactly the way every node and the offline verifier must agree on,
-and raises VerifyFailure on a rejected block. It retreats only through
-pop(), the exact undo of the latest apply(). A simulator node holds one
-replica and handles a competing branch by popping to the fork point and
-applying the branch's blocks; the ledger verifier replays a file through
-a fresh replica from genesis.
+chain holds the consensus parameters, read from its genesis alone. It
+advances only through apply(), which runs the complete validation stack
+(consensus header checks, per-transaction checks, trust fold) exactly
+the way every node and the offline verifier must agree on, and raises
+VerifyFailure on a rejected block. It retreats only through pop(), the
+exact undo of the latest apply(). A simulator node holds one replica and
+handles a competing branch by popping to the fork point and applying the
+branch's blocks; the ledger verifier replays a file through a fresh
+replica from genesis.
 """
 
 from __future__ import annotations
 
-from . import consensus, crypto, ledger, trust
-from .consensus import ConsensusParams
+from . import consensus, crypto, trust
 from .ledger import Block, Chain, LedgerError
 
 
@@ -30,15 +29,6 @@ class VerifyFailure(Exception):
         super().__init__(f"{reason} at {where}")
 
 
-def params_from_genesis(genesis: Block) -> ConsensusParams:
-    """The consensus parameters of a genesis that Chain() has accepted."""
-    interval_ms, slot_ms, k_bits, time_cap = ledger.unpack_genesis_pub(
-        genesis.header.generator_pub)
-    return ConsensusParams(base_target=genesis.header.base_target,
-                           k_bits=k_bits, block_interval_ms=interval_ms,
-                           slot_ms=slot_ms, time_cap_intervals=time_cap)
-
-
 class Replica:
     """Chain + trust state, advanced by full validation, undone per block.
 
@@ -50,11 +40,8 @@ class Replica:
     def __init__(self, genesis: Block):
         try:
             self.chain = Chain(genesis)
-            self.params = params_from_genesis(genesis)
         except LedgerError as exc:
             raise VerifyFailure(0, exc.txid, exc.reason) from None
-        except ValueError:  # parameters out of ConsensusParams' range
-            raise VerifyFailure(0, None, "BAD_SIGNATURE") from None
         self.trust = trust.TrustState(self.chain.journal)
         trust.fold_block(self.trust, genesis)
 
@@ -65,8 +52,7 @@ class Replica:
         """Validate and append one block; VerifyFailure on rejection, with
         the txid of the failing transaction, None for header failures."""
         gen_trust = self.trust_for(crypto.address_of(blk.header.generator_pub))
-        reason = consensus.validate_block(blk, self.params, self.chain,
-                                          gen_trust)
+        reason = consensus.validate_block(blk, self.chain, gen_trust)
         if reason:
             raise VerifyFailure(blk.height, None, reason)
         try:

@@ -126,25 +126,18 @@ class Node:
             return
         if self.address not in chain.registered:
             return
-        params = self.replica.params
         state = consensus.consensus_state_at(chain, self.address)
         trust = self.replica.trust_for(self.address)
-        if not consensus.check_eligibility(tip.h_blk, params, state,
-                                           trust, self.key.pub_bytes,
-                                           world.now):
+        if not consensus.check_eligibility(chain.params, state, trust,
+                                           self.key.pub_bytes, world.now):
             return
         txs = self._pack_txs(world)
         header = BlockHeader(
             height=tip.height + 1, prev_block=tip.h_blk,
             tx_root=compute_tx_root(txs), timestamp=world.now,
             generator_pub=self.key.pub_bytes, prf=ZERO_DIGEST,
-            base_target=chain.base_target, sig=b"\x00" * 64)
-        cand = Block(header, txs)
-        sealed = consensus.generate_block(cand, params, self.key,
-                                          state, trust)
-        if sealed is None:  # eligibility was just checked
-            raise RuntimeError(f"{self.name}: eligible but no block sealed")
-        blk = consensus.seal_block(cand, *sealed)
+            base_target=chain.params.base_target, sig=b"\x00" * 64)
+        blk = consensus.seal_block(Block(header, txs), self.key, state.prf_old)
         world.log_event("block_generated", node=self.name, height=blk.height,
                         h_blk=blk.h_blk.hex(), ntx=len(txs))
 
@@ -173,8 +166,6 @@ class Node:
                        source: str) -> None:
         tip = branch[-1]
         chain = self.chain
-        if tip.h_blk == chain.tip.h_blk:
-            return
         if tip.height <= chain.height \
                 and chain.blocks[tip.height].h_blk == tip.h_blk:
             return      # stale prefix of what we already hold

@@ -103,9 +103,8 @@ def sat_update(prev: int, cred_u: int, sat_curr: int) -> int:
 
 
 def overall_trust(sat: int, auth: int, weight_sat: int, weight_auth: int) -> int:
+    # the ledger's WEIGHT_MEAN_ZERO rule keeps the global weights' sum > 0
     total = weight_sat + weight_auth
-    if total == 0:
-        raise ValueError("weight sum is zero")
     return (weight_sat * sat + weight_auth * auth) // total
 
 

@@ -9,8 +9,7 @@ from ctsim.fixedpoint import ONE, fp_from
 from ctsim.consensus import (
     ConsensusParams, CspConsensusState, _prefix_int, calibrate_base_target,
     candidate_prf, check_eligibility, consensus_state_at, consensus_trust,
-    csp_difficulty, elapsed_intervals, generate_block, resolve, seal_block,
-    validate_block,
+    csp_difficulty, elapsed_intervals, resolve, seal_block, validate_block,
 )
 from ctsim.ledger import (
     Block, BlockHeader, Chain, Journal, RegisterData, build_register_tx,
@@ -42,20 +41,20 @@ def candidate(chain: Chain, key, ts: int, txs=()) -> Block:
         height=chain.height + 1, prev_block=chain.tip.h_blk,
         tx_root=compute_tx_root(txs), timestamp=ts,
         generator_pub=key.pub_bytes, prf=b"\x00" * 32,
-        base_target=chain.base_target, sig=b"\x00" * 64)
+        base_target=chain.params.base_target, sig=b"\x00" * 64)
     return Block(header, txs)
 
 
-def sealed_block(chain: Chain, key, params) -> Block:
+def sealed_block(chain: Chain, key) -> Block:
     """Walk the clock forward until the key wins a slot, then seal."""
+    params = chain.params
     state = consensus_state_at(chain, key.address)
     ts = chain.tip.header.timestamp
     while True:
         ts += params.slot_ms
-        blk = candidate(chain, key, ts)
-        got = generate_block(blk, params, key, state, BOOTSTRAP_TRUST)
-        if got is not None:
-            return seal_block(blk, *got)
+        if check_eligibility(params, state, BOOTSTRAP_TRUST, key.pub_bytes,
+                             ts):
+            return seal_block(candidate(chain, key, ts), key, state.prf_old)
         assert ts < 10_000_000, "no eligible slot found"
 
 
@@ -120,8 +119,8 @@ def test_zero_trust_never_eligible():
     p = params_with("0.9")
     state = CspConsensusState(ONE, 0, sha256(b"seed"))
     for slot in range(200):
-        assert not check_eligibility(b"\x00" * 32, p, state, 0,
-                                     ALPHA.pub_bytes, 100 * (slot + 1))
+        assert not check_eligibility(p, state, 0, ALPHA.pub_bytes,
+                                     100 * (slot + 1))
 
 
 def test_eligibility_rate_tracks_difficulty():
@@ -133,8 +132,7 @@ def test_eligibility_rate_tracks_difficulty():
     trials = 10_000
     for _ in range(trials):
         state = replace(state, prf_old=rng.take(32))
-        hits += check_eligibility(b"", p, state, fp("0.8"),
-                                  ALPHA.pub_bytes, 600)
+        hits += check_eligibility(p, state, fp("0.8"), ALPHA.pub_bytes, 600)
     target = 0.08 * trials
     assert 0.8 * target <= hits <= 1.2 * target, hits
 
@@ -145,58 +143,49 @@ def test_eligibility_rate_tracks_difficulty():
 
 def test_generate_then_validate_round_trip():
     chain = two_node_chain()
-    p = params_with("0.9")
-    blk = sealed_block(chain, ALPHA, p)
-    assert validate_block(blk, p, chain, BOOTSTRAP_TRUST) is None
+    assert chain.params == params_with("0.9")
+    blk = sealed_block(chain, ALPHA)
+    assert validate_block(blk, chain, BOOTSTRAP_TRUST) is None
     chain.apply_block(blk, BOOTSTRAP_TRUST)
     assert chain.height == 1
     # prf chain advances: the next block's prf hashes the previous one
-    nxt = sealed_block(chain, ALPHA, p)
+    nxt = sealed_block(chain, ALPHA)
     assert nxt.header.prf == candidate_prf(ALPHA.pub_bytes, blk.header.prf)
-
-
-def test_generate_declines_when_not_eligible():
-    chain = two_node_chain(base="0.9")
-    p = params_with("0.9")
-    state = consensus_state_at(chain, ALPHA.address)
-    blk = candidate(chain, ALPHA, 100)
-    assert generate_block(blk, p, ALPHA, state, 0) is None  # zero trust
 
 
 def test_validate_block_reason_order():
     chain = two_node_chain()
-    p = params_with("0.9")
     trust = BOOTSTRAP_TRUST
-    good = sealed_block(chain, ALPHA, p)
+    good = sealed_block(chain, ALPHA)
 
     bad_link = Block(replace(good.header, prev_block=b"\x09" * 32), good.txs)
-    assert validate_block(bad_link, p, chain, trust) == "BAD_LINK"
+    assert validate_block(bad_link, chain, trust) == "BAD_LINK"
 
     stale = Block(replace(good.header, timestamp=0), good.txs)
-    assert validate_block(stale, p, chain, trust) == "TIMESTAMP"
+    assert validate_block(stale, chain, trust) == "TIMESTAMP"
 
     wrong_base = Block(replace(good.header, base_target=fp("0.5")), good.txs)
-    assert validate_block(wrong_base, p, chain, trust) == "BASE_TARGET"
+    assert validate_block(wrong_base, chain, trust) == "BASE_TARGET"
 
     wrong_root = Block(replace(good.header, tx_root=b"\x09" * 32), good.txs)
-    assert validate_block(wrong_root, p, chain, trust) == "BAD_TX_ROOT"
+    assert validate_block(wrong_root, chain, trust) == "BAD_TX_ROOT"
 
     foreign = Block(replace(good.header, generator_pub=OUTSIDER.pub_bytes),
                     good.txs)
-    assert validate_block(foreign, p, chain, trust) == "UNKNOWN_GENERATOR"
+    assert validate_block(foreign, chain, trust) == "UNKNOWN_GENERATOR"
 
     wrong_prf = Block(replace(good.header, prf=sha256(b"not it")), good.txs)
-    assert validate_block(wrong_prf, p, chain, trust) == "PRF_MISMATCH"
+    assert validate_block(wrong_prf, chain, trust) == "PRF_MISMATCH"
 
     sig = bytearray(good.header.sig)
     sig[0] ^= 1
     forged = Block(replace(good.header, sig=bytes(sig)), good.txs)
-    assert validate_block(forged, p, chain, trust) == "BAD_HEADER_SIG"
+    assert validate_block(forged, chain, trust) == "BAD_HEADER_SIG"
 
 
 def test_validate_block_catches_ineligible_timestamp():
     chain = two_node_chain()
-    p = params_with("0.9")
+    p = chain.params
     state = consensus_state_at(chain, ALPHA.address)
     # find a slot where the prf loses the draw, then present it anyway
     from ctsim.consensus import _eligible, csp_difficulty as diff
@@ -213,7 +202,7 @@ def test_validate_block_catches_ineligible_timestamp():
     header = replace(blk.header, prf=prf)
     import ctsim.crypto as crypto
     sealed = Block(replace(header, sig=crypto.sign(ALPHA, header.h_blk)), ())
-    assert validate_block(sealed, p, chain, BOOTSTRAP_TRUST) == "NOT_ELIGIBLE"
+    assert validate_block(sealed, chain, BOOTSTRAP_TRUST) == "NOT_ELIGIBLE"
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +261,6 @@ def test_calibrate_base_target():
     # exact formula on an interior case
     weighted = sum(s * t // ONE for s, t in zip(stakes, even))
     assert calibrate_base_target(stakes, even) == ONE * ONE // (2 * weighted)
-
-
-def test_params_reject_bad_values():
-    with pytest.raises(ValueError):
-        ConsensusParams(base_target=0)
-    with pytest.raises(ValueError):
-        ConsensusParams(base_target=ONE)
-    with pytest.raises(ValueError):
-        ConsensusParams(base_target=fp("0.5"), k_bits=96)
 
 
 def test_consensus_state_for_newcomer():

@@ -1,8 +1,8 @@
 """Transaction and block encoding, validation reasons, and file framing.
 
-Chain.apply_block only enforces linkage, roots, and transaction-level
-rules, so blocks here carry throwaway headers; the consensus-level header
-checks get their own tests elsewhere.
+Chain.apply_block only enforces transaction-level rules, so blocks here
+carry throwaway headers; every header check, linkage and tx_root
+included, is consensus.validate_block's and is tested with it.
 """
 
 from dataclasses import replace
@@ -17,11 +17,11 @@ from ctsim.ledger import (
     AccessToken, Block, BlockHeader, Chain, FeedbackData, LedgerError,
     RegisterData, TxKind, TxInput, TxOutput, block_from_wire,
     build_feedback_tx, build_register_tx, build_token_tx,
-    LEDGER_MAGIC, canonical_serialize, check_genesis_shape, compute_tx_root,
-    make_genesis,
+    ConsensusParams, LEDGER_MAGIC, canonical_serialize, check_genesis_shape,
+    compute_tx_root, genesis_params, make_genesis,
     make_transaction, parse_feedback, parse_register, read_ledger, ser_block,
     ser_feedback,
-    ser_register, ser_token, tx_from_wire, tx_to_wire, unpack_genesis_pub,
+    ser_register, ser_token, tx_from_wire, tx_to_wire,
     write_ledger,
 )
 from ctsim.replica import VerifyFailure, replay_blocks
@@ -69,7 +69,7 @@ def bare_block(chain: Chain, txs) -> Block:
         tx_root=compute_tx_root(txs),
         timestamp=chain.tip.header.timestamp + 300,
         generator_pub=HOME.pub_bytes, prf=b"\x01" * 32,
-        base_target=chain.base_target, sig=b"\x00" * 64)
+        base_target=chain.params.base_target, sig=b"\x00" * 64)
     return Block(header, txs)
 
 
@@ -167,8 +167,17 @@ def test_genesis_shape_and_parameter_packing():
     assert genesis.header.prev_block == ZERO_DIGEST
     assert genesis.header.timestamp == 0
     assert genesis.header.sig == b"\x00" * 64
-    assert unpack_genesis_pub(genesis.header.generator_pub) == (200, 50, 128, 32)
-    assert check_genesis_shape(genesis) is None
+    params = ConsensusParams(fp_from("0.2"), k_bits=128, block_interval_ms=200,
+                             slot_ms=50, time_cap_intervals=32)
+    assert genesis_params(genesis.header) == params
+    assert check_genesis_shape(genesis) == params
+    assert Chain(genesis).params == params
+
+
+def _shape_reason(genesis) -> str:
+    with pytest.raises(LedgerError) as err:
+        check_genesis_shape(genesis)
+    return err.value.reason
 
 
 def test_genesis_tampering_detected():
@@ -185,7 +194,7 @@ def test_genesis_tampering_detected():
         (replace(genesis, txs=()), "BAD_TX_ROOT"),
     ]
     for bad, reason in cases:
-        assert check_genesis_shape(bad) == reason
+        assert _shape_reason(bad) == reason
     with pytest.raises(LedgerError):
         Chain(cases[0][0])
 
@@ -213,7 +222,7 @@ def test_genesis_registration_carrying_token_parts_fails_verify():
 
 def test_genesis_registrations_get_block_tx_reasons():
     empty = make_genesis([], fp_from("0.2"))
-    assert check_genesis_shape(empty) == "BAD_ENCODING"
+    assert _shape_reason(empty) == "BAD_ENCODING"
     twin = _reg(HOME)
     err = _genesis_failure([_reg(HOME), twin])
     assert (err.txid, err.reason) == (twin.txid, "DUPLICATE_TX")
@@ -232,10 +241,13 @@ def test_genesis_registrations_get_block_tx_reasons():
 
 
 def test_genesis_params_reject_nonsense():
-    good = make_genesis([_reg(HOME)], fp_from("0.2"))
-    assert unpack_genesis_pub(good.header.generator_pub) == (300, 100, 64, 64)
-    assert unpack_genesis_pub(b"\x02" * 33) is None
-    assert unpack_genesis_pub(b"") is None
+    good = make_genesis([_reg(HOME)], fp_from("0.2")).header
+    assert genesis_params(good) == ConsensusParams(fp_from("0.2"))
+    assert genesis_params(replace(good, generator_pub=b"\x02" * 33)) is None
+    assert genesis_params(replace(good, generator_pub=b"")) is None
+    for packed in ((300, 0, 64, 64), (300, 100, 64, 0)):  # zero slot, cap
+        pub = ledger.pack_genesis_pub(*packed)
+        assert genesis_params(replace(good, generator_pub=pub)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +490,6 @@ def test_apply_block_is_atomic():
     # the same txs without the bad one still apply
     chain.apply_block(bare_block(chain, txs[:-1]))
     assert chain.height == 2
-
-
-def test_apply_block_linkage_and_root():
-    chain = fresh_chain()
-    blk = bare_block(chain, [])
-    wrong_link = Block(replace(blk.header, prev_block=b"\x07" * 32), blk.txs)
-    with pytest.raises(LedgerError) as err:
-        chain.apply_block(wrong_link)
-    assert err.value.reason == "BAD_LINK"
-    wrong_root = Block(replace(blk.header, tx_root=b"\x07" * 32), blk.txs)
-    with pytest.raises(LedgerError) as err:
-        chain.apply_block(wrong_root)
-    assert err.value.reason == "BAD_TX_ROOT"
-    chain.apply_block(blk)
-    assert chain.height == 1
 
 
 def test_lookup_token_and_gen_records():

@@ -19,7 +19,7 @@ from ctsim.crypto import ZERO_DIGEST, DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
     Block, BlockHeader, RegisterData, build_register_tx, compute_tx_root,
-    make_genesis, read_ledger, write_ledger,
+    genesis_prf, make_genesis, read_ledger, write_ledger,
 )
 from ctsim.replica import replay_blocks
 from ctsim.scenario import ConfigError, load_config
@@ -316,6 +316,44 @@ def test_genesis_whose_mean_weights_floor_to_zero_fails(tmp_path):
     assert run_cli("trust-report", str(path)) == (1, line, "")
 
 
+def _genesis_with(base_target=fp_from("0.2"), regs=None, spare=b"",
+                  **params) -> Block:
+    """A genesis whose prf is sealed over whatever parameters it carries;
+    spare overwrites the tail of the packed parameter bytes."""
+    if regs is None:
+        regs = [build_register_tx(generate_keypair(DetRng(5).take(32)),
+                                  RegisterData(ONE // 2, ONE // 2, ONE))]
+    genesis = make_genesis(regs, base_target, **params)
+    pub = genesis.header.generator_pub
+    header = replace(genesis.header,
+                     generator_pub=pub[:len(pub) - len(spare)] + spare)
+    return Block(replace(header, prf=genesis_prf(header)), genesis.txs)
+
+
+# a REGISTER the ledger refuses as WEIGHT_ZERO
+IDLE_REG = build_register_tx(generate_keypair(DetRng(6).take(32)),
+                             RegisterData(0, 0, ONE))
+
+
+@pytest.mark.parametrize("genesis", [
+    _genesis_with(base_target=0),
+    _genesis_with(base_target=ONE),
+    _genesis_with(k_bits=96),
+    _genesis_with(interval_ms=300, slot_ms=301),
+    _genesis_with(spare=b"\x01"),
+    # the parameters are judged before the registrations
+    _genesis_with(base_target=0, regs=[IDLE_REG]),
+], ids=["base-target-zero", "base-target-one", "k-bits-96",
+        "slot-above-interval", "spare-pub-bytes",
+        "base-target-zero-and-weight-zero"])
+def test_genesis_parameters_out_of_range_fail(genesis, tmp_path):
+    path = tmp_path / "ledger.bin"
+    write_ledger(path, [genesis])
+    line = "FAIL height=0 txid=- reason=BAD_SIGNATURE\n"
+    assert run_cli("verify", str(path)) == (1, line, "")
+    assert run_cli("trust-report", str(path), "--json") == (1, line, "")
+
+
 @pytest.mark.parametrize("text", ["seed: 1\nnodes: [a, b\n",
                                   "seed: 1\nnodes:\n\t- name: a\n"],
                          ids=["unclosed-list", "tab-indent"])
@@ -412,21 +450,18 @@ def test_block_from_pinned_provider_fails_verify(pinned_run, tmp_path):
     replica = replay_blocks(blocks)
     chain = replica.chain
     state = consensus.consensus_state_at(chain, key.address)
-    for step in range(1, 1000):
-        header = BlockHeader(
-            height=chain.height + 1, prev_block=chain.tip.h_blk,
-            tx_root=compute_tx_root(()),
-            timestamp=chain.tip.header.timestamp + step,
-            generator_pub=key.pub_bytes, prf=ZERO_DIGEST,
-            base_target=chain.base_target, sig=b"\x00" * 64)
-        sealed = consensus.generate_block(Block(header, ()), replica.params,
-                                          key, state, BOOTSTRAP_TRUST)
-        if sealed:
-            break
-    assert sealed, "c never eligible at bootstrap trust"
-    forged = consensus.seal_block(Block(header, ()), *sealed)
-    assert consensus.validate_block(forged, replica.params, chain,
-                                    BOOTSTRAP_TRUST) is None
+    slots = range(chain.tip.header.timestamp + 1,
+                  chain.tip.header.timestamp + 1000)
+    ts = next((ts for ts in slots if consensus.check_eligibility(
+        chain.params, state, BOOTSTRAP_TRUST, key.pub_bytes, ts)), None)
+    assert ts, "c never eligible at bootstrap trust"
+    header = BlockHeader(
+        height=chain.height + 1, prev_block=chain.tip.h_blk,
+        tx_root=compute_tx_root(()), timestamp=ts,
+        generator_pub=key.pub_bytes, prf=ZERO_DIGEST,
+        base_target=chain.params.base_target, sig=b"\x00" * 64)
+    forged = consensus.seal_block(Block(header, ()), key, state.prf_old)
+    assert consensus.validate_block(forged, chain, BOOTSTRAP_TRUST) is None
     path = tmp_path / "forged.bin"
     write_ledger(path, [*blocks, forged])
 

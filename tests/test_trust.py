@@ -356,7 +356,7 @@ def _bare_block(chain, txs):
         tx_root=compute_tx_root(txs),
         timestamp=chain.tip.header.timestamp + 300,
         generator_pub=b"\x02" * 33, prf=b"\x01" * 32,
-        base_target=chain.base_target, sig=b"\x00" * 64)
+        base_target=chain.params.base_target, sig=b"\x00" * 64)
     return Block(header, txs)
 
 
