@@ -6,8 +6,11 @@ deterministic nonces so identical runs produce identical bytes.
 Verification is memoized per (key, digest, signature), and a ledger
 replay checks its signatures ahead of time on every CPU the process may
 use (:func:`verify_many`). Inside :func:`defer_own_checks`, the check
-of a signature this process made itself moves off the caller's path, to
-a forked helper or to the end of the block. User profile data
+of a signature this process made itself, valid from :func:`sign` or
+corrupted on purpose (:func:`record_corrupted`), moves off the caller's
+path: it streams to one forked checker process, whose verdicts are
+compared with the ones assumed before the block ends, or is made at the
+end of the block if no checker runs. User profile data
 travels encrypted under an ECIES-style hybrid scheme (ephemeral ECDH +
 AES-256-GCM).
 
@@ -44,6 +47,7 @@ __all__ = [
     "verify",
     "verify_many",
     "defer_own_checks",
+    "record_corrupted",
     "encrypt_for",
 ]
 
@@ -234,7 +238,7 @@ def sign(key: KeyPair, msg: bytes) -> bytes:
         s = N - s
     sig = r.to_bytes(32, "big") + s.to_bytes(32, "big")
     if _own is not None:
-        _own.record((key.pub_bytes, msg, sig))
+        _own.record((key.pub_bytes, msg, sig), True)
     return sig
 
 
@@ -263,58 +267,51 @@ _VERIFY_MEMO_MAX = 1 << 16
 # checks (0.75-1.0 ms each with the key's comb table warm)
 _MIN_SHARE = 16
 
-# owed checks per helper inside defer_own_checks(). In-process crowd runs
-# (4 seeds, fresh processes, paired with the same run checking at once)
-# took 0.88 of that time with chunks of 16, 0.77 with 32 and 0.70 with
-# 64; 64 against 32 was 0.95 on crowd and 1.00 on adversaries
-_OWED_CHUNK = 64
+# bytes of a triple streamed to a checker: a compressed key, a digest and
+# r || s. Every triple a run makes has these widths.
+_TRIPLE_LEN = PUBKEY_LEN + DIGEST_LEN + SIG_LEN
 
 
 class _OwnChecks:
-    """The checks owed on signatures made inside defer_own_checks()."""
+    """The checks owed on triples made inside defer_own_checks()."""
 
     def __init__(self):
-        # triples sign() returned that verify() was not yet asked about,
-        # oldest first, capped like the memo
-        self.signed: dict[tuple, bool] = {}
-        # triples verify() answered from signed that no helper holds
+        # triples made here that verify() was not yet asked about, each
+        # with the verdict assumed for it; oldest first, capped like the memo
+        self.made: dict[tuple, bool] = {}
+        # (triple, verdict assumed) per triple verify() answered from made,
+        # in the order the checker got them
         self.owed: list[tuple] = []
-        # (pid, read end, share) per helper not yet reaped, oldest first
-        self.helpers: list[tuple] = []
+        # the run's checker; None on one CPU, or once it failed
+        self.checker = _Checker.fork([]) if _cpus() > 1 else None
 
-    def record(self, triple: tuple) -> None:
-        if len(self.signed) >= _VERIFY_MEMO_MAX:
-            del self.signed[next(iter(self.signed))]
-        self.signed[triple] = True
+    def record(self, triple: tuple, ok: bool) -> None:
+        if len(self.made) >= _VERIFY_MEMO_MAX:
+            del self.made[next(iter(self.made))]
+        self.made[triple] = ok
 
-    def owe(self, triple: tuple) -> bool:
-        """Owe triple a check; True, the verdict a correct sign() ensures.
+    def owe(self, triple: tuple, ok: bool) -> bool:
+        """Owe triple a check and stream it to the checker; returns ok, the
+        verdict assumed. A checker that cannot take it is killed."""
+        self.owed.append((triple, ok))
+        if self.checker is not None and not self.checker.send(triple):
+            self.checker.kill()
+            self.checker = None
+        return ok
 
-        A chunk goes to a helper only once more than a chunk is owed, so
-        this process always checks some of its own signatures itself. One
-        helper runs per spare CPU; a new chunk waits for the oldest."""
-        self.owed.append(triple)
-        if len(self.owed) > _OWED_CHUNK and (cpus := _cpus()) > 1:
-            self.reap(keep=cpus - 2)
-            helper = _fork_helper(self.owed[:_OWED_CHUNK])
-            if helper is not None:
-                self.helpers.append(helper)
-                del self.owed[:_OWED_CHUNK]
-        return True
-
-    def reap(self, keep: int) -> None:
-        """Reap every finished helper, waiting for the oldest until at most
-        `keep` run. A failed helper's share is owed again; a false verdict
-        raises CryptoError."""
-        for helper in list(self.helpers):
-            out = _reap(helper, wait=len(self.helpers) > keep)
-            if out is None:
-                continue
-            self.helpers.remove(helper)
-            if not out:
-                self.owed[:0] = helper[2]
-            elif 0 in out:
-                raise CryptoError("a signature made in this run is invalid")
+    def settle(self) -> None:
+        """Check every owed triple; CryptoError if a verdict is not the one
+        assumed. Without the checker's full output, they are checked here."""
+        out = None
+        if self.checker is not None:
+            out = self.checker.verdicts(len(self.owed))
+            self.checker = None
+        if out is None:
+            out = [_verify_uncached(*triple) for triple, _ in self.owed]
+        for (_, assumed), ok in zip(self.owed, out):
+            if bool(ok) != assumed:
+                raise CryptoError("a signature check owed in this run "
+                                  "refutes the verdict it was given")
 
 
 # the checks owed while defer_own_checks() is open, else None
@@ -334,19 +331,31 @@ def verify(pub_bytes: bytes, msg: bytes, sig: bytes) -> bool:
     Malformed keys or signatures return False rather than raising. Results
     are memoized: the same triple is re-checked constantly as transactions
     and blocks are validated by every replica. Inside defer_own_checks(),
-    a triple that sign() returned there is answered True and owed a check.
+    a triple that sign() returned there is answered True, and one passed
+    to record_corrupted() False, and each is owed a check.
     """
     triple = (pub_bytes, msg, sig)
     try:
         ok = _verify_memo.get(triple)
         if ok is None:
-            if _own is not None and _own.signed.pop(triple, False):
-                ok = _remember(triple, _own.owe(triple))
-            else:
+            made = None if _own is None else _own.made.pop(triple, None)
+            if made is None:
                 ok = _remember(triple, _verify_uncached(*triple))
+            else:
+                ok = _remember(triple, _own.owe(triple, made))
         return ok
     except TypeError:
         return False
+
+
+def record_corrupted(pub_bytes: bytes, msg: bytes, sig: bytes) -> None:
+    """Note a triple this process made invalid on purpose, such as a
+    signature with a flipped byte. Inside defer_own_checks(), verify()
+    answers it False and owes it a check; elsewhere this does nothing."""
+    triple = (pub_bytes, msg, sig)
+    if _own is not None and tuple(map(len, triple)) == (PUBKEY_LEN,
+                                                        DIGEST_LEN, SIG_LEN):
+        _own.record(triple, False)
 
 
 def _cpus() -> int:
@@ -363,12 +372,12 @@ def verify_many(triples) -> None:
 
     Only seeds the memo, so a later verify() of any triple returns the same
     verdict it would have computed itself. Uncached triples are split into
-    contiguous shares; one forked helper per extra CPU checks a share and
-    writes one result byte per triple to its pipe, while this process
-    checks the first. Without a second CPU, with other threads running
-    (forking those is unsafe) or with fewer than _MIN_SHARE triples per
-    share, nothing is checked here and verify() works lazily. A share
-    whose helper fails stays unseeded, so verify() checks it lazily too.
+    contiguous shares; one checker per extra CPU gets a share and nothing
+    more to read, while this process checks the first. Without a second
+    CPU, with other threads running (forking those is unsafe) or with
+    fewer than _MIN_SHARE triples per share, nothing is checked here and
+    verify() works lazily. A share whose checker fails stays unseeded, so
+    verify() checks it lazily too.
     """
     cpus = _cpus()
     if cpus < 2:
@@ -384,46 +393,41 @@ def verify_many(triples) -> None:
     helpers = []
     try:
         for share in shares[1:]:
-            helper = _fork_helper(share)
-            if helper is not None:
-                helpers.append(helper)
+            checker = _Checker.fork(share)
+            if checker is not None:
+                checker.end_input()
+                helpers.append((checker, share))
         for triple in shares[0]:
             _remember(triple, _verify_uncached(*triple))
         while helpers:
-            _reap(helpers[0], wait=True)
+            checker, share = helpers[0]
+            out = checker.verdicts(len(share))
             helpers.pop(0)
+            for triple, ok in zip(share, out or b""):
+                _remember(triple, ok == 1)
     finally:
-        _kill(helpers)
-
-
-def _check_now(triples: list) -> None:
-    """Check triples for real, on every CPU; CryptoError if one fails."""
-    for triple in triples:
-        _verify_memo.pop(triple, None)  # the verdict assumed for it
-    verify_many(triples)
-    for triple in triples:
-        ok = _verify_memo.get(triple)
-        if ok is None:
-            ok = _remember(triple, _verify_uncached(*triple))
-        if not ok:
-            raise CryptoError("a signature made in this run is invalid")
+        for checker, _ in helpers:
+            checker.kill()
 
 
 @contextmanager
 def defer_own_checks():
-    """Check the signatures this process makes inside the block off the
+    """Check the triples this process makes inside the block off the
     caller's path, and all of them before the block ends.
 
-    sign() records each triple it returns, and verify() answers a recorded
-    triple True without curve work and owes it a check. Chunks of
-    _OWED_CHUNK owed checks go to forked helpers while the block runs,
-    under verify_many's rules for forking; at the end every helper is
-    reaped, and what is left, with the share of any helper that failed,
-    is checked here. A correct sign() makes only valid low-s signatures,
-    so each verdict verify() gave is the one it would have computed; a
-    check that fails raises CryptoError. Triples sign() did not make are
-    checked at once, as outside the block. If the block raises, the
-    helpers are killed and the verdicts still owed leave the memo.
+    A checker process is forked as the block opens, when _cpus(), the
+    rule verify_many forks by, reports a second CPU. sign() records each
+    triple it returns, and record_corrupted() each one made invalid on
+    purpose;
+    verify() answers a recorded triple True or False without curve work,
+    owes it a check and streams it to the checker. When the block ends,
+    the checker's verdicts are read and each is compared with the one
+    assumed: a mismatch raises CryptoError. Without a checker, or if it
+    fails, every owed triple is checked here. A correct sign() makes only
+    valid low-s signatures, and a flipped byte of one cannot verify, so
+    each verdict verify() gave is the one it would have computed. Other
+    triples are checked at once, as outside the block. If the block
+    raises, the checker is killed and the verdicts assumed leave the memo.
     """
     global _own
     own = _own = _OwnChecks()
@@ -431,57 +435,102 @@ def defer_own_checks():
     try:
         yield
         _own = None
-        _check_now(own.owed)
-        own.owed = []
-        own.reap(keep=0)
-        _check_now(own.owed)    # the shares of helpers that failed
+        own.settle()
         settled = True
     finally:
         _own = None
+        if own.checker is not None:
+            own.checker.kill()
         if not settled:
-            for _, _, share in own.helpers:
-                own.owed += share
-            _kill(own.helpers)
-            for triple in own.owed:
+            for triple, _ in own.owed:
                 _verify_memo.pop(triple, None)
 
 
-def _fork_helper(share: list):
-    """Fork a process that checks share and writes one verdict byte per
-    triple to a pipe: (pid, read end, share), or None if none started."""
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        code = 1
+class _Checker:
+    """A forked process that checks a share of triples, then each triple
+    sent to its input, and writes one verdict byte per triple, in that
+    order, once its input closes. So it never blocks on output its parent
+    has not read yet, and a send blocks only while it lags a full pipe
+    buffer behind."""
+
+    def __init__(self, pid: int, fd: int, pipe):
+        self.pid = pid
+        self.fd: int | None = fd    # the input's write end until closed
+        self.pipe = pipe            # the output's read end
+
+    @classmethod
+    def fork(cls, share: list) -> "_Checker | None":
+        """Start a checker on share; None if none started."""
+        fds: list[int] = []
         try:
-            os.close(rfd)
-            _leave_parent_cpu()
-            out = bytes(_verify_uncached(*t) for t in share)
-            with os.fdopen(wfd, "wb") as pipe:
-                pipe.write(out)
-            code = 0
-        finally:
-            # skip the parent's exit handlers, buffered output and spans
-            os._exit(code)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb"), share
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        rin, win, rout, wout = fds
+        if pid == 0:
+            code = 1
+            try:
+                os.close(win)
+                os.close(rout)
+                _leave_parent_cpu()
+                out = bytearray(_verify_uncached(*t) for t in share)
+                with os.fdopen(rin, "rb") as src:
+                    while rec := src.read(_TRIPLE_LEN):
+                        out.append(_verify_uncached(
+                            rec[:PUBKEY_LEN], rec[PUBKEY_LEN:-SIG_LEN],
+                            rec[-SIG_LEN:]))
+                with os.fdopen(wout, "wb") as dst:
+                    dst.write(out)
+                code = 0
+            finally:
+                # skip the parent's exit handlers, buffered output and spans
+                os._exit(code)
+        os.close(rin)
+        os.close(wout)
+        return cls(pid, win, os.fdopen(rout, "rb"))
+
+    def send(self, triple: tuple) -> bool:
+        """Stream one fixed-width triple; False if the write failed."""
+        try:
+            return os.write(self.fd, b"".join(triple)) == _TRIPLE_LEN
+        except OSError:
+            return False
+
+    def end_input(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def verdicts(self, n: int) -> bytes | None:
+        """End the input, read the output and reap the checker: its n
+        verdict bytes, or None if it failed."""
+        self.end_input()
+        out = self.pipe.read()
+        self.pipe.close()
+        status = os.waitpid(self.pid, 0)[1]
+        if os.waitstatus_to_exitcode(status) != 0 or len(out) != n:
+            return None
+        return out
+
+    def kill(self) -> None:
+        """Kill and reap a checker whose verdicts were never read."""
+        self.end_input()
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 def _leave_parent_cpu() -> None:
-    """Move this forked helper off the CPU it started on, its parent's.
+    """Move this forked checker off the CPU it started on, its parent's.
 
-    Left alone, a helper shared its parent's CPU while the other of two
-    idled: beside one, 42 ms of the parent's work took 71-77 ms of wall
-    time, and 42-52 ms once the helper moved. Where /proc/self/stat
-    (Linux) cannot be read, the helper stays where it is."""
+    Left alone, a forked helper shared its parent's CPU while the other of
+    two idled: beside one, 42 ms of the parent's work took 71-77 ms of
+    wall time, and 42-52 ms once the helper moved. Where /proc/self/stat
+    (Linux) cannot be read, the checker stays where it is."""
     try:
         with open("/proc/self/stat", "rb") as fh:
             # field 39, the CPU last run on, counted after the ")" of comm
@@ -489,34 +538,6 @@ def _leave_parent_cpu() -> None:
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
     except (OSError, ValueError, IndexError):
         pass
-
-
-def _reap(helper, wait: bool) -> bytes | None:
-    """Read and reap a helper: its verdict bytes, which also seed the memo;
-    b"" if it failed; None if it still runs and wait is false."""
-    pid, pipe, share = helper
-    if wait:
-        out = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    else:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if not done:
-            return None
-        out = pipe.read()
-    pipe.close()
-    if os.waitstatus_to_exitcode(status) != 0 or len(out) != len(share):
-        return b""
-    for triple, ok in zip(share, out):
-        _remember(triple, ok == 1)
-    return out
-
-
-def _kill(helpers: list) -> None:
-    """Kill and reap helpers that were never read; a raise left them."""
-    for pid, pipe, _ in helpers:
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

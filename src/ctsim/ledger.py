@@ -435,11 +435,29 @@ def pack_genesis_pub(interval_ms: int, slot_ms: int, k_bits: int,
 
 @dataclass(frozen=True)
 class ConsensusParams:
-    base_target: int                  # fixed-point d, 0 < d < 1
+    """The consensus parameters a genesis carries, with their defaults."""
+    base_target: int | None           # fixed-point d; None: calibrate it
     k_bits: int = 64
     block_interval_ms: int = 300
     slot_ms: int = 100
     time_cap_intervals: int = 64
+
+
+def params_fault(p: ConsensusParams) -> tuple[str, str] | None:
+    """The first parameter of p out of its range, with the rule it breaks,
+    or None. The ranges of the packed parameters stay inside the widths
+    pack_genesis_pub gives them; a base_target of None is not judged."""
+    if not 0 < p.block_interval_ms < 1 << 32:
+        return "block_interval_ms", "must be a positive integer below 2^32"
+    if not 0 < p.slot_ms <= p.block_interval_ms:
+        return "slot_ms", "must be positive and at most the interval"
+    if p.k_bits not in (64, 128):
+        return "k_bits", "must be 64 or 128"
+    if not 0 < p.time_cap_intervals < 1 << 16:
+        return "time_cap_intervals", "must be a positive integer below 2^16"
+    if p.base_target is not None and not 0 < p.base_target < ONE:
+        return "base_target", "must lie strictly inside (0, 1)"
+    return None
 
 
 def genesis_params(header: BlockHeader) -> ConsensusParams | None:
@@ -453,12 +471,9 @@ def genesis_params(header: BlockHeader) -> ConsensusParams | None:
     interval_ms, slot_ms, k_bits, time_cap = r.u32(), r.u32(), r.u8(), r.u16()
     if any(r.data[r.off:]):
         return None
-    if not 0 < header.base_target < ONE or k_bits not in (64, 128):
-        return None
-    if not 0 < slot_ms <= interval_ms or time_cap <= 0:
-        return None
-    return ConsensusParams(header.base_target, k_bits, interval_ms, slot_ms,
-                           time_cap)
+    params = ConsensusParams(header.base_target, k_bits, interval_ms,
+                             slot_ms, time_cap)
+    return None if params_fault(params) else params
 
 
 @dataclass(frozen=True)
@@ -542,14 +557,17 @@ def genesis_prf(header: BlockHeader) -> bytes:
     return sha256(b"ctsim-genesis" + unsigned.core_bytes)
 
 
-def make_genesis(register_txs, base_target: int, interval_ms: int = 300,
-                 slot_ms: int = 100, k_bits: int = 64,
-                 time_cap: int = 64) -> Block:
+def make_genesis(register_txs, base_target: int, **params) -> Block:
+    """Height 0 with the given REGISTERs and consensus parameters: params
+    are ConsensusParams fields, each left out at its default. Nothing is
+    range-checked here; params_fault does that."""
+    p = ConsensusParams(base_target, **params)
     txs = tuple(register_txs)
     header = BlockHeader(height=0, prev_block=ZERO_DIGEST,
                          tx_root=compute_tx_root(txs), timestamp=0,
-                         generator_pub=pack_genesis_pub(interval_ms, slot_ms,
-                                                        k_bits, time_cap),
+                         generator_pub=pack_genesis_pub(
+                             p.block_interval_ms, p.slot_ms, p.k_bits,
+                             p.time_cap_intervals),
                          prf=ZERO_DIGEST, base_target=base_target,
                          sig=GENESIS_SIG)
     return Block(replace(header, prf=genesis_prf(header)), txs)

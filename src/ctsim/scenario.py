@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .fixedpoint import ONE, fp_from
-from .ledger import RegisterData
+from .ledger import ConsensusParams, RegisterData, params_fault
 from .trust import CredLabel, SatLabel
 
 LABEL_NAMES = {lbl.name: int(lbl) for lbl in (*CredLabel, *SatLabel)}
@@ -30,15 +30,6 @@ ACTION_KINDS = ("register_csp", "register_user", "request_access",
 
 class ConfigError(Exception):
     """Invalid scenario config; message names the offending field."""
-
-
-@dataclass
-class ConsensusCfg:
-    block_interval_ms: int = 300
-    slot_ms: int = 100
-    k_bits: int = 64
-    base_target: int | None = None      # fixed-point; None means calibrate
-    time_cap_intervals: int = 64
 
 
 @dataclass
@@ -81,7 +72,7 @@ class ActionSpec:
 class ScenarioConfig:
     seed: int
     duration_ms: int
-    consensus: ConsensusCfg
+    consensus: ConsensusParams          # base_target None: calibrate
     nodes: list[NodeSpec]
     links: LinkCfg
     partitions: list[PartitionSpec]
@@ -158,28 +149,27 @@ def load_config(source) -> ScenarioConfig:
                           auto_feedback=auto_fb)
 
 
-def _parse_consensus(raw) -> ConsensusCfg:
+def _parse_consensus(raw) -> ConsensusParams:
     _require(isinstance(raw, dict), "consensus", "expected a mapping")
-    cfg = ConsensusCfg()
-    interval = raw.get("block_interval_ms", cfg.block_interval_ms)
-    _require(isinstance(interval, int) and interval > 0,
-             "consensus.block_interval_ms", "must be a positive integer")
-    slot = raw.get("slot_ms", cfg.slot_ms)
-    _require(isinstance(slot, int) and 0 < slot <= interval,
-             "consensus.slot_ms", "must be positive and at most the interval")
-    k_bits = raw.get("k_bits", cfg.k_bits)
-    _require(k_bits in (64, 128), "consensus.k_bits", "must be 64 or 128")
-    cap = raw.get("time_cap_intervals", cfg.time_cap_intervals)
-    _require(isinstance(cap, int) and cap > 0,
-             "consensus.time_cap_intervals", "must be a positive integer")
+    packed = ("block_interval_ms", "slot_ms", "k_bits", "time_cap_intervals")
+    for key in raw:
+        _require(key in (*packed, "base_target"), f"consensus.{key}",
+                 "unknown consensus key")
     base = raw.get("base_target", "auto")
     if base == "auto":
         base_fp = None
     else:
         base_fp = _as_fp_unit(base, "consensus.base_target")
-        _require(0 < base_fp < ONE, "consensus.base_target",
-                 "must lie strictly inside (0, 1)")
-    return ConsensusCfg(interval, slot, k_bits, base_fp, cap)
+    params = ConsensusParams(base_fp,
+                             **{name: raw[name] for name in packed
+                                if name in raw})
+    for name in packed:
+        _require(isinstance(getattr(params, name), int), f"consensus.{name}",
+                 "must be an integer")
+    fault = params_fault(params)
+    if fault is not None:
+        raise ConfigError(f"consensus.{fault[0]}: {fault[1]}")
+    return params
 
 
 def _parse_one_node(raw, where: str) -> NodeSpec:

@@ -17,10 +17,16 @@ traffic into a fresh partition is dropped (and logged).
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import consensus, federation
-from .crypto import DetRng, KeyPair, defer_own_checks, generate_keypair
+from .crypto import (
+    DetRng,
+    KeyPair,
+    defer_own_checks,
+    generate_keypair,
+    record_corrupted,
+)
 from .federation import ForeignRequest, HomeUser, RequestRecord, UserInfo
 from .fixedpoint import to_float
 from .ledger import (
@@ -253,9 +259,11 @@ def _fork_tip(chain: Chain) -> tuple[int, int, bytes]:
 
 
 def _corrupt_block(blk: Block) -> Block:
-    """Flip one signature byte; framing stays intact, crypto checks fail."""
+    """Flip one signature byte; framing stays intact, crypto checks fail.
+    The flipped triple is recorded, so its check is owed, not made now."""
     victim = blk.txs[-1] if blk.txs else blk.header
     bad = replace(victim, sig=victim.sig[:-1] + bytes([victim.sig[-1] ^ 0x01]))
+    record_corrupted(*bad.sig_triple)
     if blk.txs:
         return Block(blk.header, blk.txs[:-1] + (bad,))
     return Block(bad, blk.txs)
@@ -279,18 +287,16 @@ class World:
         keys = {spec.name: self._provider_key(spec) for spec in cfg.nodes}
         regs = [build_register_tx(keys[spec.name], spec.register_data())
                 for spec in cfg.nodes]
-        base = cfg.consensus.base_target
-        if base is None:
+        params = cfg.consensus
+        if params.base_target is None:
             trusts = [BOOTSTRAP_TRUST if s.trust_override is None else 0
                       for s in cfg.nodes]
             base = consensus.calibrate_base_target(
                 [s.stake for s in cfg.nodes], trusts)
-        self.genesis = make_genesis(
-            regs, base, interval_ms=cfg.consensus.block_interval_ms,
-            slot_ms=cfg.consensus.slot_ms, k_bits=cfg.consensus.k_bits,
-            time_cap=cfg.consensus.time_cap_intervals)
+            params = replace(params, base_target=base)
+        self.genesis = make_genesis(regs, **asdict(params))
         self.log_event("genesis", h_blk=self.genesis.h_blk.hex(),
-                       base_target=to_float(base),
+                       base_target=to_float(params.base_target),
                        interval_ms=cfg.consensus.block_interval_ms)
 
         self.nodes: dict[str, Node] = {}
@@ -438,8 +444,9 @@ class World:
 
     def run(self) -> None:
         """Process events up to the horizon. The check of each signature a
-        node made in this run is deferred and done before run() returns;
-        one that fails raises CryptoError (see crypto.defer_own_checks)."""
+        node made in this run, a tamperer's corrupted copies included, is
+        deferred and done before run() returns; one whose verdict it
+        refutes raises CryptoError (see crypto.defer_own_checks)."""
         with defer_own_checks():
             while self._queue:
                 at, _, kind, data = self._queue[0]

@@ -567,11 +567,50 @@ def test_memo_and_own_record_evict_the_oldest_at_their_cap(monkeypatch):
     crypto._verify_memo.clear()
     with crypto.defer_own_checks():
         assert [sign(kp, d) for d in digests] == [t[2] for t in triples]
-        assert list(crypto._own.signed) == triples[1:]
+        assert list(crypto._own.made) == triples[1:]
         # evicted from the record, so checked at once; the others are owed
         assert all(verify(*t) for t in triples)
         assert checks == triples[:1]
     assert checks == triples
+
+
+def test_corrupted_triples_are_owed_a_check_of_their_false_verdict(
+        monkeypatch):
+    monkeypatch.setattr(crypto, "_verify_memo", {})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    checks = []
+    real_check = crypto._verify_uncached
+
+    def counted(*triple):
+        checks.append(triple)
+        return real_check(*triple)
+    monkeypatch.setattr(crypto, "_verify_uncached", counted)
+    kp = generate_keypair(DetRng(38).take(32))
+    digest = sha256(b"corrupted")
+    sig = sign(kp, digest)
+    flipped = (kp.pub_bytes, digest, sig[:-1] + bytes([sig[-1] ^ 1]))
+    crypto.record_corrupted(*flipped)      # outside the block: no effect
+    assert not verify(*flipped) and checks == [flipped]
+
+    checks.clear()
+    crypto._verify_memo.clear()
+    with crypto.defer_own_checks():
+        crypto.record_corrupted(*flipped)
+        crypto.record_corrupted(kp.pub_bytes, digest[:-1], sig)  # not kept
+        assert list(crypto._own.made) == [flipped]
+        assert not verify(*flipped) and not checks     # assumed, owed
+    assert checks == [flipped]
+    assert crypto._verify_memo == {flipped: False}
+
+    # a "corrupted" triple that verifies: the owed check refutes False
+    valid = (kp.pub_bytes, digest, sig)
+    crypto._verify_memo.clear()
+    with pytest.raises(CryptoError):
+        with crypto.defer_own_checks():
+            crypto.record_corrupted(*valid)
+            assert not verify(*valid)
+    assert not crypto._verify_memo and crypto._own is None
+    assert verify(*valid)
 
 
 def test_sign_requires_digest_length():

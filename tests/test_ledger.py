@@ -161,8 +161,9 @@ def test_privilege_count_cap():
 # ---------------------------------------------------------------------------
 
 def test_genesis_shape_and_parameter_packing():
-    genesis = make_genesis([_reg(HOME)], fp_from("0.2"), interval_ms=200,
-                           slot_ms=50, k_bits=128, time_cap=32)
+    genesis = make_genesis([_reg(HOME)], fp_from("0.2"),
+                           block_interval_ms=200, slot_ms=50, k_bits=128,
+                           time_cap_intervals=32)
     assert genesis.height == 0
     assert genesis.header.prev_block == ZERO_DIGEST
     assert genesis.header.timestamp == 0
@@ -204,6 +205,13 @@ def _genesis_failure(txs) -> VerifyFailure:
         replay_blocks([make_genesis(txs, fp_from("0.2"))])
     assert caught.value.height == 0
     return caught.value
+
+
+def test_replay_of_no_blocks_fails_at_height_0():
+    with pytest.raises(VerifyFailure) as caught:
+        replay_blocks([])
+    got = caught.value
+    assert (got.height, got.txid, got.reason) == (0, None, "BAD_ENCODING")
 
 
 def test_genesis_registration_carrying_token_parts_fails_verify():

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from ctsim import cli, consensus, scenario
+from ctsim import cli, consensus, ledger, scenario
 from ctsim.cli import main
 from ctsim.crypto import ZERO_DIGEST, DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from
@@ -105,6 +105,8 @@ def test_consensus_validation():
     bad(base_cfg(consensus={"k_bits": 96}), "must be 64 or 128")
     bad(base_cfg(consensus={"base_target": 0}), "consensus.base_target")
     bad(base_cfg(consensus={"base_target": 1.5}), "consensus.base_target")
+    bad(base_cfg(consensus={"slot": 50}),
+        "consensus.slot: unknown consensus key")
 
 
 def test_partition_validation():
@@ -289,6 +291,36 @@ def test_invalid_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("time_cap_intervals", 70000), ("block_interval_ms", 4294967296),
+    ("k_bits", 64.0)])
+def test_genesis_parameters_too_wide_to_pack_exit_2(key, value, tmp_path):
+    # each passed the loader once and raised from the genesis packing
+    raw = yaml.safe_load((SCENARIOS / "demo.yaml").read_text())
+    raw["consensus"][key] = value
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli("run", str(path), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: consensus.{key}: ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_config_and_genesis_share_the_parameter_ranges():
+    # the widest values a config may give are the widest a genesis packs
+    widest = {"block_interval_ms": 2 ** 32 - 1, "slot_ms": 2 ** 32 - 1,
+              "k_bits": 128, "time_cap_intervals": 2 ** 16 - 1,
+              "base_target": 0.5}
+    params = load_config(base_cfg(consensus=widest)).consensus
+    genesis = make_genesis([], **vars(params))
+    assert ledger.genesis_params(genesis.header) == params
+    for key in ("block_interval_ms", "time_cap_intervals"):
+        bad(base_cfg(consensus={**widest, key: widest[key] + 1}),
+            f"consensus.{key}: must be a positive integer below 2^")
+
+
 # two registrants whose weights floor to zero means: trust has no weights
 TINY_WEIGHTS = ([1e-12, 0], [0, 1e-12])
 
@@ -339,7 +371,7 @@ IDLE_REG = build_register_tx(generate_keypair(DetRng(6).take(32)),
     _genesis_with(base_target=0),
     _genesis_with(base_target=ONE),
     _genesis_with(k_bits=96),
-    _genesis_with(interval_ms=300, slot_ms=301),
+    _genesis_with(block_interval_ms=300, slot_ms=301),
     _genesis_with(spare=b"\x01"),
     # the parameters are judged before the registrations
     _genesis_with(base_target=0, regs=[IDLE_REG]),
@@ -406,6 +438,12 @@ def test_verify_catches_truncation(run_dir, tmp_path):
     code, _, err = run_cli("verify", str(tmp_path / "ghost.bin"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_trust_report_on_a_missing_ledger_exits_2(tmp_path):
+    code, out, err = run_cli("trust-report", str(tmp_path / "ghost.bin"))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read ") and err.count("\n") == 1
 
 
 def _offline_report_matches_stored(run_dir) -> dict:
