@@ -16,7 +16,7 @@ import yaml
 
 from .crypto import CryptoError
 from .ledger import LedgerError, read_ledger, write_ledger
-from .replica import VerifyFailure, replay_blocks
+from .replica import replay_blocks
 from .report import (
     build_report,
     dump_events,
@@ -71,8 +71,9 @@ def cmd_run(args) -> int:
     try:
         report = build_report(read_ledger(ledger_path),
                               load_events(events_path))
-    except (LedgerError, VerifyFailure) as exc:
-        print(f"persisted ledger failed verification: {exc}", file=sys.stderr)
+    except LedgerError as exc:
+        print(f"persisted ledger failed verification: {exc} "
+              f"at height {exc.height}", file=sys.stderr)
         return 1
     dump_report(report_path, report)
 
@@ -99,7 +100,7 @@ def _read_ledger_checked(path) -> tuple[list | None, int]:
     return blocks, 0
 
 
-def _fail(exc: VerifyFailure) -> int:
+def _fail(exc: LedgerError) -> int:
     """Print the one FAIL line for a ledger that does not replay."""
     txid = exc.txid.hex() if exc.txid else "-"
     print(f"FAIL height={exc.height} txid={txid} reason={exc.reason}")
@@ -112,7 +113,7 @@ def cmd_verify(args) -> int:
         return rc
     try:
         replica = replay_blocks(blocks)
-    except VerifyFailure as exc:
+    except LedgerError as exc:
         return _fail(exc)
     ntx = sum(len(b.txs) for b in blocks[1:])
     chain = replica.chain
@@ -126,7 +127,7 @@ def cmd_trust_report(args) -> int:
         return rc
     try:
         report = build_report(blocks)
-    except VerifyFailure as exc:
+    except LedgerError as exc:
         return _fail(exc)
     if args.json:
         json.dump(report, sys.stdout, sort_keys=True, indent=2)

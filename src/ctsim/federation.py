@@ -49,15 +49,15 @@ class ForeignRequest:
     """Foreign-side context for an access request awaiting confirmation."""
     home: str
     resource: bytes
+    deadline: int
     token_id: bytes | None = None
-    deadline: int | None = None
 
 
 @dataclass
 class UserInfo:
-    """World-level user directory entry (who registered where)."""
+    """World-level user directory entry: the credential each home holds,
+    homes in first-enrolment order."""
     pseudonym: bytes
-    homes: list[str]
     credentials: dict[str, bytes]
 
 
@@ -70,7 +70,6 @@ class RequestRecord:
     target: str
     resource: str
     state: str
-    reason: str | None = None
     token_id: bytes | None = None
 
 
@@ -86,7 +85,6 @@ def _ttl_ms(world) -> int:
 def _log_request(world, req_id: str, state: str, **fields) -> None:
     rec = world.requests[req_id]
     rec.state = state
-    rec.reason = fields.get("reason")
     world.log_event("request_state", req=req_id, state=state, user=rec.user,
                     target=rec.target, resource=rec.resource, **fields)
 
@@ -129,18 +127,14 @@ def register_user(world, home_name: str, username: str) -> None:
     home.child_index += 1
     credential = home.rng.take(16)
     info = world.users.get(username)
-    pseudonym = info.pseudonym if info else child.address
+    if info is None:
+        info = world.users[username] = UserInfo(child.address, {})
     profile = json.dumps({"user": username, "home": home_name},
                          sort_keys=True).encode()
-    home.users[pseudonym] = HomeUser(pseudonym, credential, profile)
-    if info is None:
-        world.users[username] = UserInfo(pseudonym, [home_name],
-                                         {home_name: credential})
-    elif home_name not in info.homes:
-        info.homes.append(home_name)
-        info.credentials[home_name] = credential
+    home.users[info.pseudonym] = HomeUser(info.pseudonym, credential, profile)
+    info.credentials[home_name] = credential
     world.log_event("user_registered", node=home_name, user=username,
-                    pseudonym=pseudonym.hex())
+                    pseudonym=info.pseudonym.hex())
 
 
 def request_access(world, req_id: str, username: str, target: str,
@@ -155,11 +149,11 @@ def request_access(world, req_id: str, username: str, target: str,
         _log_request(world, req_id, "DENIED", node=target,
                      reason="UNKNOWN_USER")
         return
-    if target in info.homes:
+    if target in info.credentials:
         # the user's own provider serves directly; nothing goes on-chain
         _log_request(world, req_id, "GRANTED", node=target, local=True)
         return
-    home = home or info.homes[0]
+    home = home or next(iter(info.credentials))
     world.requests[req_id].home = home
     credential = b"" if bad_credential else info.credentials.get(home, b"")
     target_node = world.nodes[target]
@@ -238,14 +232,13 @@ def _on_auth_request(world, home, src: str, payload: dict) -> None:
                         resource)
     tx = build_token_tx(home.key, record.profile, resource,
                         foreign.key.pub_bytes, token, home.wallet_prev,
-                        home.rng, home.ref_in, home.ref_out)
-    home.wallet_prev = home.ref_in = home.ref_out = tx.txid
+                        home.rng, home.ref_in)
+    home.wallet_prev = home.ref_in = tx.txid
     home.last_token = token
     world.broadcast_tx(home, tx)
-    if req_id in world.requests:
-        world.requests[req_id].token_id = token.token_id
-        _log_request(world, req_id, "TOKEN_ISSUED", node=home.name,
-                     token=token.token_id.hex())
+    world.requests[req_id].token_id = token.token_id
+    _log_request(world, req_id, "TOKEN_ISSUED", node=home.name,
+                 token=token.token_id.hex())
     world.send_msg(home.name, payload["foreign"], {
         "kind": "token_issued", "req_id": req_id,
         "token_id": token.token_id, "expires_at": token.expires_at})
@@ -326,8 +319,7 @@ def _check_pending(world, foreign) -> None:
                          reason="TOKEN_REUSED")
             continue
         foreign.consumed.add(ctx.token_id)
-        if req_id in world.requests:
-            world.requests[req_id].token_id = ctx.token_id
+        world.requests[req_id].token_id = ctx.token_id
         _log_request(world, req_id, "GRANTED", node=foreign.name,
                      token=ctx.token_id.hex(), expires_at=token.expires_at)
         if world.cfg.auto_feedback:
@@ -355,7 +347,7 @@ def check_timeouts(world, node) -> None:
     """Expire requests whose confirmation window has closed."""
     for req_id in sorted(node.pending):
         ctx = node.pending[req_id]
-        if ctx.deadline is not None and world.now >= ctx.deadline:
+        if world.now >= ctx.deadline:
             del node.pending[req_id]
             _log_request(world, req_id, "DENIED", node=node.name,
                          reason="TOKEN_TIMEOUT")

@@ -53,12 +53,15 @@ class TxKind(IntEnum):
 
 
 class LedgerError(Exception):
-    """Validation or parse failure; .reason is machine-readable."""
+    """Validation or parse failure; .reason is machine-readable. A rejected
+    block names its .height and, when a transaction failed, its .txid."""
 
-    def __init__(self, reason: str, detail: str = "", txid: bytes | None = None):
+    def __init__(self, reason: str, detail: str = "",
+                 txid: bytes | None = None, height: int = 0):
         self.reason = reason
         self.detail = detail
         self.txid = txid
+        self.height = height
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
@@ -381,12 +384,12 @@ def parse_register(payload: bytes) -> RegisterData:
 
 def build_token_tx(issuer: KeyPair, user_info: bytes, resource: bytes,
                    recipient_pub: bytes, token: AccessToken, prev_tx: bytes,
-                   rng: DetRng, ref_in: bytes = ZERO_DIGEST,
-                   ref_out: bytes = ZERO_DIGEST) -> Transaction:
+                   rng: DetRng, ref: bytes = ZERO_DIGEST) -> Transaction:
     """Issue a token: one encrypted-user input, one token output, signed.
 
     The user profile is encrypted for the recipient provider's key; only
-    addresses appear in clear on the chain.
+    addresses appear in clear on the chain. Input and output both
+    reference ref, the issuer's previous token transaction.
     """
     recipient = crypto.address_of(recipient_pub)
     if token.issuer != issuer.address:
@@ -394,8 +397,8 @@ def build_token_tx(issuer: KeyPair, user_info: bytes, resource: bytes,
     if token.audience != recipient:
         raise LedgerError("AUDIENCE_MISMATCH", "token audience is not the recipient")
     enc = crypto.encrypt_for(recipient_pub, user_info, rng)
-    txin = TxInput(0, ref_in, enc, resource)
-    txout = TxOutput(0, ref_out, token, recipient)
+    txin = TxInput(0, ref, enc, resource)
+    txout = TxOutput(0, ref, token, recipient)
     return make_transaction(TxKind.TOKEN, (txin,), (txout,), prev_tx, b"",
                             issuer)
 
@@ -436,7 +439,7 @@ def pack_genesis_pub(interval_ms: int, slot_ms: int, k_bits: int,
 @dataclass(frozen=True)
 class ConsensusParams:
     """The consensus parameters a genesis carries, with their defaults."""
-    base_target: int | None           # fixed-point d; None: calibrate it
+    base_target: int                  # fixed-point d
     k_bits: int = 64
     block_interval_ms: int = 300
     slot_ms: int = 100
@@ -446,7 +449,7 @@ class ConsensusParams:
 def params_fault(p: ConsensusParams) -> tuple[str, str] | None:
     """The first parameter of p out of its range, with the rule it breaks,
     or None. The ranges of the packed parameters stay inside the widths
-    pack_genesis_pub gives them; a base_target of None is not judged."""
+    pack_genesis_pub gives them."""
     if not 0 < p.block_interval_ms < 1 << 32:
         return "block_interval_ms", "must be a positive integer below 2^32"
     if not 0 < p.slot_ms <= p.block_interval_ms:
@@ -455,7 +458,7 @@ def params_fault(p: ConsensusParams) -> tuple[str, str] | None:
         return "k_bits", "must be 64 or 128"
     if not 0 < p.time_cap_intervals < 1 << 16:
         return "time_cap_intervals", "must be a positive integer below 2^16"
-    if p.base_target is not None and not 0 < p.base_target < ONE:
+    if not 0 < p.base_target < ONE:
         return "base_target", "must lie strictly inside (0, 1)"
     return None
 
@@ -818,7 +821,7 @@ class Chain:
             if reason:
                 self.journal.undo(mark)
                 raise LedgerError(reason, f"tx {tx.txid.hex()[:16]}",
-                                  txid=tx.txid)
+                                  txid=tx.txid, height=blk.height)
         if blk.height > 0:
             self.journal.set(self.gen_records,
                              crypto.address_of(blk.header.generator_pub),

@@ -5,7 +5,7 @@ chain holds the consensus parameters, read from its genesis alone. It
 advances only through apply(), which runs the complete validation stack
 (consensus header checks, per-transaction checks, trust fold) exactly
 the way every node and the offline verifier must agree on, and raises
-VerifyFailure on a rejected block. It retreats only through pop(), the
+LedgerError on a rejected block. It retreats only through pop(), the
 exact undo of the latest apply(). A simulator node holds one replica and
 handles a competing branch by popping to the fork point and applying the
 branch's blocks; the ledger verifier replays a file through a fresh
@@ -18,17 +18,6 @@ from . import consensus, crypto, trust
 from .ledger import Block, Chain, LedgerError
 
 
-class VerifyFailure(Exception):
-    def __init__(self, height: int, txid: bytes | None, reason: str):
-        self.height = height
-        self.txid = txid
-        self.reason = reason
-        where = f"height {height}"
-        if txid:
-            where += f" tx {txid.hex()[:16]}"
-        super().__init__(f"{reason} at {where}")
-
-
 class Replica:
     """Chain + trust state, advanced by full validation, undone per block.
 
@@ -38,10 +27,7 @@ class Replica:
     """
 
     def __init__(self, genesis: Block):
-        try:
-            self.chain = Chain(genesis)
-        except LedgerError as exc:
-            raise VerifyFailure(0, exc.txid, exc.reason) from None
+        self.chain = Chain(genesis)
         self.trust = trust.TrustState(self.chain.journal)
         trust.fold_block(self.trust, genesis)
 
@@ -49,16 +35,13 @@ class Replica:
         return consensus.consensus_trust(self.chain, self.trust, address)
 
     def apply(self, blk: Block) -> None:
-        """Validate and append one block; VerifyFailure on rejection, with
+        """Validate and append one block; LedgerError on rejection, with
         the txid of the failing transaction, None for header failures."""
         gen_trust = self.trust_for(crypto.address_of(blk.header.generator_pub))
         reason = consensus.validate_block(blk, self.chain, gen_trust)
         if reason:
-            raise VerifyFailure(blk.height, None, reason)
-        try:
-            self.chain.apply_block(blk, gen_trust)
-        except LedgerError as exc:
-            raise VerifyFailure(blk.height, exc.txid, exc.reason) from None
+            raise LedgerError(reason, height=blk.height)
+        self.chain.apply_block(blk, gen_trust)
         trust.fold_block(self.trust, blk)
 
     def pop(self) -> Block:
@@ -70,7 +53,7 @@ class Replica:
 
 
 def replay_blocks(blocks: list[Block]) -> Replica:
-    """Rebuild a replica from serialized history; VerifyFailure on defects.
+    """Rebuild a replica from serialized history; LedgerError on defects.
 
     This is the offline verification path: everything needed (consensus
     parameters, stakes, trust pins, trust history) is recovered from the
@@ -79,7 +62,7 @@ def replay_blocks(blocks: list[Block]) -> Replica:
     its failure reasons and its result are those of a one-CPU replay.
     """
     if not blocks:
-        raise VerifyFailure(0, None, "BAD_ENCODING")
+        raise LedgerError("BAD_ENCODING", "empty ledger")
     crypto.verify_many(triple for blk in blocks[1:]
                        for triple in (blk.header.sig_triple,
                                       *(tx.sig_triple for tx in blk.txs)))

@@ -162,7 +162,7 @@ def _network_section(events: list[dict]) -> dict:
 def build_report(blocks: list[Block], events: list[dict] | None = None) -> dict:
     """Replay a ledger (verifying it) and summarize it with the event log.
 
-    Raises VerifyFailure if the ledger does not replay cleanly; a report
+    Raises LedgerError if the ledger does not replay cleanly; a report
     is only ever produced over a chain that passed full validation. The
     chain, provider and user figures come from the ledger alone, trust
     pins included; the events add names and the request and network

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .consensus import calibrate_base_target
 from .fixedpoint import ONE, fp_from
 from .ledger import ConsensusParams, RegisterData, params_fault
-from .trust import CredLabel, SatLabel
+from .trust import BOOTSTRAP_TRUST, CredLabel, SatLabel
 
 LABEL_NAMES = {lbl.name: int(lbl) for lbl in (*CredLabel, *SatLabel)}
 
@@ -72,7 +73,7 @@ class ActionSpec:
 class ScenarioConfig:
     seed: int
     duration_ms: int
-    consensus: ConsensusParams          # base_target None: calibrate
+    consensus: ConsensusParams
     nodes: list[NodeSpec]
     links: LinkCfg
     partitions: list[PartitionSpec]
@@ -115,8 +116,8 @@ def load_config(source) -> ScenarioConfig:
     _require(isinstance(duration, int) and duration > 0,
              "duration_ms", "must be a positive integer")
 
-    cons = _parse_consensus(raw.get("consensus", {}))
     nodes = _parse_nodes(raw.get("nodes"), raw.get("normalize_stakes", False))
+    cons = _parse_consensus(raw.get("consensus", {}), nodes)
     names = {n.name for n in nodes}
     links = _parse_links(raw.get("links", {}), names)
 
@@ -149,7 +150,7 @@ def load_config(source) -> ScenarioConfig:
                           auto_feedback=auto_fb)
 
 
-def _parse_consensus(raw) -> ConsensusParams:
+def _parse_consensus(raw, nodes: list[NodeSpec]) -> ConsensusParams:
     _require(isinstance(raw, dict), "consensus", "expected a mapping")
     packed = ("block_interval_ms", "slot_ms", "k_bits", "time_cap_intervals")
     for key in raw:
@@ -157,7 +158,15 @@ def _parse_consensus(raw) -> ConsensusParams:
                  "unknown consensus key")
     base = raw.get("base_target", "auto")
     if base == "auto":
-        base_fp = None
+        # the genesis roster at bootstrap trust, a pinned provider at 0
+        trusts = [BOOTSTRAP_TRUST if n.trust_override is None else 0
+                  for n in nodes]
+        try:
+            base_fp = calibrate_base_target([n.stake for n in nodes], trusts)
+        except ValueError:
+            raise ConfigError(
+                "consensus.base_target: auto needs a provider with nonzero "
+                "stake and no trust_override") from None
     else:
         base_fp = _as_fp_unit(base, "consensus.base_target")
     params = ConsensusParams(base_fp,
@@ -289,10 +298,14 @@ def _parse_partitions(raw, names: set[str]) -> list[PartitionSpec]:
 
 
 def _parse_actions(raw, initial_names: set[str]) -> list[ActionSpec]:
+    """The actions in the order they run, by at_ms and then as listed.
+    A provider an action names must be registered before it runs."""
     _require(isinstance(raw, list), "actions", "expected a list")
     out = []
     req_counter = 0
-    known_csps = set(initial_names)
+    # provider name -> (at_ms, listed position) of its registration
+    born = {name: (-1, -1) for name in initial_names}
+    refs = []   # (field, provider name, (at_ms, listed position))
     for i, entry in enumerate(raw):
         where = f"actions[{i}]"
         _require(isinstance(entry, dict), where, "expected a mapping")
@@ -306,35 +319,30 @@ def _parse_actions(raw, initial_names: set[str]) -> list[ActionSpec]:
         req_id = None
         if kind == "register_csp":
             spec = _parse_one_node(fields, where)
-            _require(spec.name not in known_csps, f"{where}.name",
+            _require(spec.name not in born, f"{where}.name",
                      "provider name already used")
-            known_csps.add(spec.name)
+            born[spec.name] = (at, i)
             fields = {"name": spec.name, "spec": spec}
         elif kind == "register_user":
             _require(isinstance(fields.get("user"), str) and fields.get("user"),
                      f"{where}.user", "is mandatory")
-            _require(fields.get("home") in known_csps, f"{where}.home",
-                     "unknown provider")
+            refs.append((f"{where}.home", fields.get("home"), (at, i)))
         elif kind == "request_access":
             _require(isinstance(fields.get("user"), str) and fields.get("user"),
                      f"{where}.user", "is mandatory")
-            _require(fields.get("target") in known_csps, f"{where}.target",
-                     "unknown provider")
+            refs.append((f"{where}.target", fields.get("target"), (at, i)))
             _require(isinstance(fields.get("resource"), str)
                      and fields.get("resource"), f"{where}.resource",
                      "is mandatory")
             if "home" in fields:
-                _require(fields["home"] in known_csps, f"{where}.home",
-                         "unknown provider")
+                refs.append((f"{where}.home", fields["home"], (at, i)))
             _require(isinstance(fields.get("bad_credential", False), bool),
                      f"{where}.bad_credential", "must be a boolean")
             req_counter += 1
             req_id = f"req-{req_counter}"
         elif kind == "iaas_share":
-            _require(fields.get("borrower") in known_csps, f"{where}.borrower",
-                     "unknown provider")
-            _require(fields.get("lender") in known_csps, f"{where}.lender",
-                     "unknown provider")
+            refs.append((f"{where}.borrower", fields.get("borrower"), (at, i)))
+            refs.append((f"{where}.lender", fields.get("lender"), (at, i)))
             _require(fields.get("borrower") != fields.get("lender"), where,
                      "borrower and lender must differ")
             _require(isinstance(fields.get("resource"), str)
@@ -357,5 +365,10 @@ def _parse_actions(raw, initial_names: set[str]) -> list[ActionSpec]:
             _require((LABEL_NAMES[label] >= 5) == want_sat, f"{where}.label",
                      "scale does not match the rating party")
         out.append(ActionSpec(at, kind, fields, req_id))
+    for field_name, name, when in refs:
+        _require(isinstance(name, str) and name in born, field_name,
+                 "unknown provider")
+        _require(born[name] < when, field_name,
+                 "provider registers only after this action runs")
     out.sort(key=lambda a: a.at_ms)  # stable: ties keep listed order
     return out

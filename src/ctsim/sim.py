@@ -33,6 +33,7 @@ from .ledger import (
     Block,
     BlockHeader,
     Chain,
+    LedgerError,
     Transaction,
     TxKind,
     ZERO_DIGEST,
@@ -40,9 +41,8 @@ from .ledger import (
     compute_tx_root,
     make_genesis,
 )
-from .replica import Replica, VerifyFailure
+from .replica import Replica
 from .scenario import NodeSpec, ScenarioConfig
-from .trust import BOOTSTRAP_TRUST
 
 MAX_TXS_PACKED = 100
 
@@ -66,8 +66,7 @@ class Node:
         self.rng = rng
         self.address = key.address
         self.replica = Replica(genesis)
-        self.mempool: dict[bytes, tuple[int, Transaction]] = {}
-        self._arrival = 0
+        self.mempool: dict[bytes, Transaction] = {}     # in arrival order
         # federation state
         self.users: dict[bytes, HomeUser] = {}
         self.child_index = 0
@@ -76,8 +75,7 @@ class Node:
         self.consumed: set[bytes] = set()
         self.last_token = None          # most recent issued AccessToken
         self.wallet_prev: bytes = ZERO_DIGEST
-        self.ref_in: bytes = ZERO_DIGEST
-        self.ref_out: bytes = ZERO_DIGEST
+        self.ref_in: bytes = ZERO_DIGEST     # our latest token txid
 
     @property
     def chain(self) -> Chain:
@@ -93,8 +91,7 @@ class Node:
             world.log_event("tx_rejected", node=self.name,
                             txid=tx.txid.hex(), reason=reason, source=source)
             return
-        self.mempool[tx.txid] = (self._arrival, tx)
-        self._arrival += 1
+        self.mempool[tx.txid] = tx
 
     def _pack_txs(self, world: "World") -> tuple[Transaction, ...]:
         """Oldest-first selection, each tx validated against the chain plus
@@ -102,15 +99,14 @@ class Node:
         chain = self.chain
         mark = chain.journal.mark()
         picked: list[Transaction] = []
-        order = sorted(self.mempool.items(), key=lambda kv: kv[1][0])
         try:
-            for txid, (_, tx) in order:
+            for tx in list(self.mempool.values()):
                 if len(picked) >= MAX_TXS_PACKED:
                     break
                 if tx.kind == TxKind.TOKEN:
                     token = tx.outputs[0].token
                     if token.expires_at <= world.now:
-                        del self.mempool[txid]      # stale token, drop it
+                        del self.mempool[tx.txid]   # stale token, drop it
                         continue
                 if chain.try_absorb(tx) is None:
                     picked.append(tx)
@@ -157,7 +153,7 @@ class Node:
 
         try:
             self.replica.apply(blk)
-        except VerifyFailure as exc:
+        except LedgerError as exc:
             raise RuntimeError(f"{self.name}: own block rejected: "
                                f"{exc.reason}") from exc
         self._evict_included()
@@ -202,7 +198,7 @@ class Node:
         for blk in branch[fork + 1:]:
             try:
                 replica.apply(blk)
-            except VerifyFailure as exc:
+            except LedgerError as exc:
                 world.log_event("block_rejected", node=self.name,
                                 height=blk.height, h_blk=blk.h_blk.hex(),
                                 reason=exc.reason,
@@ -237,7 +233,7 @@ class Node:
         for blk in blocks:
             try:
                 self.replica.apply(blk)
-            except VerifyFailure as exc:
+            except LedgerError as exc:
                 raise RuntimeError(f"{self.name}: own block at height "
                                    f"{blk.height} rejected on re-apply: "
                                    f"{exc.reason}") from exc
@@ -248,8 +244,7 @@ class Node:
         for blk in orphans:
             for tx in blk.txs:
                 if tx.txid not in txids and tx.txid not in self.mempool:
-                    self.mempool[tx.txid] = (self._arrival, tx)
-                    self._arrival += 1
+                    self.mempool[tx.txid] = tx
         self._evict_included()
 
 
@@ -287,16 +282,9 @@ class World:
         keys = {spec.name: self._provider_key(spec) for spec in cfg.nodes}
         regs = [build_register_tx(keys[spec.name], spec.register_data())
                 for spec in cfg.nodes]
-        params = cfg.consensus
-        if params.base_target is None:
-            trusts = [BOOTSTRAP_TRUST if s.trust_override is None else 0
-                      for s in cfg.nodes]
-            base = consensus.calibrate_base_target(
-                [s.stake for s in cfg.nodes], trusts)
-            params = replace(params, base_target=base)
-        self.genesis = make_genesis(regs, **asdict(params))
+        self.genesis = make_genesis(regs, **asdict(cfg.consensus))
         self.log_event("genesis", h_blk=self.genesis.h_blk.hex(),
-                       base_target=to_float(params.base_target),
+                       base_target=to_float(cfg.consensus.base_target),
                        interval_ms=cfg.consensus.block_interval_ms)
 
         self.nodes: dict[str, Node] = {}

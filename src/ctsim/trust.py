@@ -123,7 +123,6 @@ class TrustState:
     The fold floors, so it cannot be inverted: every write goes through
     the journal passed in, the replica's one journal, and undoing it to an
     earlier mark rolls the state back, dict insertion order included.
-    Compare two states by their fingerprint().
     """
 
     def __init__(self, journal: ledger.Journal):
@@ -203,15 +202,6 @@ class TrustState:
             prev = self.sat.get((home, foreign), INITIAL_SAT)
             self.put(self.sat, self.sat_sum, (home, foreign),
                      sat_update(prev, cred_u, value))
-
-    # -- comparison --------------------------------------------------------
-
-    def fingerprint(self) -> tuple:
-        """Canonical immutable image of the whole state, for exact compares."""
-        return (tuple(sorted(self.cred.items())),
-                tuple(sorted(self.auth.items())),
-                tuple(sorted(self.sat.items())),
-                tuple(sorted(self.declared.items())))
 
 
 def fold_block(state: TrustState, blk: ledger.Block) -> None:

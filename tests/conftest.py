@@ -60,13 +60,20 @@ def chain_state(chain) -> tuple:
             list(chain.gen_records.items()), list(chain.cum_trust))
 
 
+def trust_fingerprint(trust) -> tuple:
+    """Canonical immutable image of a TrustState's pair tables and declared
+    weights, for exact compares; insertion order does not count."""
+    return tuple(tuple(sorted(t.items()))
+                 for t in (trust.cred, trust.auth, trust.sat, trust.declared))
+
+
 def replica_state(replica) -> tuple:
     """chain_state plus the trust fold, table order included, with the
     running sums the fold derives from its tables."""
     trust = replica.trust
     tables = (trust.cred, trust.auth, trust.sat, trust.declared,
               trust.cred_sum, trust.auth_sum, trust.sat_sum)
-    return (chain_state(replica.chain), trust.fingerprint(),
+    return (chain_state(replica.chain), trust_fingerprint(trust),
             [list(t.items()) for t in tables])
 
 

@@ -26,7 +26,7 @@ from ctsim.trust import (
 )
 
 from conftest import (
-    base_cfg, drain, four_nodes, record_criterion, run_cfg,
+    base_cfg, drain, four_nodes, record_criterion, run_cfg, trust_fingerprint,
 )
 
 fp = fp_from
@@ -109,8 +109,9 @@ def test_c03_incremental_equals_replay():
                  "resource": "vm-small"},
             ])
         world = run_cfg(cfg)
-        live = world.canonical.replica.trust.fingerprint()
-        redo = replay_blocks(world.canonical.chain.blocks).trust.fingerprint()
+        live = trust_fingerprint(world.canonical.replica.trust)
+        redo = trust_fingerprint(
+            replay_blocks(world.canonical.chain.blocks).trust)
         if live != redo:
             mismatches.append(seed)
     wall = time.monotonic() - t0

@@ -1,5 +1,8 @@
 """The five-step access flow, capacity sharing, and rating behaviors."""
 
+import pytest
+
+from ctsim import federation
 from ctsim.crypto import resource_address
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import TxKind
@@ -138,6 +141,27 @@ def test_replayed_token_is_consumed_once():
     assert len(granted) == 1
 
 
+@pytest.mark.parametrize("bad_credential", [False, True])
+def test_answer_after_timeout_is_ignored(bad_credential):
+    # every hop takes 400 ms and a request times out after one 300 ms
+    # interval, so each answer to a redirect lands after its deadline
+    cfg = flow_cfg(links={"default_latency_ms": 400, "jitter_ms": 0},
+                   confirmation_timeout_intervals=1)
+    cfg["actions"][1]["bad_credential"] = bad_credential
+    world = run_cfg(cfg)
+    drain(world)
+    states = req_states(world, "req-1")
+    timeout = [e for s, e in states if s == "DENIED"]
+    assert [e["reason"] for e in timeout] == ["TOKEN_TIMEOUT"]
+    # the home still answers; the token or the denial finds no request
+    answer = "auth_failed" if bad_credential else "auth_ok"
+    assert [e["ts"] for e in world.events if e["event"] == answer] \
+        == [timeout[0]["ts"] + 100]
+    assert [s for s, _ in states][-1] \
+        == ("DENIED" if bad_credential else "TOKEN_ISSUED")
+    assert not world.nodes["beta"].pending
+
+
 # ---------------------------------------------------------------------------
 # Capacity sharing
 # ---------------------------------------------------------------------------
@@ -211,6 +235,18 @@ def test_flatterer_pushes_scores_up():
         > fp_from("0.4")    # one top rating from satisfaction 0
 
 
+def test_smearing_home_rates_every_service_lowest():
+    cfg = flow_cfg()
+    nodes = four_nodes()
+    nodes[0]["behavior"] = "smearer"     # alpha trashes its user's service
+    cfg["nodes"] = nodes
+    world = run_cfg(cfg)
+    drain(world)
+    labels = [e["label"] for e in world.events
+              if e["event"] == "feedback_submitted" and e["node"] == "alpha"]
+    assert labels == [int(SatLabel.FULLY_DISSATISFIED)]
+
+
 def test_pseudonym_survives_second_home():
     cfg = base_cfg(seed=41, duration_ms=10000, actions=[
         {"at_ms": 500, "action": "register_user",
@@ -225,7 +261,7 @@ def test_pseudonym_survives_second_home():
     assert len(regs) == 2
     assert regs[0]["pseudonym"] == regs[1]["pseudonym"]
     info = world.users["wanderer"]
-    assert info.homes == ["alpha", "beta"]
+    assert list(info.credentials) == ["alpha", "beta"]
     states = req_states(world, "req-1")
     assert states[-1][0] == "GRANTED"
     drain(world)
@@ -233,6 +269,17 @@ def test_pseudonym_survives_second_home():
         bytes.fromhex(states[-1][1]["token"]))
     assert token.issuer == world.nodes["beta"].address
     assert token.pseudonym == info.pseudonym
+
+
+def test_reenrolled_user_authenticates_with_the_new_credential():
+    cfg = flow_cfg()
+    cfg["actions"].insert(1, {"at_ms": 900, "action": "register_user",
+                              "user": "wanderer", "home": "alpha"})
+    world = run_cfg(cfg)
+    assert req_states(world, "req-1")[-1][0] == "GRANTED"
+    info = world.users["wanderer"]
+    home = world.nodes["alpha"].users[info.pseudonym]
+    assert info.credentials == {"alpha": home.credential}
 
 
 def test_fifth_provider_joins_the_weighting():
@@ -285,3 +332,13 @@ def test_scripted_feedback_paths():
 def fb_label(tx):
     from ctsim.ledger import parse_feedback
     return parse_feedback(tx.payload).label
+
+
+def test_scripted_feedback_from_a_replica_without_the_token():
+    world = run_cfg(flow_cfg(seed=47, duration_ms=8000, auto_feedback=False))
+    assert req_states(world, "req-1")[-1][0] == "GRANTED"
+    world.nodes["alpha"]._rewind(0)     # the home has not caught up
+    federation.scripted_feedback(world, "req-1", "home", "SATISFIED")
+    assert world.events[-1] == {"ts": world.now, "event": "feedback_failed",
+                                "req": "req-1", "by": "home",
+                                "reason": "UNKNOWN_TOKEN"}

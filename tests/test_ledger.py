@@ -24,7 +24,7 @@ from ctsim.ledger import (
     ser_register, ser_token, tx_from_wire, tx_to_wire,
     write_ledger,
 )
-from ctsim.replica import VerifyFailure, replay_blocks
+from ctsim.replica import replay_blocks
 from ctsim.trust import TrustState, fold_block
 
 from conftest import chain_state
@@ -200,15 +200,15 @@ def test_genesis_tampering_detected():
         Chain(cases[0][0])
 
 
-def _genesis_failure(txs) -> VerifyFailure:
-    with pytest.raises(VerifyFailure) as caught:
+def _genesis_failure(txs) -> LedgerError:
+    with pytest.raises(LedgerError) as caught:
         replay_blocks([make_genesis(txs, fp_from("0.2"))])
     assert caught.value.height == 0
     return caught.value
 
 
 def test_replay_of_no_blocks_fails_at_height_0():
-    with pytest.raises(VerifyFailure) as caught:
+    with pytest.raises(LedgerError) as caught:
         replay_blocks([])
     got = caught.value
     assert (got.height, got.txid, got.reason) == (0, None, "BAD_ENCODING")

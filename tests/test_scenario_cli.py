@@ -25,7 +25,9 @@ from ctsim.replica import replay_blocks
 from ctsim.scenario import ConfigError, load_config
 from ctsim.trust import BOOTSTRAP_TRUST
 
-from conftest import base_cfg, four_nodes, make_world, perfbench_module
+from conftest import (
+    base_cfg, four_nodes, make_world, perfbench_module, run_cfg,
+)
 
 
 def bad(cfg, needle):
@@ -98,6 +100,9 @@ def test_node_spec_validation():
     nodes = four_nodes()
     nodes[0]["trust_override"] = 0.5
     bad(base_cfg(nodes=nodes), "only 0 is supported")
+    nodes = four_nodes()
+    nodes[0]["stake"] = "lots"
+    bad(base_cfg(nodes=nodes), "nodes[0].stake: not a number")
 
 
 def test_consensus_validation():
@@ -131,6 +136,9 @@ def test_action_validation():
                            "user": "u", "target": "nowhere",
                            "resource": "r"}]),
         "unknown provider")
+    bad(base_cfg(actions=[{"at_ms": 0, "action": "register_user",
+                           "user": "u", "home": ["alpha"]}]),
+        "actions[0].home: unknown provider")
     bad(base_cfg(actions=[{"at_ms": 0, "action": "feedback",
                            "request": "req-1", "by": "home",
                            "label": "GOOD"}]),
@@ -143,6 +151,69 @@ def test_action_validation():
                            "borrower": "alpha", "lender": "alpha",
                            "resource": "r"}]),
         "must differ")
+
+
+def _run_exits_2(raw, tmp_path, field):
+    """ctsim run refuses raw with one config error line naming field."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(raw if isinstance(raw, str) else yaml.safe_dump(raw))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli("run", str(path), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_top_level_that_is_not_a_mapping_exits_2(tmp_path):
+    _run_exits_2("- seed: 1\n", tmp_path, "top level")
+
+
+LATE_CSP = {"at_ms": 2000, "action": "register_csp", "name": "c",
+            "stake": 0.2}
+
+
+@pytest.mark.parametrize("action, field", [
+    ({"action": "register_user", "user": "u1", "home": "c"}, "home"),
+    ({"action": "request_access", "user": "u1", "target": "c",
+      "resource": "r"}, "target"),
+    ({"action": "request_access", "user": "u1", "target": "a",
+      "resource": "r", "home": "c"}, "home"),
+    ({"action": "iaas_share", "borrower": "a", "lender": "c",
+      "resource": "r"}, "lender"),
+    ({"action": "iaas_share", "borrower": "c", "lender": "a",
+      "resource": "r"}, "borrower"),
+], ids=["user-home", "request-target", "request-home", "share-lender",
+        "share-borrower"])
+def test_action_naming_a_provider_before_it_registers_exits_2(
+        action, field, tmp_path):
+    # listed after the registration, but due before it runs
+    nodes = [{"name": "a", "stake": 0.5}, {"name": "b", "stake": 0.5}]
+    raw = base_cfg(nodes=nodes, duration_ms=3000,
+                   actions=[LATE_CSP, {"at_ms": 500, **action}])
+    _run_exits_2(raw, tmp_path, f"actions[1].{field}")
+    # due at the same time, it still runs after the registration
+    raw["actions"][1]["at_ms"] = 2000
+    load_config(raw)
+    # due after it, it may be listed before it, and it runs
+    raw["actions"] = [{"at_ms": 2500, **action}, LATE_CSP]
+    assert [a.kind for a in load_config(raw).actions] \
+        == ["register_csp", action["action"]]
+    run_cfg(raw)
+
+
+def test_request_ids_follow_listed_order():
+    actions = [{"at_ms": at, "action": "request_access", "user": "u",
+                "target": "alpha", "resource": "r"} for at in (900, 100)]
+    parsed = load_config(base_cfg(actions=actions))
+    assert [(a.at_ms, a.req_id) for a in parsed.actions] \
+        == [(100, "req-2"), (900, "req-1")]
+
+
+def test_roster_that_cannot_generate_exits_2(tmp_path):
+    nodes = [{"name": n, "stake": 0.5, "trust_override": 0} for n in "ab"]
+    _run_exits_2(base_cfg(nodes=nodes), tmp_path, "consensus.base_target")
+    # a fixed base target needs no calibration: the run just makes no blocks
+    load_config(base_cfg(nodes=nodes, consensus={"base_target": 0.5}))
 
 
 # ---------------------------------------------------------------------------

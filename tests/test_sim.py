@@ -2,18 +2,20 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 from ctsim import consensus
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
-    Block, BlockHeader, RegisterData, TxKind, ZERO_DIGEST, build_register_tx,
-    compute_tx_root, ser_block,
+    AccessToken, Block, BlockHeader, LedgerError, RegisterData, TxKind,
+    ZERO_DIGEST, build_register_tx, build_token_tx, compute_tx_root,
+    ser_block,
 )
-from ctsim.crypto import DetRng, address_of, generate_keypair
-from ctsim.replica import VerifyFailure, replay_blocks
-from ctsim.sim import Node, _corrupt_block
+from ctsim.crypto import DetRng, address_of, generate_keypair, resource_address
+from ctsim.replica import replay_blocks
+from ctsim.sim import MAX_TXS_PACKED, Node, _corrupt_block
 
 from conftest import (
     base_cfg, chain_state, drain, four_nodes, make_world, replica_state,
@@ -211,6 +213,35 @@ def test_admit_tx_dedup_and_rejection():
     assert rejected and rejected[-1]["reason"] == "DUPLICATE_CSP"
 
 
+def test_pack_caps_a_block_oldest_first():
+    world = make_world(base_cfg())
+    node = world.canonical
+    regs = [build_register_tx(generate_keypair(DetRng(i, b"cap").take(32)),
+                              RegisterData(fp_from("0.5"), fp_from("0.5"), 0))
+            for i in range(MAX_TXS_PACKED + 2)]
+    for tx in regs:
+        node.admit_tx(world, tx, source="test")
+    assert node._pack_txs(world) == tuple(regs[:MAX_TXS_PACKED])
+    assert list(node.mempool) == [tx.txid for tx in regs]
+
+
+def test_pack_drops_a_token_that_expired_in_the_mempool():
+    world = make_world(base_cfg())
+    alpha, beta = world.nodes["alpha"], world.nodes["beta"]
+    token = AccessToken(
+        pseudonym=bytes(20), issuer=alpha.address, audience=beta.address,
+        resource=resource_address("r"), privileges=(b"access",),
+        issued_at=0, expires_at=300, nonce=1)
+    tx = build_token_tx(alpha.key, b"{}", token.resource, beta.key.pub_bytes,
+                        token, ZERO_DIGEST, DetRng(5))
+    alpha.admit_tx(world, tx, source="test")
+    world.now = 299
+    assert alpha._pack_txs(world) == (tx,)
+    world.now = 300
+    assert alpha._pack_txs(world) == ()
+    assert tx.txid not in alpha.mempool
+
+
 def test_midrun_registration_reaches_everyone():
     cfg = base_cfg(
         seed=23, duration_ms=12000,
@@ -261,18 +292,25 @@ def _referenced_names(node):
 
 
 def test_src_holds_no_test_only_helpers():
-    # every module-level def or class is used by src/ctsim code outside its
-    # own body; a helper only tests call belongs under tests/. Strings in
-    # __all__ are not uses.
+    # every module-level def or class, and every method of a class but its
+    # dunders, is used by src/ctsim code outside its own body; a helper
+    # only tests call belongs under tests/. Strings in __all__ are not uses.
     src = pathlib.Path(consensus.__file__).parent
     stmts = [(path.stem, stmt) for path in sorted(src.glob("*.py"))
              for stmt in ast.parse(path.read_text(), str(path)).body]
-    refs = [(stmt, set(_referenced_names(stmt))) for _, stmt in stmts]
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    unused = [f"{module}.{stmt.name}" for module, stmt in stmts
-              if isinstance(stmt, defs)
-              and not any(stmt.name in names
-                          for other, names in refs if other is not stmt)]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(f"{module}.{stmt.name}", stmt) for module, stmt in stmts
+            if isinstance(stmt, (*funcs, ast.ClassDef))]
+    defs += [(f"{module}.{stmt.name}.{meth.name}", meth)
+             for module, stmt in stmts if isinstance(stmt, ast.ClassDef)
+             for meth in stmt.body if isinstance(meth, funcs)
+             and not (meth.name.startswith("__") and meth.name.endswith("__"))]
+    uses = Counter(name for _, stmt in stmts
+                   for name in _referenced_names(stmt))
+    # a name used only inside its own definition is used nowhere else
+    unused = [label for label, node in defs
+              if uses[node.name] == list(_referenced_names(node)).count(
+                  node.name)]
     assert not unused
 
 
@@ -328,7 +366,7 @@ def _eligible_alpha(monkeypatch):
 
 
 def _refuse(blk):
-    raise VerifyFailure(blk.height, None, "BAD_LINK")
+    raise LedgerError("BAD_LINK", height=blk.height)
 
 
 def test_node_rejecting_its_own_block_raises(monkeypatch):
@@ -494,7 +532,7 @@ def test_pop_then_reapply_equals_replay():
             (bare_height, None, "BAD_HEADER_SIG")):
         replica = replay_blocks(blocks[:n])
         before = replica_state(replica)
-        with pytest.raises(VerifyFailure) as caught:
+        with pytest.raises(LedgerError) as caught:
             replica.apply(_corrupt_block(blocks[n]))
         got = caught.value
         assert (got.height, got.txid, got.reason) == (n, txid, reason)
