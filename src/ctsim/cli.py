@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -27,22 +26,27 @@ from .report import (
 from .scenario import ConfigError, load_config
 from .sim import World
 
-log = logging.getLogger("ctsim")
+# libyaml's parser where PyYAML was built with it; it reads the same
+# documents into the same objects, several times faster
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
-def _setup_logging(level: str) -> None:
-    logging.basicConfig(level=getattr(logging, level.upper()),
-                        format="%(levelname)s %(name)s: %(message)s")
+def read_config(path):
+    """The scenario file at path, as the mapping load_config parses."""
+    with open(path) as fh:
+        return yaml.load(fh, Loader=_YAML_LOADER)
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        raw = read_config(args.config)
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cfg = load_config(raw)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed_override is not None:
         if not 0 <= args.seed_override < 2 ** 64:
@@ -51,8 +55,6 @@ def cmd_run(args) -> int:
         cfg.seed = args.seed_override
     os.makedirs(args.out_dir, exist_ok=True)
 
-    log.info("running scenario: seed=%d duration=%dms nodes=%d",
-             cfg.seed, cfg.duration_ms, len(cfg.nodes))
     world = World(cfg)
     try:
         world.run()
@@ -76,13 +78,6 @@ def cmd_run(args) -> int:
               f"at height {exc.height}", file=sys.stderr)
         return 1
     dump_report(report_path, report)
-
-    chain = report["chain"]
-    log.info("chain height %d, mean interval %s ms",
-             chain["height"], chain["mean_block_interval_ms"])
-    requests = report.get("requests", {})
-    if requests.get("total"):
-        log.info("requests: %s", requests["by_state"])
     print(render_trust_table(report))
     print(f"artifacts in {args.out_dir}: ledger.bin events.jsonl report.json")
     return 0
@@ -141,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctsim",
         description="Trust-chained identity federation simulator")
-    parser.add_argument("--log-level", default="warning",
-                        choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a scenario config")
@@ -169,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_logging(args.log_level)
     return args.fn(args)
 
 

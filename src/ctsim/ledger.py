@@ -16,6 +16,7 @@ undoing a block's mark takes back a popped or rejected block whole.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
@@ -463,6 +464,27 @@ def params_fault(p: ConsensusParams) -> tuple[str, str] | None:
     return None
 
 
+def register_fault(reg: RegisterData,
+                   registered: Collection[RegisterData]) -> str | None:
+    """The reason a REGISTER of reg after those of registered is refused,
+    or None."""
+    if not (0 <= reg.weight_sat <= ONE and 0 <= reg.weight_auth <= ONE):
+        return "WEIGHT_RANGE"
+    if reg.weight_sat == 0 and reg.weight_auth == 0:
+        return "WEIGHT_ZERO"
+    if not 0 <= reg.stake <= ONE:
+        return "STAKE_RANGE"
+    # trust weighs scores by the floored means of every registrant's
+    # weights (TrustState.global_weights), so one mean must stay nonzero
+    # once this registrant counts
+    n = len(registered) + 1
+    w_sat = reg.weight_sat + sum(r.weight_sat for r in registered)
+    w_auth = reg.weight_auth + sum(r.weight_auth for r in registered)
+    if w_sat < n and w_auth < n:
+        return "WEIGHT_MEAN_ZERO"
+    return None
+
+
 def genesis_params(header: BlockHeader) -> ConsensusParams | None:
     """The consensus parameters a genesis header carries, base_target in
     its own field and the rest packed in generator_pub; None if any of
@@ -770,22 +792,7 @@ class Chain:
             return "BAD_ENCODING"
         if tx.sender in self.registered:
             return "DUPLICATE_CSP"
-        if not (0 <= reg.weight_sat <= ONE and 0 <= reg.weight_auth <= ONE):
-            return "WEIGHT_RANGE"
-        if reg.weight_sat == 0 and reg.weight_auth == 0:
-            return "WEIGHT_ZERO"
-        if not 0 <= reg.stake <= ONE:
-            return "STAKE_RANGE"
-        # trust weighs scores by the floored means of every registrant's
-        # weights (TrustState.global_weights), so one mean must stay nonzero
-        # once this registrant counts
-        others = self.registered.values()
-        n = len(others) + 1
-        w_sat = reg.weight_sat + sum(r.weight_sat for r in others)
-        w_auth = reg.weight_auth + sum(r.weight_auth for r in others)
-        if w_sat < n and w_auth < n:
-            return "WEIGHT_MEAN_ZERO"
-        return None
+        return register_fault(reg, self.registered.values())
 
     # -- block application -------------------------------------------------
 

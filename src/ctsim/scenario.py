@@ -1,32 +1,43 @@
-"""Scenario configuration: YAML schema, validation, defaults.
+"""Scenario configuration: schema, validation, defaults.
 
-A scenario file pins everything a run needs: the seed, consensus timing,
-the node roster with stakes/weights/behaviors, link latencies, partition
-windows, and a scripted action timeline. Validation is strict and names the
-offending field; a config that parses is guaranteed internally consistent
-before the world is built.
+A scenario pins everything a run needs: the seed, consensus timing, the
+node roster with stakes/weights/behaviors, link latencies, partition
+windows, and a scripted action timeline. The loader takes the file's
+loaded mapping and reads each field with a typed reader, which checks the
+value's type before it hashes, compares or sums it; every error names the
+offending field, and a config that parses is internally consistent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .consensus import calibrate_base_target
 from .fixedpoint import ONE, fp_from
-from .ledger import ConsensusParams, RegisterData, params_fault
+from .ledger import ConsensusParams, RegisterData, params_fault, register_fault
 from .trust import BOOTSTRAP_TRUST, CredLabel, SatLabel
 
 LABEL_NAMES = {lbl.name: int(lbl) for lbl in (*CredLabel, *SatLabel)}
 
-# libyaml's parser where PyYAML was built with it; it reads the same
-# documents into the same objects, several times faster
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
 BEHAVIORS = ("honest", "tamperer", "double_issuer", "smearer", "flatterer")
-ACTION_KINDS = ("register_csp", "register_user", "request_access",
-                "iaas_share", "feedback")
+NODE_KEYS = ("name", "stake", "weights", "behavior", "trust_override")
+PACKED = ("block_interval_ms", "slot_ms", "k_bits", "time_cap_intervals")
+# the keys of each action besides at_ms and action
+ACTION_KEYS = {
+    "register_csp": NODE_KEYS,
+    "register_user": ("user", "home"),
+    "request_access": ("user", "target", "resource", "home",
+                       "bad_credential"),
+    "iaas_share": ("borrower", "lender", "resource"),
+    "feedback": ("request", "by", "label"),
+}
+# the action keys naming a provider, which must be registered by then
+PROVIDER_KEYS = ("home", "target", "borrower", "lender")
+# what the loader says of the weights for each reason ledger.register_fault
+# can give once the unit reader has held weights and stake to [0, 1]
+REGISTER_FAULTS = {"WEIGHT_ZERO": "must not both be zero",
+                   "WEIGHT_MEAN_ZERO": "the mean weights of this node and "
+                                       "those before it round to zero"}
 
 
 class ConfigError(Exception):
@@ -83,79 +94,105 @@ class ScenarioConfig:
     auto_feedback: bool = True
 
 
-def _require(cond: bool, field_name: str, msg: str) -> None:
-    if not cond:
-        raise ConfigError(f"{field_name}: {msg}")
+# a config's keys: its own fields, and how to read the stakes
+TOP_KEYS = (*ScenarioConfig.__dataclass_fields__, "normalize_stakes")
 
 
-def _as_fp_unit(value, field_name: str) -> int:
-    try:
-        fp = fp_from(value)
-    except Exception:
-        raise ConfigError(f"{field_name}: not a number") from None
-    _require(0 <= fp <= ONE, field_name, "must lie in [0, 1]")
-    return fp
+def _fail(where: str, msg: str):
+    raise ConfigError(f"{where}: {msg}")
 
 
-def load_config(source) -> ScenarioConfig:
-    """Parse and validate a scenario from a path or an already-loaded dict."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        with open(source) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a mapping")
+def _is(typ: type, value, where: str):
+    if not isinstance(value, typ):
+        _fail(where, {dict: "expected a mapping", list: "expected a list",
+                      bool: "must be a boolean"}[typ])
+    return value
 
-    _require("seed" in raw, "seed", "is mandatory")
-    seed = raw["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool)
-             and 0 <= seed < 2 ** 64, "seed",
-             "must be an integer in [0, 2^64)")
-    duration = raw.get("duration_ms", 30000)
-    _require(isinstance(duration, int) and duration > 0,
-             "duration_ms", "must be a positive integer")
 
-    nodes = _parse_nodes(raw.get("nodes"), raw.get("normalize_stakes", False))
-    cons = _parse_consensus(raw.get("consensus", {}), nodes)
-    names = {n.name for n in nodes}
-    links = _parse_links(raw.get("links", {}), names)
-
-    # actions may introduce nodes; collect those names before checking refs
-    actions = _parse_actions(raw.get("actions", []), names)
-    all_names = names | {a.fields["name"] for a in actions
-                         if a.kind == "register_csp"}
-    partitions = _parse_partitions(raw.get("partitions", []), all_names)
-
-    ttl = raw.get("token_ttl_intervals", 10)
-    _require(isinstance(ttl, int) and ttl > 0, "token_ttl_intervals",
-             "must be a positive integer")
-    timeout = raw.get("confirmation_timeout_intervals", 10)
-    _require(isinstance(timeout, int) and timeout > 0,
-             "confirmation_timeout_intervals", "must be a positive integer")
-    auto_fb = raw.get("auto_feedback", True)
-    _require(isinstance(auto_fb, bool), "auto_feedback", "must be a boolean")
-
-    known = {"seed", "duration_ms", "consensus", "nodes", "links",
-             "partitions", "actions", "token_ttl_intervals",
-             "confirmation_timeout_intervals", "auto_feedback",
-             "normalize_stakes"}
+def _keys(raw: dict, known, prefix: str, noun: str) -> None:
     for key in raw:
-        _require(key in known, str(key), "unknown top-level key")
+        if key not in known:
+            _fail(f"{prefix}{key}", f"unknown {noun} key")
 
-    return ScenarioConfig(seed=seed, duration_ms=duration, consensus=cons,
-                          nodes=nodes, links=links, partitions=partitions,
-                          actions=actions, token_ttl_intervals=ttl,
-                          confirmation_timeout_intervals=timeout,
-                          auto_feedback=auto_fb)
+
+def _need(raw: dict, key: str, prefix: str = ""):
+    if key not in raw:
+        _fail(f"{prefix}{key}", "is mandatory")
+    return raw[key]
+
+
+def _int(value, where: str, lo: int | None = 1, hi: int | None = None) -> int:
+    """An integer in [lo, hi), either bound None for none; a bool is
+    never a number."""
+    if (type(value) is not int or (lo is not None and value < lo)
+            or (hi is not None and value >= hi)):
+        rule = {None: "an", 0: "a non-negative", 1: "a positive"}[lo]
+        below = f" below 2^{hi.bit_length() - 1}" if hi else ""
+        _fail(where, f"must be {rule} integer{below}")
+    return value
+
+
+def _unit(value, where: str) -> int:
+    """A number in [0, 1], as fixed point."""
+    if type(value) not in (int, float):
+        _fail(where, "not a number")
+    if not 0 <= value <= 1:
+        _fail(where, "must lie in [0, 1]")
+    return fp_from(value)
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(where, "must be a nonempty string")
+    return value
+
+
+def _one_of(value, where: str, choices, msg: str | None = None) -> str:
+    if not isinstance(value, str) or value not in choices:
+        _fail(where, msg or f"must be one of {', '.join(choices)}")
+    return value
+
+
+def _register(spec: NodeSpec, where: str, registered: list[RegisterData],
+              first: int) -> None:
+    """Append spec's REGISTER to registered, or refuse it as the ledger
+    would on a node holding registered[:k], for any k from first on."""
+    reg = spec.register_data()
+    for k in range(first, len(registered) + 1):
+        fault = register_fault(reg, registered[:k])
+        if fault is not None:
+            _fail(f"{where}.weights", REGISTER_FAULTS[fault])
+    registered.append(reg)
+
+
+def load_config(raw) -> ScenarioConfig:
+    """Parse and validate a scenario from its loaded mapping."""
+    _keys(_is(dict, raw, "top level"), TOP_KEYS, "", "top-level")
+    seed = _int(_need(raw, "seed"), "seed", lo=0, hi=2 ** 64)
+    duration = _int(raw.get("duration_ms", 30000), "duration_ms")
+    nodes = _parse_nodes(raw.get("nodes"), _is(
+        bool, raw.get("normalize_stakes", False), "normalize_stakes"))
+    # the genesis registers the roster in listed order
+    registered: list[RegisterData] = []
+    for i, node in enumerate(nodes):
+        _register(node, f"nodes[{i}]", registered, i)
+    cons = _parse_consensus(raw.get("consensus", {}), nodes)
+    roster = {n.name for n in nodes}
+    links = _parse_links(raw.get("links", {}), roster)
+    actions, names = _parse_actions(raw.get("actions", []), roster,
+                                    registered)
+    partitions = _parse_partitions(raw.get("partitions", []), names)
+    ttl = _int(raw.get("token_ttl_intervals", 10), "token_ttl_intervals")
+    timeout = _int(raw.get("confirmation_timeout_intervals", 10),
+                   "confirmation_timeout_intervals")
+    auto_fb = _is(bool, raw.get("auto_feedback", True), "auto_feedback")
+    return ScenarioConfig(seed, duration, cons, nodes, links, partitions,
+                          actions, ttl, timeout, auto_fb)
 
 
 def _parse_consensus(raw, nodes: list[NodeSpec]) -> ConsensusParams:
-    _require(isinstance(raw, dict), "consensus", "expected a mapping")
-    packed = ("block_interval_ms", "slot_ms", "k_bits", "time_cap_intervals")
-    for key in raw:
-        _require(key in (*packed, "base_target"), f"consensus.{key}",
-                 "unknown consensus key")
+    _keys(_is(dict, raw, "consensus"), (*PACKED, "base_target"),
+          "consensus.", "consensus")
     base = raw.get("base_target", "auto")
     if base == "auto":
         # the genesis roster at bootstrap trust, a pinned provider at 0
@@ -164,211 +201,170 @@ def _parse_consensus(raw, nodes: list[NodeSpec]) -> ConsensusParams:
         try:
             base_fp = calibrate_base_target([n.stake for n in nodes], trusts)
         except ValueError:
-            raise ConfigError(
-                "consensus.base_target: auto needs a provider with nonzero "
-                "stake and no trust_override") from None
+            _fail("consensus.base_target", "auto needs a provider with "
+                  "nonzero stake and no trust_override")
     else:
-        base_fp = _as_fp_unit(base, "consensus.base_target")
-    params = ConsensusParams(base_fp,
-                             **{name: raw[name] for name in packed
-                                if name in raw})
-    for name in packed:
-        _require(isinstance(getattr(params, name), int), f"consensus.{name}",
-                 "must be an integer")
+        base_fp = _unit(base, "consensus.base_target")
+    params = ConsensusParams(base_fp, **{
+        name: _int(raw[name], f"consensus.{name}", lo=None)
+        for name in PACKED if name in raw})
     fault = params_fault(params)
     if fault is not None:
-        raise ConfigError(f"consensus.{fault[0]}: {fault[1]}")
+        _fail(f"consensus.{fault[0]}", fault[1])
     return params
 
 
-def _parse_one_node(raw, where: str) -> NodeSpec:
-    _require(isinstance(raw, dict), where, "expected a mapping")
-    _require("name" in raw, f"{where}.name", "is mandatory")
-    name = raw["name"]
-    _require(isinstance(name, str) and name and ":" not in name,
-             f"{where}.name", "must be a nonempty string without ':'")
-    _require("stake" in raw, f"{where}.stake", "is mandatory")
-    stake = _as_fp_unit(raw["stake"], f"{where}.stake")
+def _parse_node(raw, where: str) -> NodeSpec:
+    _keys(_is(dict, raw, where), NODE_KEYS, f"{where}.", "node")
+    name = _str(raw.get("name"), f"{where}.name")
+    if ":" in name:
+        _fail(f"{where}.name", "must not contain ':'")
+    stake = _unit(_need(raw, "stake", f"{where}."), f"{where}.stake")
     weights = raw.get("weights", [0.5, 0.5])
-    _require(isinstance(weights, (list, tuple)) and len(weights) == 2,
-             f"{where}.weights", "expected [satisfaction, authentication]")
-    w_sat = _as_fp_unit(weights[0], f"{where}.weights[0]")
-    w_auth = _as_fp_unit(weights[1], f"{where}.weights[1]")
-    _require(w_sat + w_auth > 0, f"{where}.weights", "must not both be zero")
-    behavior = raw.get("behavior", "honest")
-    _require(behavior in BEHAVIORS, f"{where}.behavior",
-             f"must be one of {', '.join(BEHAVIORS)}")
+    if not isinstance(weights, list) or len(weights) != 2:
+        _fail(f"{where}.weights", "expected [satisfaction, authentication]")
+    w_sat = _unit(weights[0], f"{where}.weights[0]")
+    w_auth = _unit(weights[1], f"{where}.weights[1]")
+    behavior = _one_of(raw.get("behavior", "honest"), f"{where}.behavior",
+                       BEHAVIORS)
     override = raw.get("trust_override")
     if override is not None:
-        override = _as_fp_unit(override, f"{where}.trust_override")
         # nonzero pins would make ledgers fail offline verification
-        _require(override == 0, f"{where}.trust_override",
-                 "only 0 is supported (consensus exclusion)")
-    known = {"name", "stake", "weights", "behavior", "trust_override"}
-    for key in raw:
-        _require(key in known, f"{where}.{key}", "unknown node key")
+        if _unit(override, f"{where}.trust_override") != 0:
+            _fail(f"{where}.trust_override",
+                  "only 0 is supported (consensus exclusion)")
+        override = 0
     return NodeSpec(name, stake, w_sat, w_auth, behavior, override)
 
 
 def _parse_nodes(raw, normalize: bool) -> list[NodeSpec]:
-    _require(isinstance(raw, list) and len(raw) >= 1, "nodes",
-             "at least one node is required")
-    nodes = [_parse_one_node(n, f"nodes[{i}]") for i, n in enumerate(raw)]
-    # the genesis registers the roster in order, and the ledger rejects a
-    # REGISTER after which both floored mean weights are zero
-    sums = [0, 0]
-    for count, n in enumerate(nodes, 1):
-        sums = [sums[0] + n.weight_sat, sums[1] + n.weight_auth]
-        _require(max(sums) >= count, f"nodes[{count - 1}].weights",
-                 "the mean weights of this node and those before it "
-                 "round to zero")
+    if not isinstance(raw, list) or not raw:
+        _fail("nodes", "at least one node is required")
+    nodes = [_parse_node(n, f"nodes[{i}]") for i, n in enumerate(raw)]
     names = [n.name for n in nodes]
-    _require(len(set(names)) == len(names), "nodes", "duplicate node name")
+    if len(set(names)) != len(names):
+        _fail("nodes", "duplicate node name")
     total = sum(n.stake for n in nodes)
     if normalize:
-        _require(total > 0, "nodes", "stakes sum to zero")
+        if total == 0:
+            _fail("nodes", "stakes sum to zero")
         scaled = [n.stake * ONE // total for n in nodes]
         scaled[0] += ONE - sum(scaled)  # remainder to the first node
         for n, s in zip(nodes, scaled):
             n.stake = s
-    else:
-        _require(total == ONE, "nodes",
-                 "stakes must sum to 1 (or set normalize_stakes: true)")
+    elif total != ONE:
+        _fail("nodes", "stakes must sum to 1 (or set normalize_stakes: true)")
     return nodes
 
 
 def _parse_links(raw, names: set[str]) -> LinkCfg:
-    _require(isinstance(raw, dict), "links", "expected a mapping")
-    cfg = LinkCfg()
-    default = raw.get("default_latency_ms", cfg.default_latency_ms)
-    _require(isinstance(default, int) and default > 0,
-             "links.default_latency_ms", "must be a positive integer")
-    jitter = raw.get("jitter_ms", cfg.jitter_ms)
-    _require(isinstance(jitter, int) and jitter >= 0,
-             "links.jitter_ms", "must be a non-negative integer")
+    _keys(_is(dict, raw, "links"),
+          ("default_latency_ms", "jitter_ms", "overrides"), "links.", "link")
     overrides = {}
-    for i, entry in enumerate(raw.get("overrides", [])):
+    for i, entry in enumerate(_is(list, raw.get("overrides", []),
+                                  "links.overrides")):
         where = f"links.overrides[{i}]"
-        _require(isinstance(entry, dict), where, "expected a mapping")
-        src, dst = entry.get("from"), entry.get("to")
-        _require(src in names, f"{where}.from", "unknown node")
-        _require(dst in names, f"{where}.to", "unknown node")
-        lat = entry.get("latency_ms")
-        _require(isinstance(lat, int) and lat > 0, f"{where}.latency_ms",
-                 "must be a positive integer")
-        overrides[(src, dst)] = lat
-    known = {"default_latency_ms", "jitter_ms", "overrides"}
-    for key in raw:
-        _require(key in known, f"links.{key}", "unknown link key")
-    return LinkCfg(default, jitter, overrides)
+        src = _one_of(_is(dict, entry, where).get("from"), f"{where}.from",
+                      names, "unknown node")
+        dst = _one_of(entry.get("to"), f"{where}.to", names, "unknown node")
+        overrides[(src, dst)] = _int(entry.get("latency_ms"),
+                                     f"{where}.latency_ms")
+    return LinkCfg(
+        _int(raw.get("default_latency_ms", LinkCfg.default_latency_ms),
+             "links.default_latency_ms"),
+        _int(raw.get("jitter_ms", LinkCfg.jitter_ms), "links.jitter_ms", lo=0),
+        overrides)
 
 
 def _parse_partitions(raw, names: set[str]) -> list[PartitionSpec]:
-    _require(isinstance(raw, list), "partitions", "expected a list")
     out = []
-    last_at = -1
-    for i, entry in enumerate(raw):
+    last_at = 0
+    for i, entry in enumerate(_is(list, raw, "partitions")):
         where = f"partitions[{i}]"
-        _require(isinstance(entry, dict), where, "expected a mapping")
-        at = entry.get("at_ms")
-        _require(isinstance(at, int) and at >= 0, f"{where}.at_ms",
-                 "must be a non-negative integer")
-        _require(at >= last_at, f"{where}.at_ms", "must be non-decreasing")
+        at = _int(_is(dict, entry, where).get("at_ms"), f"{where}.at_ms", lo=0)
+        if at < last_at:
+            _fail(f"{where}.at_ms", "must be non-decreasing")
         last_at = at
-        if entry.get("heal"):
+        if _is(bool, entry.get("heal", False), f"{where}.heal"):
             out.append(PartitionSpec(at, None))
             continue
-        groups_raw = entry.get("groups")
-        _require(isinstance(groups_raw, list) and len(groups_raw) >= 2,
-                 f"{where}.groups", "need at least two groups (or heal: true)")
+        groups = entry.get("groups")
+        if not isinstance(groups, list) or len(groups) < 2:
+            _fail(f"{where}.groups", "need at least two groups (or heal: true)")
         seen: set[str] = set()
-        groups = []
-        for g in groups_raw:
-            _require(isinstance(g, list) and g, f"{where}.groups",
-                     "each group is a nonempty list of node names")
-            for member in g:
-                _require(member in names, f"{where}.groups",
-                         f"unknown node {member!r}")
-                _require(member not in seen, f"{where}.groups",
-                         f"node {member!r} appears in two groups")
+        for j, group in enumerate(groups):
+            if not isinstance(group, list) or not group:
+                _fail(f"{where}.groups",
+                      "each group is a nonempty list of node names")
+            for k, member in enumerate(group):
+                _one_of(member, f"{where}.groups[{j}][{k}]", names,
+                        "unknown node")
+                if member in seen:
+                    _fail(f"{where}.groups",
+                          f"node {member!r} appears in two groups")
                 seen.add(member)
-            groups.append(frozenset(g))
-        out.append(PartitionSpec(at, groups))
+        out.append(PartitionSpec(at, [frozenset(g) for g in groups]))
     return out
 
 
-def _parse_actions(raw, initial_names: set[str]) -> list[ActionSpec]:
-    """The actions in the order they run, by at_ms and then as listed.
-    A provider an action names must be registered before it runs."""
-    _require(isinstance(raw, list), "actions", "expected a list")
-    out = []
-    req_counter = 0
-    # provider name -> (at_ms, listed position) of its registration
-    born = {name: (-1, -1) for name in initial_names}
-    refs = []   # (field, provider name, (at_ms, listed position))
-    for i, entry in enumerate(raw):
+def _parse_actions(raw, roster: set[str], registered: list[RegisterData]
+                   ) -> tuple[list[ActionSpec], set[str]]:
+    """The actions in the order they run, by at_ms and then as listed,
+    and every provider's name.
+    A provider an action names must be registered before it runs. Each
+    register_csp must pass the ledger's registration rule after the roster
+    and any run-order prefix of the registrations before it: its own node
+    starts from the genesis, and another node may not hold them all yet."""
+    names = set(roster)
+    listed = []     # (at_ms, listed position, action, provider references)
+    requests = 0
+    for i, entry in enumerate(_is(list, raw, "actions")):
         where = f"actions[{i}]"
-        _require(isinstance(entry, dict), where, "expected a mapping")
-        at = entry.get("at_ms")
-        _require(isinstance(at, int) and at >= 0, f"{where}.at_ms",
-                 "must be a non-negative integer")
-        kind = entry.get("action")
-        _require(kind in ACTION_KINDS, f"{where}.action",
-                 f"must be one of {', '.join(ACTION_KINDS)}")
+        at = _int(_is(dict, entry, where).get("at_ms"), f"{where}.at_ms", lo=0)
+        kind = _one_of(entry.get("action"), f"{where}.action",
+                       tuple(ACTION_KEYS))
         fields = {k: v for k, v in entry.items() if k not in ("at_ms", "action")}
-        req_id = None
+        known = ACTION_KEYS[kind]
+        _keys(fields, known, f"{where}.", "action")
+        for key in ("user", "resource", "request"):
+            if key in known:
+                _str(fields.get(key), f"{where}.{key}")
+        _is(bool, fields.get("bad_credential", False),
+            f"{where}.bad_credential")
+        refs = {key: fields.get(key) for key in PROVIDER_KEYS if key in known}
+        if kind == "request_access" and "home" not in fields:
+            del refs["home"]    # optional: the user's first home serves
         if kind == "register_csp":
-            spec = _parse_one_node(fields, where)
-            _require(spec.name not in born, f"{where}.name",
-                     "provider name already used")
-            born[spec.name] = (at, i)
-            fields = {"name": spec.name, "spec": spec}
-        elif kind == "register_user":
-            _require(isinstance(fields.get("user"), str) and fields.get("user"),
-                     f"{where}.user", "is mandatory")
-            refs.append((f"{where}.home", fields.get("home"), (at, i)))
-        elif kind == "request_access":
-            _require(isinstance(fields.get("user"), str) and fields.get("user"),
-                     f"{where}.user", "is mandatory")
-            refs.append((f"{where}.target", fields.get("target"), (at, i)))
-            _require(isinstance(fields.get("resource"), str)
-                     and fields.get("resource"), f"{where}.resource",
-                     "is mandatory")
-            if "home" in fields:
-                refs.append((f"{where}.home", fields["home"], (at, i)))
-            _require(isinstance(fields.get("bad_credential", False), bool),
-                     f"{where}.bad_credential", "must be a boolean")
-            req_counter += 1
-            req_id = f"req-{req_counter}"
-        elif kind == "iaas_share":
-            refs.append((f"{where}.borrower", fields.get("borrower"), (at, i)))
-            refs.append((f"{where}.lender", fields.get("lender"), (at, i)))
-            _require(fields.get("borrower") != fields.get("lender"), where,
-                     "borrower and lender must differ")
-            _require(isinstance(fields.get("resource"), str)
-                     and fields.get("resource"), f"{where}.resource",
-                     "is mandatory")
-            req_counter += 1
-            req_id = f"req-{req_counter}"
-        else:  # feedback
-            ref = fields.get("request")
-            _require(isinstance(ref, str) and ref.startswith("req-"),
-                     f"{where}.request", "must reference a request id")
-            _require(fields.get("by") in ("home", "foreign"), f"{where}.by",
-                     "must be 'home' or 'foreign'")
-            label = fields.get("label")
-            _require(label in LABEL_NAMES, f"{where}.label",
-                     f"must be one of {', '.join(sorted(LABEL_NAMES))}")
-            by = fields["by"]
+            spec = _parse_node(fields, where)
+            if spec.name in names:
+                _fail(f"{where}.name", "provider name already used")
+            names.add(spec.name)
+            fields = {"spec": spec}
+        elif kind == "iaas_share" and refs["borrower"] == refs["lender"]:
+            _fail(where, "borrower and lender must differ")
+        elif kind == "feedback":
+            if not fields["request"].startswith("req-"):
+                _fail(f"{where}.request", "must reference a request id")
+            by = _one_of(fields.get("by"), f"{where}.by", ("home", "foreign"))
+            label = _one_of(fields.get("label"), f"{where}.label",
+                            sorted(LABEL_NAMES))
             # home rates on the satisfaction scale, foreign on credibility
-            want_sat = by == "home"
-            _require((LABEL_NAMES[label] >= 5) == want_sat, f"{where}.label",
-                     "scale does not match the rating party")
-        out.append(ActionSpec(at, kind, fields, req_id))
-    for field_name, name, when in refs:
-        _require(isinstance(name, str) and name in born, field_name,
-                 "unknown provider")
-        _require(born[name] < when, field_name,
-                 "provider registers only after this action runs")
-    out.sort(key=lambda a: a.at_ms)  # stable: ties keep listed order
-    return out
+            if (LABEL_NAMES[label] >= 5) != (by == "home"):
+                _fail(f"{where}.label", "scale does not match the rating party")
+        req_id = None
+        if kind in ("request_access", "iaas_share"):
+            requests += 1
+            req_id = f"req-{requests}"
+        listed.append((at, i, ActionSpec(at, kind, fields, req_id), refs))
+    listed.sort(key=lambda a: a[:2])    # run order
+    born = set(roster)
+    for _, i, action, refs in listed:
+        for key, name in refs.items():
+            where = f"actions[{i}].{key}"
+            if _one_of(name, where, names, "unknown provider") not in born:
+                _fail(where, "provider registers only after this action runs")
+        if action.kind == "register_csp":
+            spec = action.fields["spec"]
+            _register(spec, f"actions[{i}]", registered, len(roster))
+            born.add(spec.name)
+    return [action for _, _, action, _ in listed], names

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from ctsim import crypto, sim
+from ctsim.cli import read_config
 from ctsim.crypto import CryptoError, KeyPair, generate_keypair, sha256
 from ctsim.scenario import load_config
 from ctsim.sim import World
@@ -124,7 +125,7 @@ def test_run_raising_midway_kills_its_helpers(forks, monkeypatch):
             raise RuntimeError("midway")
         real_step(self, kind, data)
     monkeypatch.setattr(World, "_step", step)
-    world = World(load_config(SCENARIOS / "adversaries.yaml"))
+    world = World(load_config(read_config(SCENARIOS / "adversaries.yaml")))
     with pytest.raises(RuntimeError, match="midway"):
         world.run()
     assert len(forks) == 1
@@ -150,7 +151,7 @@ def test_a_key_that_does_not_match_fails_the_run(cpus, helpers, forks,
     if helpers == "dying":
         dying_checkers(monkeypatch)
     with pytest.raises(CryptoError):
-        World(load_config(SCENARIOS / "demo.yaml")).run()
+        World(load_config(read_config(SCENARIOS / "demo.yaml"))).run()
     assert_no_child_left()
     assert len(forks) == (cpus > 1)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ctsim import federation
+from ctsim import federation, report
 from ctsim.crypto import resource_address
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import TxKind
@@ -160,6 +160,10 @@ def test_answer_after_timeout_is_ignored(bad_credential):
     assert [s for s, _ in states][-1] \
         == ("DENIED" if bad_credential else "TOKEN_ISSUED")
     assert not world.nodes["beta"].pending
+    # the report keeps the denial, not the state the late answer logs
+    section = report._request_section(world.events)
+    assert (section["by_state"], section["by_reason"]) \
+        == ({"DENIED": 1}, {"TOKEN_TIMEOUT": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from ctsim import cli, consensus, ledger, scenario
+from ctsim import cli, consensus, ledger
 from ctsim.cli import main
 from ctsim.crypto import ZERO_DIGEST, DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from
@@ -64,6 +64,8 @@ def test_stakes_must_cover_the_pie():
     cfg = base_cfg(nodes=nodes, normalize_stakes=True)
     parsed = load_config(cfg)
     assert sum(n.stake for n in parsed.nodes) == ONE
+    bad(base_cfg(nodes=[{"name": "a", "stake": 0}], normalize_stakes=True),
+        "nodes: stakes sum to zero")
 
 
 def test_normalization_puts_remainder_first():
@@ -151,6 +153,9 @@ def test_action_validation():
                            "borrower": "alpha", "lender": "alpha",
                            "resource": "r"}]),
         "must differ")
+    bad(base_cfg(actions=[{"at_ms": 0, "action": "register_csp",
+                           "name": "alpha", "stake": 0.1}]),
+        "actions[0].name: provider name already used")
 
 
 def _run_exits_2(raw, tmp_path, field):
@@ -407,6 +412,37 @@ def test_weights_whose_means_floor_to_zero_exit_2(tmp_path):
     assert not list(tmp_path.glob("*.bin"))
 
 
+TWO = [{"name": "a", "stake": 0.5}, {"name": "b", "stake": 0.5}]
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"actions": [{"at_ms": 500, "action": "request_access", "user": "u",
+                   "target": "b", "resource": "r"},
+                  {"at_ms": 900, "action": "feedback", "request": "req-1",
+                   "by": "home", "label": ["SATISFIED"]}]},
+     "actions[1].label"),
+    ({"links": {"overrides": [{"from": ["a"], "to": "b", "latency_ms": 5}]}},
+     "links.overrides[0].from"),
+    ({"links": {"overrides": [{"from": "a", "to": ["b"], "latency_ms": 5}]}},
+     "links.overrides[0].to"),
+    ({"partitions": [{"at_ms": 100, "groups": [[["a"]], ["b"]]}]},
+     "partitions[0].groups[0][0]"),
+    ({"duration_ms": True}, "duration_ms"),
+    ({"partitions": [{"at_ms": 100, "heal": [1]}]}, "partitions[0].heal"),
+    ({"nodes": [{"name": "a", "stake": True}]}, "nodes[0].stake"),
+    # the ledger would refuse b's REGISTER as WEIGHT_MEAN_ZERO, and b
+    # would run unregistered
+    ({"nodes": [{"name": "a", "stake": 1, "weights": TINY_WEIGHTS[0]}],
+      "actions": [{"at_ms": 1000, "action": "register_csp", "name": "b",
+                   "stake": 0.5, "weights": TINY_WEIGHTS[1]}]},
+     "actions[0].weights"),
+], ids=["list-label", "list-from", "list-to", "list-member",
+        "bool-duration", "list-heal", "bool-stake", "late-mean-zero"])
+def test_values_the_loader_once_took_exit_2(overrides, field, tmp_path):
+    raw = {**base_cfg(nodes=TWO, duration_ms=8000), **overrides}
+    _run_exits_2(raw, tmp_path, field)
+
+
 def test_genesis_whose_mean_weights_floor_to_zero_fails(tmp_path):
     regs = [build_register_tx(generate_keypair(DetRng(i).take(32)),
                               RegisterData(fp_from(w_sat), fp_from(w_auth),
@@ -475,10 +511,10 @@ def test_libyaml_and_pure_loaders_agree(monkeypatch, tmp_path):
     crowd.write_text(perfbench_module("workloads").scenario_yaml("crowd", 1))
     paths = [SCENARIOS / f"{name}.yaml" for name in sorted(PINNED)] + [crowd]
     for path in paths:
-        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.CSafeLoader)
-        fast = load_config(path)
-        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.SafeLoader)
-        assert load_config(path) == fast, path.name
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.CSafeLoader)
+        fast = load_config(cli.read_config(path))
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(cli.read_config(path)) == fast, path.name
 
 
 def test_verify_accepts_and_reports(run_dir):

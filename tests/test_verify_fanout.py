@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from ctsim import crypto
-from ctsim.cli import main
+from ctsim.cli import main, read_config
 from ctsim.ledger import Block, read_ledger, write_ledger
 from ctsim.scenario import load_config
 from ctsim.sim import World
@@ -35,7 +35,7 @@ def _with_tx(blk: Block, n: int, **fields) -> Block:
 @pytest.fixture(scope="module")
 def ledgers(tmp_path_factory):
     """The demo ledger and copies with one fault each, by name."""
-    world = World(load_config(SCENARIOS / "demo.yaml"))
+    world = World(load_config(read_config(SCENARIOS / "demo.yaml")))
     world.run()
     blocks = list(world.canonical.chain.blocks)
     first = next(h for h, b in enumerate(blocks) if h and b.txs)
