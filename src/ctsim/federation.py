@@ -115,9 +115,7 @@ def register_csp(world, spec) -> None:
     """Bring a provider online mid-run; it announces itself on-chain."""
     key = world._provider_key(spec)
     node = world._add_node(spec, key)
-    tx = build_register_tx(key, spec.register_data())
-    node.wallet_prev = tx.txid
-    world.broadcast_tx(node, tx)
+    world.broadcast_tx(node, build_register_tx(key, spec.register_data()))
 
 
 def register_user(world, home_name: str, username: str) -> None:
@@ -230,10 +228,8 @@ def _on_auth_request(world, home, src: str, payload: dict) -> None:
     resource = resource_address(payload["resource"])
     token = _pick_token(world, home, record.pseudonym, foreign.address,
                         resource)
-    tx = build_token_tx(home.key, record.profile, resource,
-                        foreign.key.pub_bytes, token, home.wallet_prev,
-                        home.rng, home.ref_in)
-    home.wallet_prev = home.ref_in = tx.txid
+    tx = build_token_tx(home.key, record.profile, foreign.key.pub_bytes,
+                        token, home.rng)
     home.last_token = token
     world.broadcast_tx(home, tx)
     world.requests[req_id].token_id = token.token_id
@@ -382,13 +378,12 @@ def submit_feedback(world, node, token: AccessToken, label: int) -> None:
     fb = FeedbackData(rater=node.address, subject=subject,
                       user=token.pseudonym, label=label,
                       token_id=token.token_id)
-    tx = build_feedback_tx(node.key, fb, node.wallet_prev)
+    tx = build_feedback_tx(node.key, fb)
     reason = node.chain.validate_tx(tx)
     if reason is not None and reason not in TRANSIENT_REASONS:
         world.log_event("feedback_dropped", node=node.name, label=label,
                         reason=reason, token=token.token_id.hex())
         return
-    node.wallet_prev = tx.txid
     world.log_event("feedback_submitted", node=node.name, label=label,
                     subject=subject.hex(), token=token.token_id.hex())
     world.broadcast_tx(node, tx)

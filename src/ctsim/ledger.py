@@ -1,9 +1,11 @@
 """On-chain data model: tokens, transactions, blocks, chain state, file I/O.
 
-Wire encodings are canonical big-endian with explicit length prefixes, so a
-transaction id is simply the digest of its serialized fields and any byte
-flip anywhere in a persisted ledger breaks a digest, a signature, or the
-strict framing. Parsing is strict: every length must be consumed exactly.
+A transaction is (kind, payload, sender_pub, txid, sig), its payload parsed
+by kind. Wire encodings are canonical big-endian with explicit length
+prefixes, so a transaction id is simply the digest of its serialized fields
+and any byte flip anywhere in a persisted ledger breaks a digest, a
+signature, or the strict framing. Parsing is strict: every length must be
+consumed exactly.
 
 The chain tracks three uniqueness indices next to the block list: token ids
 (a token exists in at most one transaction), (issuer, nonce) pairs, and
@@ -29,9 +31,8 @@ from .fixedpoint import ONE
 # Constants
 # ===========================================================================
 
-LEDGER_MAGIC = b"CTSIM1\n"
-# the optional last byte of a REGISTER payload; absent unless pinned, so
-# an unpinned registration keeps its bytes and old ledgers parse unchanged
+LEDGER_MAGIC = b"CTSIM2\n"
+# the optional last byte of a REGISTER payload, absent unless pinned
 REGISTER_PINNED = b"\x01"
 
 DIGEST_LEN = crypto.DIGEST_LEN
@@ -41,8 +42,7 @@ ZERO_DIGEST = crypto.ZERO_DIGEST
 # parse-time caps; anything beyond these is a malformed ledger, not data
 MAX_PRIVILEGES = 64
 MAX_PRIVILEGE_LEN = 4096
-MAX_PAYLOAD_LEN = 65536
-MAX_CIPHERTEXT_LEN = 1 << 20
+MAX_PAYLOAD_LEN = 1 << 20
 MAX_TXS_PER_BLOCK = 10000
 MAX_BLOCK_LEN = 1 << 24
 
@@ -174,28 +174,9 @@ def _parse_token(r: _Reader) -> AccessToken:
 # ===========================================================================
 
 @dataclass(frozen=True)
-class TxInput:
-    index: int
-    ref_in: bytes           # issuer's previous input-bearing txid, or zero
-    enc_user: Ciphertext    # user profile encrypted for the recipient
-    resource: bytes
-
-
-@dataclass(frozen=True)
-class TxOutput:
-    index: int
-    ref_out: bytes
-    token: AccessToken
-    recipient: bytes
-
-
-@dataclass(frozen=True)
 class Transaction:
     kind: TxKind
-    inputs: tuple[TxInput, ...]
-    outputs: tuple[TxOutput, ...]
-    prev_tx: bytes          # sender's previous txid, zero for the first
-    payload: bytes
+    payload: bytes          # parsed by kind through .data
     sender_pub: bytes
     txid: bytes
     sig: bytes
@@ -213,19 +194,27 @@ class Transaction:
         return sha256(canonical_serialize(self)) == self.txid
 
     @cached_property
-    def data(self) -> FeedbackData | RegisterData | None:
-        """The parsed FEEDBACK or REGISTER payload, None for a TOKEN tx;
-        raises LedgerError on a malformed payload."""
+    def data(self) -> TokenData | FeedbackData | RegisterData:
+        """The parsed payload; raises LedgerError on a malformed one."""
+        if self.kind == TxKind.TOKEN:
+            return parse_token_data(self.payload)
         if self.kind == TxKind.FEEDBACK:
             return parse_feedback(self.payload)
-        if self.kind == TxKind.REGISTER:
-            return parse_register(self.payload)
-        return None
+        return parse_register(self.payload)
 
     @property
     def sig_triple(self) -> tuple[bytes, bytes, bytes]:
         """What validate_tx passes to crypto.verify."""
         return self.sender_pub, self.txid, self.sig
+
+
+@dataclass(frozen=True)
+class TokenData:
+    """Payload of a TOKEN transaction: the token, and the user profile
+    encrypted for the token's audience. Only addresses are in clear."""
+
+    token: AccessToken
+    enc_user: Ciphertext
 
 
 @dataclass(frozen=True)
@@ -261,51 +250,15 @@ def _ser_ciphertext(ct: Ciphertext) -> bytes:
 def _parse_ciphertext(r: _Reader) -> Ciphertext:
     eph = r.take(crypto.PUBKEY_LEN)
     nonce = r.take(12)
-    blen = r.u32()
-    if blen > MAX_CIPHERTEXT_LEN:
-        raise LedgerError("BAD_ENCODING", "ciphertext length")
-    body = r.take(blen)
+    body = r.take(r.u32())
     tag = r.take(16)
     return Ciphertext(eph, nonce, body, tag)
 
 
-def _ser_input(txin: TxInput) -> bytes:
-    return b"".join([_u32(txin.index), txin.ref_in,
-                     _ser_ciphertext(txin.enc_user), txin.resource])
-
-
-def _parse_input(r: _Reader) -> TxInput:
-    index = r.u32()
-    ref_in = r.take(DIGEST_LEN)
-    enc_user = _parse_ciphertext(r)
-    resource = r.take(ADDRESS_LEN)
-    return TxInput(index, ref_in, enc_user, resource)
-
-
-def _ser_output(txout: TxOutput) -> bytes:
-    return b"".join([_u32(txout.index), txout.ref_out,
-                     ser_token(txout.token), txout.recipient])
-
-
-def _parse_output(r: _Reader) -> TxOutput:
-    index = r.u32()
-    ref_out = r.take(DIGEST_LEN)
-    token = _parse_token(r)
-    recipient = r.take(ADDRESS_LEN)
-    return TxOutput(index, ref_out, token, recipient)
-
-
 def canonical_serialize(tx: Transaction) -> bytes:
     """Everything the txid covers: all fields except txid and sig."""
-    parts = [_u8(tx.kind), _u16(len(tx.inputs))]
-    parts += [_ser_input(i) for i in tx.inputs]
-    parts.append(_u16(len(tx.outputs)))
-    parts += [_ser_output(o) for o in tx.outputs]
-    parts.append(tx.prev_tx)
-    parts.append(_u32(len(tx.payload)))
-    parts.append(tx.payload)
-    parts.append(tx.sender_pub)
-    return b"".join(parts)
+    return b"".join([_u8(tx.kind), _u32(len(tx.payload)), tx.payload,
+                     tx.sender_pub])
 
 
 def tx_to_wire(tx: Transaction) -> bytes:
@@ -320,11 +273,6 @@ def tx_from_wire(data: bytes) -> Transaction:
         kind = TxKind(kind_raw)
     except ValueError:
         raise LedgerError("BAD_ENCODING", f"unknown tx kind {kind_raw}") from None
-    n_in = r.u16()
-    inputs = tuple(_parse_input(r) for _ in range(n_in))
-    n_out = r.u16()
-    outputs = tuple(_parse_output(r) for _ in range(n_out))
-    prev_tx = r.take(DIGEST_LEN)
     plen = r.u32()
     if plen > MAX_PAYLOAD_LEN:
         raise LedgerError("BAD_ENCODING", "payload length")
@@ -334,18 +282,29 @@ def tx_from_wire(data: bytes) -> Transaction:
     if not r.done():
         raise LedgerError("BAD_ENCODING", "trailing bytes after transaction")
     # Every field is fixed-width or length-prefixed, so the accepted bytes
-    # are exactly tx_to_wire of the result; checking the txid is the
-    # validator's job.
-    return Transaction(kind, inputs, outputs, prev_tx, payload, sender_pub,
-                       txid, sig)
+    # are exactly tx_to_wire of the result; checking the txid and parsing
+    # the payload are the validator's job.
+    return Transaction(kind, payload, sender_pub, txid, sig)
 
 
-def make_transaction(kind: TxKind, inputs, outputs, prev_tx: bytes,
-                     payload: bytes, key: KeyPair) -> Transaction:
-    tx = Transaction(kind, tuple(inputs), tuple(outputs), prev_tx, payload,
-                     key.pub_bytes, b"", b"")
+def make_transaction(kind: TxKind, payload: bytes,
+                     key: KeyPair) -> Transaction:
+    tx = Transaction(kind, payload, key.pub_bytes, b"", b"")
     txid = sha256(canonical_serialize(tx))
     return replace(tx, txid=txid, sig=crypto.sign(key, txid))
+
+
+def ser_token_data(td: TokenData) -> bytes:
+    return ser_token(td.token) + _ser_ciphertext(td.enc_user)
+
+
+def parse_token_data(payload: bytes) -> TokenData:
+    r = _Reader(payload)
+    token = _parse_token(r)
+    enc_user = _parse_ciphertext(r)
+    if not r.done():
+        raise LedgerError("BAD_ENCODING", "trailing token bytes")
+    return TokenData(token, enc_user)
 
 
 def ser_feedback(fb: FeedbackData) -> bytes:
@@ -383,39 +342,25 @@ def parse_register(payload: bytes) -> RegisterData:
 # Builders
 # ===========================================================================
 
-def build_token_tx(issuer: KeyPair, user_info: bytes, resource: bytes,
-                   recipient_pub: bytes, token: AccessToken, prev_tx: bytes,
-                   rng: DetRng, ref: bytes = ZERO_DIGEST) -> Transaction:
-    """Issue a token: one encrypted-user input, one token output, signed.
-
-    The user profile is encrypted for the recipient provider's key; only
-    addresses appear in clear on the chain. Input and output both
-    reference ref, the issuer's previous token transaction.
-    """
-    recipient = crypto.address_of(recipient_pub)
+def build_token_tx(issuer: KeyPair, user_info: bytes, audience_pub: bytes,
+                   token: AccessToken, rng: DetRng) -> Transaction:
+    """Issue a token: the token and the user profile encrypted for the
+    audience's key, signed by the issuer."""
     if token.issuer != issuer.address:
         raise LedgerError("TOKEN_SHAPE", "issuer key does not match token issuer")
-    if token.audience != recipient:
-        raise LedgerError("AUDIENCE_MISMATCH", "token audience is not the recipient")
-    enc = crypto.encrypt_for(recipient_pub, user_info, rng)
-    txin = TxInput(0, ref, enc, resource)
-    txout = TxOutput(0, ref, token, recipient)
-    return make_transaction(TxKind.TOKEN, (txin,), (txout,), prev_tx, b"",
-                            issuer)
+    enc = crypto.encrypt_for(audience_pub, user_info, rng)
+    payload = ser_token_data(TokenData(token, enc))
+    return make_transaction(TxKind.TOKEN, payload, issuer)
 
 
-def build_feedback_tx(rater: KeyPair, fb: FeedbackData,
-                      prev_tx: bytes) -> Transaction:
+def build_feedback_tx(rater: KeyPair, fb: FeedbackData) -> Transaction:
     if fb.rater != rater.address:
         raise LedgerError("RATER_MISMATCH", "feedback rater is not the signing key")
-    return make_transaction(TxKind.FEEDBACK, (), (), prev_tx,
-                            ser_feedback(fb), rater)
+    return make_transaction(TxKind.FEEDBACK, ser_feedback(fb), rater)
 
 
-def build_register_tx(key: KeyPair, reg: RegisterData,
-                      prev_tx: bytes = ZERO_DIGEST) -> Transaction:
-    return make_transaction(TxKind.REGISTER, (), (), prev_tx,
-                            ser_register(reg), key)
+def build_register_tx(key: KeyPair, reg: RegisterData) -> Transaction:
+    return make_transaction(TxKind.REGISTER, ser_register(reg), key)
 
 
 # ===========================================================================
@@ -726,25 +671,23 @@ class Chain:
             return "DUPLICATE_TX"
         if not crypto.verify(*tx.sig_triple):
             return "BAD_SIGNATURE"
+        try:
+            data = tx.data
+        except LedgerError:
+            return "BAD_ENCODING"
         if tx.kind == TxKind.TOKEN:
-            return self._validate_token_tx(tx)
+            return self._validate_token(tx.sender, data.token)
         if tx.kind == TxKind.FEEDBACK:
-            return self._validate_feedback_tx(tx)
-        return self._validate_register_tx(tx)
+            return self._validate_feedback(tx.sender, data)
+        if tx.sender in self.registered:
+            return "DUPLICATE_CSP"
+        return register_fault(data, self.registered.values())
 
-    def _validate_token_tx(self, tx) -> str | None:
-        if len(tx.outputs) != 1 or not tx.inputs:
-            return "TOKEN_SHAPE"
-        if any(i.index != n for n, i in enumerate(tx.inputs)) or tx.outputs[0].index != 0:
-            return "TOKEN_SHAPE"
-        if tx.sender not in self.registered:
+    def _validate_token(self, sender: bytes, token: AccessToken) -> str | None:
+        if sender not in self.registered:
             return "UNKNOWN_ISSUER"
-        out = tx.outputs[0]
-        token = out.token
-        if token.issuer != tx.sender:
+        if token.issuer != sender:
             return "TOKEN_SHAPE"
-        if token.audience != out.recipient:
-            return "AUDIENCE_MISMATCH"
         if token.expires_at <= token.issued_at:
             return "EXPIRY"
         if token.token_id in self.token_index:
@@ -753,16 +696,11 @@ class Chain:
             return "DUPLICATE_NONCE"
         return None
 
-    def _validate_feedback_tx(self, tx) -> str | None:
-        if tx.inputs or tx.outputs:
-            return "BAD_ENCODING"
-        try:
-            fb = tx.data
-        except LedgerError:
-            return "BAD_ENCODING"
-        if tx.sender not in self.registered:
+    def _validate_feedback(self, sender: bytes,
+                           fb: FeedbackData) -> str | None:
+        if sender not in self.registered:
             return "UNKNOWN_RATER"
-        if fb.rater != tx.sender:
+        if fb.rater != sender:
             return "RATER_MISMATCH"
         if fb.label > 9:
             return "LABEL_RANGE"
@@ -782,17 +720,6 @@ class Chain:
         if (fb.token_id, fb.rater) in self.feedback_seen:
             return "DUPLICATE_FEEDBACK"
         return None
-
-    def _validate_register_tx(self, tx) -> str | None:
-        if tx.inputs or tx.outputs:
-            return "BAD_ENCODING"
-        try:
-            reg = tx.data
-        except LedgerError:
-            return "BAD_ENCODING"
-        if tx.sender in self.registered:
-            return "DUPLICATE_CSP"
-        return register_fault(reg, self.registered.values())
 
     # -- block application -------------------------------------------------
 
@@ -843,7 +770,7 @@ class Chain:
         put = self.journal.set
         put(self.txids, tx.txid, None)
         if tx.kind == TxKind.TOKEN:
-            token = tx.outputs[0].token
+            token = tx.data.token
             put(self.token_index, token.token_id, token)
             put(self.nonce_index, (token.issuer, token.nonce), None)
         elif tx.kind == TxKind.FEEDBACK:

@@ -74,8 +74,6 @@ class Node:
         self.pending_sat: dict[bytes, str] = {}
         self.consumed: set[bytes] = set()
         self.last_token = None          # most recent issued AccessToken
-        self.wallet_prev: bytes = ZERO_DIGEST
-        self.ref_in: bytes = ZERO_DIGEST     # our latest token txid
 
     @property
     def chain(self) -> Chain:
@@ -103,11 +101,10 @@ class Node:
             for tx in list(self.mempool.values()):
                 if len(picked) >= MAX_TXS_PACKED:
                     break
-                if tx.kind == TxKind.TOKEN:
-                    token = tx.outputs[0].token
-                    if token.expires_at <= world.now:
-                        del self.mempool[tx.txid]   # stale token, drop it
-                        continue
+                if (tx.kind == TxKind.TOKEN
+                        and tx.data.token.expires_at <= world.now):
+                    del self.mempool[tx.txid]   # stale token, drop it
+                    continue
                 if chain.try_absorb(tx) is None:
                     picked.append(tx)
         finally:

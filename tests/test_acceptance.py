@@ -228,7 +228,7 @@ def test_c07_no_token_serves_twice():
                 for tx in blk.txs:
                     if tx.kind != TxKind.TOKEN:
                         continue
-                    tid = tx.outputs[0].token.token_id
+                    tid = tx.data.token.token_id
                     if tid in seen:
                         double_inclusions.append(seed)
                     seen.add(tid)

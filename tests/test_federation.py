@@ -8,7 +8,7 @@ from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import TxKind
 from ctsim.trust import CredLabel, SatLabel
 
-from conftest import base_cfg, drain, four_nodes, run_cfg
+from conftest import base_cfg, drain, four_nodes, make_world, run_cfg
 
 
 def req_states(world, req):
@@ -164,6 +164,34 @@ def test_answer_after_timeout_is_ignored(bad_credential):
     section = report._request_section(world.events)
     assert (section["by_state"], section["by_reason"]) \
         == ({"DENIED": 1}, {"TOKEN_TIMEOUT": 1})
+
+
+@pytest.mark.parametrize("at_ms, target, resource, reason",
+                         [(3000, "gamma", "vm-small", "AUDIENCE"),
+                          (3000, "beta", "archive", "RESOURCE"),
+                          (7000, "beta", "vm-small", "EXPIRED")])
+def test_token_for_another_grant_is_denied(monkeypatch, at_ms, target,
+                                           resource, reason):
+    # req-2's token_issued message is rewritten to name req-1's confirmed
+    # token, which grants beta the resource vm-small for 3 s
+    cfg = flow_cfg()
+    cfg["actions"].append({"at_ms": at_ms, "action": "request_access",
+                           "user": "wanderer", "target": target,
+                           "resource": resource})
+    world = make_world(cfg)
+    deliver = federation.on_message
+
+    def crafted(world, node, src, payload):
+        if payload["kind"] == "token_issued" and payload["req_id"] == "req-2":
+            payload = dict(payload,
+                           token_id=world.requests["req-1"].token_id)
+        deliver(world, node, src, payload)
+
+    monkeypatch.setattr(federation, "on_message", crafted)
+    world.run()
+    assert req_states(world, "req-1")[-1][0] == "GRANTED"
+    state, last = req_states(world, "req-2")[-1]
+    assert (state, last["reason"], last["node"]) == ("DENIED", reason, target)
 
 
 # ---------------------------------------------------------------------------

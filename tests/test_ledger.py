@@ -15,14 +15,13 @@ from ctsim.crypto import DetRng, ZERO_DIGEST, generate_keypair, resource_address
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
     AccessToken, Block, BlockHeader, Chain, FeedbackData, LedgerError,
-    RegisterData, TxKind, TxInput, TxOutput, block_from_wire,
+    RegisterData, TokenData, TxKind, block_from_wire,
     build_feedback_tx, build_register_tx, build_token_tx,
     ConsensusParams, LEDGER_MAGIC, canonical_serialize, check_genesis_shape,
     compute_tx_root, genesis_params, make_genesis,
-    make_transaction, parse_feedback, parse_register, read_ledger, ser_block,
-    ser_feedback,
-    ser_register, ser_token, tx_from_wire, tx_to_wire,
-    write_ledger,
+    make_transaction, parse_feedback, parse_register, parse_token_data,
+    read_ledger, ser_block, ser_feedback, ser_register, ser_token,
+    ser_token_data, tx_from_wire, tx_to_wire, write_ledger,
 )
 from ctsim.replica import replay_blocks
 from ctsim.trust import TrustState, fold_block
@@ -56,10 +55,17 @@ def make_token(nonce=1, resource=RESOURCE, issued=300, expires=3300,
         issued_at=issued, expires_at=expires, nonce=nonce)
 
 
-def make_token_tx(token=None, prev=ZERO_DIGEST):
-    token = token or make_token()
-    return build_token_tx(HOME, b"profile-bytes", token.resource,
-                          FOREIGN.pub_bytes, token, prev, DetRng(77, b"ec"))
+def make_token_tx(token=None):
+    return build_token_tx(HOME, b"profile-bytes", FOREIGN.pub_bytes,
+                          token or make_token(), DetRng(77, b"ec"))
+
+
+def token_payload_tx(token, key=HOME, tail=b""):
+    """A TOKEN tx signed by key, carrying token with a profile encrypted
+    for FOREIGN, then tail."""
+    enc = make_token_tx().data.enc_user
+    return make_transaction(TxKind.TOKEN,
+                            ser_token_data(TokenData(token, enc)) + tail, key)
 
 
 def bare_block(chain: Chain, txs) -> Block:
@@ -83,7 +89,7 @@ def test_tx_wire_round_trip_all_kinds():
         make_token_tx(),
         build_feedback_tx(FOREIGN, FeedbackData(
             FOREIGN.address, HOME.address, USER.address, 3,
-            make_token().token_id), ZERO_DIGEST),
+            make_token().token_id)),
     ]
     for tx in chainless:
         again = tx_from_wire(tx_to_wire(tx))
@@ -95,8 +101,10 @@ def test_txid_covers_everything_but_sig():
     tx = _reg(HOME)
     resigned = replace(tx, sig=b"\x11" * 64)
     assert canonical_serialize(resigned) == canonical_serialize(tx)
-    tampered = replace(tx, prev_tx=b"\x22" * 32)
-    assert canonical_serialize(tampered) != canonical_serialize(tx)
+    for tampered in (replace(tx, kind=TxKind.FEEDBACK),
+                     replace(tx, payload=tx.payload + b"\x01"),
+                     replace(tx, sender_pub=OUTSIDER.pub_bytes)):
+        assert canonical_serialize(tampered) != canonical_serialize(tx)
 
 
 def test_token_id_is_content_addressed():
@@ -138,22 +146,61 @@ def test_register_payload_takes_one_optional_pin_byte():
         parse_register(ser_register(plain)[:-1])
     assert err.value.reason == "BAD_ENCODING"
     # a chain refuses the malformed payload as it would any other
-    bad = make_transaction(TxKind.REGISTER, (), (), ZERO_DIGEST,
-                           ser_register(plain) + b"\x02", OUTSIDER)
+    bad = make_transaction(TxKind.REGISTER, ser_register(plain) + b"\x02",
+                           OUTSIDER)
     assert fresh_chain().validate_tx(bad) == "BAD_ENCODING"
+
+
+def _payload_fault(tx) -> str:
+    """The detail of the BAD_ENCODING that parsing tx's payload raises,
+    after checking that validate_tx refuses tx as BAD_ENCODING too."""
+    assert fresh_chain().validate_tx(tx) == "BAD_ENCODING"
+    with pytest.raises(LedgerError) as err:
+        tx.data
+    assert err.value.reason == "BAD_ENCODING"
+    return err.value.detail
 
 
 def test_privilege_count_cap():
     token = replace(make_token(), privileges=tuple(
         b"p%d" % i for i in range(65)))
-    tx = make_transaction(
-        TxKind.TOKEN,
-        (TxInput(0, ZERO_DIGEST,
-                 make_token_tx().inputs[0].enc_user, RESOURCE),),
-        (TxOutput(0, ZERO_DIGEST, token, FOREIGN.address),),
-        ZERO_DIGEST, b"", HOME)
-    with pytest.raises(LedgerError):
-        tx_from_wire(tx_to_wire(tx))
+    assert _payload_fault(token_payload_tx(token)) == "privilege count"
+
+
+def test_privilege_length_cap():
+    at_cap = replace(make_token(), privileges=(b"p" * 4096,))
+    assert fresh_chain().validate_tx(token_payload_tx(at_cap)) is None
+    over = replace(make_token(), privileges=(b"p" * 4097,))
+    assert _payload_fault(token_payload_tx(over)) == "privilege length"
+
+
+def test_token_payload_is_parsed_strictly():
+    tx = make_token_tx()
+    assert tx.data == parse_token_data(tx.payload)
+    assert ser_token_data(tx.data) == tx.payload
+    assert tx.data.token == make_token()
+    extra = token_payload_tx(make_token(), tail=b"\x00")
+    assert _payload_fault(extra) == "trailing token bytes"
+    for cut in (0, len(ser_token(make_token())), len(tx.payload) - 1):
+        short = make_transaction(TxKind.TOKEN, tx.payload[:cut], HOME)
+        assert _payload_fault(short) == "truncated field"
+    # a ciphertext length running past the payload is a truncation too
+    at = len(ser_token(make_token())) + 33 + 12
+    inflated = bytearray(tx.payload)
+    inflated[at:at + 4] = (len(tx.payload)).to_bytes(4, "big")
+    inflated_tx = make_transaction(TxKind.TOKEN, bytes(inflated), HOME)
+    assert _payload_fault(inflated_tx) == "truncated field"
+
+
+def test_feedback_payload_is_parsed_strictly():
+    fb = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
+                      make_token().token_id)
+    assert parse_feedback(ser_feedback(fb)) == fb
+    extra = make_transaction(TxKind.FEEDBACK, ser_feedback(fb) + b"\x00",
+                             FOREIGN)
+    assert _payload_fault(extra) == "trailing feedback bytes"
+    short = make_transaction(TxKind.FEEDBACK, ser_feedback(fb)[:-1], FOREIGN)
+    assert _payload_fault(short) == "truncated field"
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +264,11 @@ def test_replay_of_no_blocks_fails_at_height_0():
 def test_genesis_registration_carrying_token_parts_fails_verify():
     # the rule validate_tx applies in every later block holds at height 0
     payload = ser_register(RegisterData(ONE, ONE, ONE))
-    with_output = make_transaction(
-        TxKind.REGISTER, (),
-        (TxOutput(0, ZERO_DIGEST, make_token(), FOREIGN.address),),
-        ZERO_DIGEST, payload, OUTSIDER)
-    with_input = make_transaction(TxKind.REGISTER, make_token_tx().inputs, (),
-                                  ZERO_DIGEST, payload, OUTSIDER)
-    for bad in (with_output, with_input):
+    with_token = make_transaction(TxKind.REGISTER,
+                                  payload + make_token_tx().payload, OUTSIDER)
+    as_token = make_transaction(TxKind.REGISTER, make_token_tx().payload,
+                                OUTSIDER)
+    for bad in (with_token, as_token):
         err = _genesis_failure([_reg(HOME), bad])
         assert (err.txid, err.reason) == (bad.txid, "BAD_ENCODING")
 
@@ -234,13 +279,10 @@ def test_genesis_registrations_get_block_tx_reasons():
     twin = _reg(HOME)
     err = _genesis_failure([_reg(HOME), twin])
     assert (err.txid, err.reason) == (twin.txid, "DUPLICATE_TX")
-    garbled = make_transaction(TxKind.REGISTER, (), (), b"\x01" * 32,
-                               b"junk", HOME)
+    garbled = make_transaction(TxKind.REGISTER, b"junk", HOME)
     err = _genesis_failure([_reg(HOME), garbled])
     assert (err.txid, err.reason) == (garbled.txid, "BAD_ENCODING")
-    again = build_register_tx(
-        HOME, RegisterData(fp_from("0.5"), fp_from("0.5"), fp_from("0.5")),
-        prev_tx=b"\x01" * 32)
+    again = _reg(HOME, stake="0.4")
     err = _genesis_failure([_reg(HOME), again])
     assert (err.txid, err.reason) == (again.txid, "DUPLICATE_CSP")
     idle = build_register_tx(OUTSIDER, RegisterData(0, 0, ONE))
@@ -268,23 +310,17 @@ def test_register_validation_reasons():
     assert chain.validate_tx(ok) is None
     # identical bytes to the genesis registration are caught even earlier
     assert chain.validate_tx(_reg(HOME)) == "DUPLICATE_TX"
-    re_register = build_register_tx(
-        HOME, RegisterData(fp_from("0.5"), fp_from("0.5"), fp_from("0.5")),
-        prev_tx=b"\x01" * 32)
-    assert chain.validate_tx(re_register) == "DUPLICATE_CSP"
+    assert chain.validate_tx(_reg(HOME, stake="0.4")) == "DUPLICATE_CSP"
 
     def reg_with(w_sat, w_auth, stake):
-        return make_transaction(TxKind.REGISTER, (), (), ZERO_DIGEST,
-                                ser_register(RegisterData(w_sat, w_auth,
-                                                          stake)), OUTSIDER)
+        return build_register_tx(OUTSIDER, RegisterData(w_sat, w_auth, stake))
     assert chain.validate_tx(reg_with(2 * ONE, 0, ONE)) == "WEIGHT_RANGE"
     assert chain.validate_tx(reg_with(0, 0, ONE)) == "WEIGHT_ZERO"
     assert chain.validate_tx(reg_with(ONE, ONE, 2 * ONE)) == "STAKE_RANGE"
-    bad_shape = make_transaction(
-        TxKind.REGISTER, (),
-        (TxOutput(0, ZERO_DIGEST, make_token(), FOREIGN.address),),
-        ZERO_DIGEST, ser_register(RegisterData(ONE, ONE, ONE)), OUTSIDER)
-    assert chain.validate_tx(bad_shape) == "BAD_ENCODING"
+    # another kind's payload is no registration
+    as_token = make_transaction(TxKind.REGISTER, make_token_tx().payload,
+                                OUTSIDER)
+    assert chain.validate_tx(as_token) == "BAD_ENCODING"
 
 
 def test_txid_and_signature_validation():
@@ -292,8 +328,7 @@ def test_txid_and_signature_validation():
     tx = _reg(OUTSIDER)
     assert chain.validate_tx(replace(tx, txid=b"\x00" * 32)) == "BAD_TXID"
     assert chain.validate_tx(replace(tx, sig=b"\x00" * 64)) == "BAD_SIGNATURE"
-    other_sig = build_register_tx(
-        OUTSIDER, RegisterData(ONE, ONE, 0), prev_tx=b"\x05" * 32).sig
+    other_sig = build_register_tx(OUTSIDER, RegisterData(ONE, ONE, 0)).sig
     assert chain.validate_tx(replace(tx, sig=other_sig)) == "BAD_SIGNATURE"
 
 
@@ -302,30 +337,14 @@ def test_token_validation_reasons():
     good = make_token_tx()
     assert chain.validate_tx(good) is None
 
-    enc = good.inputs[0].enc_user
-    no_inputs = make_transaction(
-        TxKind.TOKEN, (), good.outputs, ZERO_DIGEST, b"", HOME)
-    assert chain.validate_tx(no_inputs) == "TOKEN_SHAPE"
-
-    stranger_token = make_token(issuer=OUTSIDER.address)
-    unknown = make_transaction(
-        TxKind.TOKEN, (TxInput(0, ZERO_DIGEST, enc, RESOURCE),),
-        (TxOutput(0, ZERO_DIGEST, stranger_token, FOREIGN.address),),
-        ZERO_DIGEST, b"", OUTSIDER)
+    unknown = token_payload_tx(make_token(issuer=OUTSIDER.address), OUTSIDER)
     assert chain.validate_tx(unknown) == "UNKNOWN_ISSUER"
 
-    misdirected = make_transaction(
-        TxKind.TOKEN, (TxInput(0, ZERO_DIGEST, enc, RESOURCE),),
-        (TxOutput(0, ZERO_DIGEST, make_token(audience=OUTSIDER.address),
-                  FOREIGN.address),),
-        ZERO_DIGEST, b"", HOME)
-    assert chain.validate_tx(misdirected) == "AUDIENCE_MISMATCH"
+    # a registered sender signing a token another provider issued
+    forged = token_payload_tx(make_token(issuer=FOREIGN.address), HOME)
+    assert chain.validate_tx(forged) == "TOKEN_SHAPE"
 
-    dead = make_transaction(
-        TxKind.TOKEN, (TxInput(0, ZERO_DIGEST, enc, RESOURCE),),
-        (TxOutput(0, ZERO_DIGEST, make_token(issued=300, expires=300),
-                  FOREIGN.address),),
-        ZERO_DIGEST, b"", HOME)
+    dead = token_payload_tx(make_token(issued=300, expires=300))
     assert chain.validate_tx(dead) == "EXPIRY"
 
 
@@ -334,19 +353,23 @@ def test_token_uniqueness_rules():
     first = make_token_tx()
     chain.apply_block(bare_block(chain, [first]))
 
-    replayed = build_token_tx(HOME, b"other-profile", RESOURCE,
-                              FOREIGN.pub_bytes, make_token(), first.txid,
-                              DetRng(78, b"ec2"))
+    # a double issuer's replay: the same token and profile in a fresh tx,
+    # whose new ephemeral key gives it a new txid
+    replayed = build_token_tx(HOME, b"profile-bytes", FOREIGN.pub_bytes,
+                              make_token(), DetRng(78, b"ec2"))
+    assert replayed.data.token == first.data.token
+    assert replayed.data.enc_user.ephemeral_pub \
+        != first.data.enc_user.ephemeral_pub
+    assert replayed.txid != first.txid
     assert chain.validate_tx(replayed) == "DUPLICATE_TOKEN"
 
     nonce_clash = build_token_tx(
-        HOME, b"p", resource_address("queue"), FOREIGN.pub_bytes,
+        HOME, b"p", FOREIGN.pub_bytes,
         make_token(nonce=1, resource=resource_address("queue")),
-        first.txid, DetRng(79, b"ec3"))
+        DetRng(79, b"ec3"))
     assert chain.validate_tx(nonce_clash) == "DUPLICATE_NONCE"
 
-    fresh = build_token_tx(HOME, b"p", RESOURCE, FOREIGN.pub_bytes,
-                           make_token(nonce=2), first.txid,
+    fresh = build_token_tx(HOME, b"p", FOREIGN.pub_bytes, make_token(nonce=2),
                            DetRng(80, b"ec4"))
     assert chain.validate_tx(fresh) is None
 
@@ -354,12 +377,11 @@ def test_token_uniqueness_rules():
 def test_feedback_validation_reasons():
     chain = fresh_chain()
     token_tx = make_token_tx()
-    token = token_tx.outputs[0].token
+    token = token_tx.data.token
     chain.apply_block(bare_block(chain, [token_tx]))
 
     def fb_tx(key, fb):
-        return make_transaction(TxKind.FEEDBACK, (), (), ZERO_DIGEST,
-                                ser_feedback(fb), key)
+        return make_transaction(TxKind.FEEDBACK, ser_feedback(fb), key)
 
     cred = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
                         token.token_id)
@@ -386,51 +408,45 @@ def test_feedback_validation_reasons():
     assert chain.validate_tx(fb_tx(HOME, sat_ok)) is None
 
     chain.apply_block(bare_block(chain, [fb_tx(FOREIGN, cred)]))
-    again = make_transaction(TxKind.FEEDBACK, (), (), b"\x01" * 32,
-                             ser_feedback(replace(cred, label=4)), FOREIGN)
+    # with no sender history in a tx, the same rating is the same bytes
+    assert chain.validate_tx(fb_tx(FOREIGN, cred)) == "DUPLICATE_TX"
+    again = fb_tx(FOREIGN, replace(cred, label=4))
     assert chain.validate_tx(again) == "DUPLICATE_FEEDBACK"
 
-    with_io = make_transaction(TxKind.FEEDBACK, token_tx.inputs, (),
-                               ZERO_DIGEST, ser_feedback(cred), FOREIGN)
-    assert chain.validate_tx(with_io) == "BAD_ENCODING"
+    as_token = make_transaction(TxKind.FEEDBACK, token_tx.payload, FOREIGN)
+    assert chain.validate_tx(as_token) == "BAD_ENCODING"
 
 
 def test_builder_input_checks():
     with pytest.raises(LedgerError):
-        build_token_tx(OUTSIDER, b"p", RESOURCE, FOREIGN.pub_bytes,
-                       make_token(), ZERO_DIGEST, DetRng(81))
+        build_token_tx(OUTSIDER, b"p", FOREIGN.pub_bytes, make_token(),
+                       DetRng(81))
     with pytest.raises(LedgerError):
         build_feedback_tx(FOREIGN, FeedbackData(
-            HOME.address, FOREIGN.address, USER.address, 1, b"\x00" * 32),
-            ZERO_DIGEST)
+            HOME.address, FOREIGN.address, USER.address, 1, b"\x00" * 32))
 
 
-def _fb_tx(key, fb, prev=ZERO_DIGEST):
-    return make_transaction(TxKind.FEEDBACK, (), (), prev, ser_feedback(fb),
-                            key)
+def _fb_tx(key, fb):
+    return make_transaction(TxKind.FEEDBACK, ser_feedback(fb), key)
 
 
 def _touch_every_index():
     """Txs that each add to a different chain index, in a valid order: a
     registration, a token, and feedback on that token."""
-    token_tx = make_token_tx()
-    token = token_tx.outputs[0].token
     cred = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
-                        token.token_id)
-    return [_reg(OUTSIDER), token_tx, _fb_tx(FOREIGN, cred)]
+                        make_token().token_id)
+    return [_reg(OUTSIDER), make_token_tx(), _fb_tx(FOREIGN, cred)]
 
 
 def test_same_block_duplicates_are_rejected():
     reg, token_tx, fb = _touch_every_index()
-    twin_token = build_token_tx(HOME, b"other-profile", RESOURCE,
-                                FOREIGN.pub_bytes, make_token(),
-                                token_tx.txid, DetRng(78, b"ec2"))
+    twin_token = build_token_tx(HOME, b"other-profile", FOREIGN.pub_bytes,
+                                make_token(), DetRng(78, b"ec2"))
     twin_nonce = build_token_tx(
-        HOME, b"p", resource_address("queue"), FOREIGN.pub_bytes,
+        HOME, b"p", FOREIGN.pub_bytes,
         make_token(nonce=1, resource=resource_address("queue")),
-        token_tx.txid, DetRng(79, b"ec3"))
-    twin_fb = _fb_tx(FOREIGN, replace(parse_feedback(fb.payload), label=4),
-                     prev=b"\x01" * 32)
+        DetRng(79, b"ec3"))
+    twin_fb = _fb_tx(FOREIGN, replace(parse_feedback(fb.payload), label=4))
     twin_reg = build_register_tx(OUTSIDER, RegisterData(
         fp_from("0.5"), fp_from("0.5"), fp_from("0.1")))
     for txs, reason in (([token_tx, token_tx], "DUPLICATE_TX"),
@@ -456,8 +472,8 @@ def test_each_tx_is_hashed_and_parsed_once(monkeypatch):
     # not again on a second chain, a re-apply after a pop, or the fold.
     txs = _touch_every_index()
     chains = [fresh_chain(), fresh_chain()]
-    calls = dict.fromkeys(
-        ("canonical_serialize", "parse_feedback", "parse_register"), 0)
+    calls = dict.fromkeys(("canonical_serialize", "parse_token_data",
+                           "parse_feedback", "parse_register"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(ledger, name)):
             calls[_name] += 1
@@ -469,13 +485,14 @@ def test_each_tx_is_hashed_and_parsed_once(monkeypatch):
     chains[0].pop_block()
     chains[0].apply_block(blk)
     fold_block(TrustState(ledger.Journal()), blk)
-    assert calls == {"canonical_serialize": 3, "parse_feedback": 1,
-                     "parse_register": 1}
+    assert calls == {"canonical_serialize": 3, "parse_token_data": 1,
+                     "parse_feedback": 1, "parse_register": 1}
     assert [tx.txid_ok for tx in txs] == [True] * 3
     assert txs[2].data == parse_feedback(txs[2].payload)
-    assert txs[0].sender == OUTSIDER.address and txs[1].data is None
+    assert txs[1].data == parse_token_data(txs[1].payload)
+    assert txs[0].sender == OUTSIDER.address
     # the cache is per object: a tampered copy is checked afresh
-    assert not replace(txs[0], prev_tx=b"\x07" * 32).txid_ok
+    assert not replace(txs[0], sender_pub=HOME.pub_bytes).txid_ok
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +511,7 @@ def test_apply_block_is_atomic():
     assert err.value.txid == bad.txid
     assert chain_state(chain) == before
     good = txs[1]
-    assert chain.lookup_token(good.outputs[0].token.token_id) is None
+    assert chain.lookup_token(good.data.token.token_id) is None
     # the same txs without the bad one still apply
     chain.apply_block(bare_block(chain, txs[:-1]))
     assert chain.height == 2
@@ -505,7 +522,7 @@ def test_lookup_token_and_gen_records():
     tx = make_token_tx()
     blk = bare_block(chain, [tx])
     chain.apply_block(blk, generator_trust=fp_from("0.5"))
-    token = tx.outputs[0].token
+    token = tx.data.token
     assert chain.lookup_token(token.token_id) == token
     assert chain.lookup_token(b"\x00" * 32) is None
     rec = chain.gen_records[HOME.address]
@@ -629,8 +646,8 @@ def _small_ledger():
 
 def _framing(blocks):
     """Ledger bytes, the offset where each block's frame starts, and the
-    (offset, width) of every block length, tx count, tx length and input
-    count field."""
+    (offset, width) of every block length, tx count, tx length and payload
+    length field."""
     raw, starts, fields = bytearray(LEDGER_MAGIC), [], []
     for blk in blocks:
         starts.append(len(raw))
@@ -639,7 +656,7 @@ def _framing(blocks):
         fields.append((off, 4))
         off += 4
         for tx in blk.txs:
-            fields += [(off, 4), (off + 4 + len(tx.txid) + 1, 2)]
+            fields += [(off, 4), (off + 4 + len(tx.txid) + 1, 4)]
             off += 4 + len(tx_to_wire(tx))
         wire = ser_block(blk)
         raw += len(wire).to_bytes(4, "big") + wire
@@ -654,31 +671,26 @@ _FUZZ = settings(max_examples=60, deadline=2000, derandomize=True,
 
 def _tx_length_fields(tx):
     """(offset, width, value) of every count and length field in
-    tx_to_wire(tx)."""
-    fields, off = [], len(tx.txid) + 1
-    fields.append((off, 2, len(tx.inputs)))
-    off += 2
-    for txin in tx.inputs:
-        ct = txin.enc_user
-        off += 4 + len(txin.ref_in) + len(ct.ephemeral_pub) + len(ct.nonce)
-        fields.append((off, 4, len(ct.body)))
-        off += 4 + len(ct.body) + len(ct.tag) + len(txin.resource)
-    fields.append((off, 2, len(tx.outputs)))
-    off += 2
-    for txout in tx.outputs:
-        tok = txout.token
-        off += 4 + len(txout.ref_out) + sum(map(len, (
-            tok.pseudonym, tok.issuer, tok.audience, tok.resource)))
+    tx_to_wire(tx), those inside a TOKEN payload included."""
+    off = len(tx.txid) + 1
+    fields = [(off, 4, len(tx.payload))]
+    off += 4
+    if tx.kind == TxKind.TOKEN:
+        tok, ct = tx.data.token, tx.data.enc_user
+        off += sum(map(len, (tok.pseudonym, tok.issuer, tok.audience,
+                             tok.resource)))
         fields.append((off, 2, len(tok.privileges)))
         off += 2
         for priv in tok.privileges:
             fields.append((off, 4, len(priv)))
             off += 4 + len(priv)
-        off += 3 * 8 + len(txout.recipient)
-    fields.append((off + len(tx.prev_tx), 4, len(tx.payload)))
+        off += 3 * 8 + len(ct.ephemeral_pub) + len(ct.nonce)
+        fields.append((off, 4, len(ct.body)))
     return fields
 
 
+_SER_DATA = {TxKind.TOKEN: ser_token_data, TxKind.FEEDBACK: ser_feedback,
+             TxKind.REGISTER: ser_register}
 WIRE_TXS = _touch_every_index()
 
 
@@ -699,10 +711,12 @@ def test_tx_from_wire_accepts_only_what_it_reencodes(data):
                    if grow > 0 else corrupt[:len(corrupt) + grow])
     try:
         got = tx_from_wire(corrupt)
+        payload = _SER_DATA[got.kind](got.data)
     except LedgerError as exc:
         assert exc.reason == "BAD_ENCODING"
         return
     assert tx_to_wire(got) == corrupt
+    assert payload == got.payload
 
 
 def _parse(tmp_path_factory, data):

@@ -308,19 +308,19 @@ def test_seed_override_changes_the_run(scenario_file, run_dir, tmp_path):
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "demo": {
-        "ledger.bin": "b1cd33cbc94e90ab384cd3fbcfe6a5512d109c60df814640b3c91bd6842bd29c",
-        "events.jsonl": "146a45709e797a133d603752052729811c7d166ea4ce59bd576234ba77e4edb6",
-        "report.json": "fe9828533b1806431cda5a938569b731e3dd6e557792bae857b393e416e6c792",
+        "ledger.bin": "f27fa67789156ee52825a129b91b643941c60e1a9f20bf00cb37b2a692ebca9d",
+        "events.jsonl": "d59f9619ac2fad70159fa03b4de6a7acc0baca10680db7989a0ddb71142e2ff4",
+        "report.json": "5abc69d1cb30a46d9ee90497860f500c689a9b6112477e6134be973fc652d8d7",
     },
     "partition": {
-        "ledger.bin": "3bd5b69db36c80d11430b5fb30cd504e8c375a2ddd6d8baa208f1d35256fba8e",
-        "events.jsonl": "e31e297b72dcf49ab46916b87fb692d41164501655c9498936c18354fed27ab7",
-        "report.json": "db73ac9f3f25b1dd9338c52a281a55eebde6d7b40f517a4f8d95c18a2b82042b",
+        "ledger.bin": "7fae73b30bc2c6da9bccd6bca167478e4d7a297975a6eec12ebc8cf139b0735e",
+        "events.jsonl": "cce514e04196ac11c24adf639dfb99fe56b00c578548382b531900f91946a989",
+        "report.json": "b23846b27e306a498685b22cb1fe7761e6a49317705678fbe6c21f01a17c9b19",
     },
     "adversaries": {
-        "ledger.bin": "5e5c4e12c554db038e67e553a1272d959da8a8826e59ff903af0c4649eb4077a",
-        "events.jsonl": "41cfbdb37f9dbb78d5ba8014634a98c13bd4f3c2646630b1b7bf2648fff58a00",
-        "report.json": "853235cf65b03a843b70bba11f557a1e79e49a3e36cbf452a7a14a8908807889",
+        "ledger.bin": "04a29afa9c7088636068028dde6e0d5c925be3804abb69d25e2712f0e6c69f73",
+        "events.jsonl": "c572721a74f71f8ae4014a6e7b5995f82feecfa664a8dca6a7dc5f9f001a56c5",
+        "report.json": "4412e225aef793953519f893928a19bcdfc7e2c0eaf59c3659e8becf72e3e0ee",
     },
 }
 
@@ -545,6 +545,18 @@ def test_verify_catches_truncation(run_dir, tmp_path):
     code, _, err = run_cli("verify", str(tmp_path / "ghost.bin"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_verify_refuses_the_previous_ledger_format(run_dir, tmp_path):
+    # CTSIM1 transactions carried inputs, outputs and prev_tx; one format
+    # parses, so the magic alone refuses such a file
+    raw = (run_dir / "ledger.bin").read_bytes()
+    assert raw.startswith(b"CTSIM2\n")
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"CTSIM1\n" + raw[7:])
+    code, out, _ = run_cli("verify", str(old))
+    assert (code, out) == (1, "FAIL malformed ledger: BAD_ENCODING "
+                              "(bad magic)\n")
 
 
 def test_trust_report_on_a_missing_ledger_exits_2(tmp_path):

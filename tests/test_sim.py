@@ -232,8 +232,8 @@ def test_pack_drops_a_token_that_expired_in_the_mempool():
         pseudonym=bytes(20), issuer=alpha.address, audience=beta.address,
         resource=resource_address("r"), privileges=(b"access",),
         issued_at=0, expires_at=300, nonce=1)
-    tx = build_token_tx(alpha.key, b"{}", token.resource, beta.key.pub_bytes,
-                        token, ZERO_DIGEST, DetRng(5))
+    tx = build_token_tx(alpha.key, b"{}", beta.key.pub_bytes, token,
+                        DetRng(5))
     alpha.admit_tx(world, tx, source="test")
     world.now = 299
     assert alpha._pack_txs(world) == (tx,)

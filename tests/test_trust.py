@@ -8,7 +8,7 @@ match a from-scratch replay of the same chain, bit for bit.
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from ctsim.crypto import DetRng, ZERO_DIGEST, generate_keypair, resource_address
+from ctsim.crypto import DetRng, generate_keypair, resource_address
 from ctsim.fixedpoint import ONE, fp_from, to_float
 from ctsim.ledger import (
     AccessToken, FeedbackData, Journal, RegisterData, build_feedback_tx,
@@ -376,15 +376,14 @@ def test_replay_matches_incremental_fold():
 
     token = AccessToken(user.address, home.address, foreign.address,
                         resource_address("vm"), (b"access",), 300, 3300, 1)
-    token_tx = build_token_tx(home, b"profile", token.resource,
-                              foreign.pub_bytes, token, ZERO_DIGEST,
+    token_tx = build_token_tx(home, b"profile", foreign.pub_bytes, token,
                               DetRng(72))
     fb1 = build_feedback_tx(foreign, FeedbackData(
         foreign.address, home.address, user.address,
-        int(CredLabel.GOOD), token.token_id), ZERO_DIGEST)
+        int(CredLabel.GOOD), token.token_id))
     fb2 = build_feedback_tx(home, FeedbackData(
         home.address, foreign.address, user.address,
-        int(SatLabel.SATISFIED), token.token_id), ZERO_DIGEST)
+        int(SatLabel.SATISFIED), token.token_id))
 
     incremental = _state()
     fold_block(incremental, genesis)
