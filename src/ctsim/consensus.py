@@ -23,7 +23,6 @@ from .ledger import Block, Chain, ConsensusParams, compute_tx_root
 from .trust import BOOTSTRAP_TRUST
 
 __all__ = [
-    "ConsensusParams",
     "CspConsensusState",
     "candidate_prf",
     "csp_difficulty",
@@ -129,10 +128,8 @@ def validate_block(blk: Block, parent_chain: Chain,
     state = consensus_state_at(parent_chain, generator)
     if h.prf != candidate_prf(h.generator_pub, state.prf_old):
         return "PRF_MISMATCH"
-    time_elapsed = elapsed_intervals(h.timestamp, state.last_generated_ts,
-                                     params)
-    d_csp = csp_difficulty(params, time_elapsed, state.stake, generator_trust)
-    if not _eligible(h.prf, d_csp, params.k_bits):
+    if not check_eligibility(params, state, generator_trust, h.generator_pub,
+                             h.timestamp):
         return "NOT_ELIGIBLE"
     if not crypto.verify(*h.sig_triple):
         return "BAD_HEADER_SIG"

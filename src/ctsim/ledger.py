@@ -196,6 +196,8 @@ class Transaction:
     @cached_property
     def data(self) -> TokenData | FeedbackData | RegisterData:
         """The parsed payload; raises LedgerError on a malformed one."""
+        if len(self.payload) > MAX_PAYLOAD_LEN:
+            raise LedgerError("BAD_ENCODING", "payload length")
         if self.kind == TxKind.TOKEN:
             return parse_token_data(self.payload)
         if self.kind == TxKind.FEEDBACK:
@@ -801,10 +803,14 @@ def read_ledger(path) -> list[Block]:
     r = _Reader(data[len(LEDGER_MAGIC):])
     blocks = []
     while not r.done():
-        blen = r.u32()
-        if blen > MAX_BLOCK_LEN:
-            raise LedgerError("BAD_ENCODING", "block length")
-        blocks.append(block_from_wire(r.take(blen)))
+        try:
+            blen = r.u32()
+            if blen > MAX_BLOCK_LEN:
+                raise LedgerError("BAD_ENCODING", "block length")
+            blocks.append(block_from_wire(r.take(blen)))
+        except LedgerError as exc:
+            exc.height = len(blocks)
+            raise
     if not blocks:
         raise LedgerError("BAD_ENCODING", "empty ledger")
     return blocks

@@ -33,6 +33,7 @@ ACTION_KEYS = {
 }
 # the action keys naming a provider, which must be registered by then
 PROVIDER_KEYS = ("home", "target", "borrower", "lender")
+MAX_NAME_LEN = 256      # a TOKEN payload holds two names: far below its cap
 # what the loader says of the weights for each reason ledger.register_fault
 # can give once the unit reader has held weights and stake to [0, 1]
 REGISTER_FAULTS = {"WEIGHT_ZERO": "must not both be zero",
@@ -142,8 +143,8 @@ def _unit(value, where: str) -> int:
 
 
 def _str(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        _fail(where, "must be a nonempty string")
+    if not isinstance(value, str) or not 0 < len(value) <= MAX_NAME_LEN:
+        _fail(where, f"must be a string of 1 to {MAX_NAME_LEN} characters")
     return value
 
 

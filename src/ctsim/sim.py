@@ -2,11 +2,12 @@
 
 A World owns the event queue, the link model, and the node roster; every
 Node runs one full replica plus a mempool and reacts to deliveries. A
-competing branch is validated on that replica from the fork point: the
-node pops its own blocks back to it, applies the branch, and keeps
-whichever side consensus.resolve prefers, re-applying its own blocks if
-it keeps them. All randomness flows from one seeded generator, all ties
-break on sequence numbers, and node iteration is name-sorted, so a
+branch shorter than the node's chain cannot win, and is dismissed unread.
+Any other is validated on that replica from the fork point: the node
+pops its own blocks back to it, applies the branch, and keeps whichever
+side consensus.resolve prefers, re-applying its own blocks if it keeps
+them. All randomness flows from one seeded generator, all ties break on
+sequence numbers, and node iteration is name-sorted, so a
 (config, seed) pair replays to a byte-identical event log and ledger.
 
 Message loss is modeled only through partitions: a payload scheduled
@@ -121,10 +122,6 @@ class Node:
     def try_generate(self, world: "World") -> None:
         chain = self.chain
         tip = chain.tip
-        if world.now <= tip.header.timestamp:
-            return
-        if self.address not in chain.registered:
-            return
         state = consensus.consensus_state_at(chain, self.address)
         trust = self.replica.trust_for(self.address)
         if not consensus.check_eligibility(chain.params, state, trust,
@@ -165,28 +162,28 @@ class Node:
                        source: str) -> None:
         tip = branch[-1]
         chain = self.chain
-        if tip.height <= chain.height \
-                and chain.blocks[tip.height].h_blk == tip.h_blk:
-            return      # stale prefix of what we already hold
         if branch[0].h_blk != chain.genesis.h_blk:
             world.log_event("block_rejected", node=self.name,
                             height=tip.height, h_blk=tip.h_blk.hex(),
                             reason="BAD_LINK", source=source)
             return
+        # consensus.resolve ranks height first: a shorter branch cannot win
+        if tip.height < chain.height or tip.h_blk == chain.tip.h_blk:
+            return
         self._side_replica(world, branch, source)
 
     def _side_replica(self, world: "World", branch: tuple[Block, ...],
                       source: str) -> None:
-        """Validate a branch from its fork point with ours; keep the winner.
+        """Apply a branch no shorter than ours from the fork; keep the winner.
 
         The replica pops back to the fork point and applies the branch. A
         branch is all-or-nothing: if a block fails, or consensus.resolve
-        prefers our old tip, the branch is popped and our own blocks are
-        re-applied.
+        prefers our old tip at the same height, the branch is popped and
+        our own blocks are re-applied.
         """
         replica = self.replica
         chain = replica.chain
-        fork = min(len(branch) - 1, chain.height)
+        fork = chain.height
         while branch[fork].h_blk != chain.blocks[fork].h_blk:
             fork -= 1
         ours = _fork_tip(chain)

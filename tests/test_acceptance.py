@@ -19,7 +19,9 @@ from ctsim.consensus import (
 )
 from ctsim.crypto import DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from, to_float
-from ctsim.ledger import FeedbackData, Journal, TxKind, read_ledger
+from ctsim.ledger import (
+    ConsensusParams, FeedbackData, Journal, TxKind, read_ledger,
+)
 from ctsim.replica import replay_blocks
 from ctsim.trust import (
     TrustState, auth_update, bucketize, cred_update, overall_trust,
@@ -290,7 +292,7 @@ def _race_share(probe_stake, probe_trust, filler_stake, filler_trust,
     """Share of blocks a probe provider wins against three fillers."""
     stakes = [probe_stake] + [filler_stake] * 3
     trusts = [probe_trust] + [filler_trust] * 3
-    params = consensus.ConsensusParams(
+    params = ConsensusParams(
         base_target=calibrate_base_target(stakes, trusts))
     rng = DetRng(110 + seed, b"race")
     keys = [generate_keypair(rng.take(32)) for _ in range(4)]

@@ -7,13 +7,13 @@ import pytest
 from ctsim.crypto import DetRng, generate_keypair, sha256
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.consensus import (
-    ConsensusParams, CspConsensusState, _prefix_int, calibrate_base_target,
-    candidate_prf, check_eligibility, consensus_state_at, consensus_trust,
-    csp_difficulty, elapsed_intervals, resolve, seal_block, validate_block,
+    CspConsensusState, _prefix_int, calibrate_base_target, candidate_prf,
+    check_eligibility, consensus_state_at, consensus_trust, csp_difficulty,
+    elapsed_intervals, resolve, seal_block, validate_block,
 )
 from ctsim.ledger import (
-    Block, BlockHeader, Chain, Journal, RegisterData, build_register_tx,
-    compute_tx_root, make_genesis,
+    Block, BlockHeader, Chain, ConsensusParams, Journal, RegisterData,
+    build_register_tx, compute_tx_root, make_genesis,
 )
 from ctsim.trust import BOOTSTRAP_TRUST, TrustState
 

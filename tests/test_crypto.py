@@ -8,6 +8,7 @@ our own code to judge itself.
 """
 
 import os
+import threading
 
 import pytest
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -667,6 +668,32 @@ def test_ecies_tamper_detection():
 def test_ecies_rejects_bad_recipient_key():
     with pytest.raises(CryptoError):
         encrypt_for(b"\x07" * 33, b"data", DetRng(56))
+
+
+def test_shared_key_refuses_a_degenerate_ecdh():
+    with pytest.raises(CryptoError, match="degenerate ECDH"):
+        crypto._shared_key(0, (GX, GY))
+
+
+# ---------------------------------------------------------------------------
+# CPUs a fan-out may use
+# ---------------------------------------------------------------------------
+
+def test_cpus_is_one_without_affinity_or_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert crypto._cpus() == 2
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert crypto._cpus() == 1
+    finally:
+        release.set()
+        other.join()
+    assert crypto._cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert crypto._cpus() == 1
 
 
 def test_openssl_rejects_forged_signature():

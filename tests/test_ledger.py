@@ -174,6 +174,27 @@ def test_privilege_length_cap():
     assert _payload_fault(token_payload_tx(over)) == "privilege length"
 
 
+def test_payload_length_cap():
+    # a profile ciphertext that fills a TOKEN payload to the cap parses;
+    # one byte more is what no ledger file carries, so validate_tx
+    # refuses it as tx_from_wire does
+    enc = make_token_tx().data.enc_user
+    empty = ser_token_data(TokenData(make_token(), replace(enc, body=b"")))
+
+    def sized(n):
+        body = b"\x00" * (n - len(empty))
+        return make_transaction(TxKind.TOKEN, ser_token_data(
+            TokenData(make_token(), replace(enc, body=body))), HOME)
+
+    at_cap = sized(ledger.MAX_PAYLOAD_LEN)
+    assert len(at_cap.payload) == ledger.MAX_PAYLOAD_LEN
+    assert fresh_chain().validate_tx(at_cap) is None
+    over = sized(ledger.MAX_PAYLOAD_LEN + 1)
+    assert _payload_fault(over) == "payload length"
+    with pytest.raises(LedgerError, match="payload length"):
+        tx_from_wire(tx_to_wire(over))
+
+
 def test_token_payload_is_parsed_strictly():
     tx = make_token_tx()
     assert tx.data == parse_token_data(tx.payload)
@@ -745,6 +766,14 @@ def test_read_ledger_truncated_at_every_offset(tmp_path_factory):
             assert got == BLOCKS[:STARTS.index(cut)], cut
         else:
             assert isinstance(got, LedgerError), cut
+
+
+def test_read_ledger_names_the_block_that_fails_to_parse(tmp_path_factory):
+    for k, start in enumerate(STARTS):
+        end = STARTS[k + 1] if k + 1 < len(STARTS) else len(RAW)
+        for cut in range(start + 1, end):
+            got = _parse(tmp_path_factory, RAW[:cut])
+            assert (got.reason, got.height) == ("BAD_ENCODING", k), cut
 
 
 @_FUZZ

@@ -22,7 +22,7 @@ from ctsim.ledger import (
     genesis_prf, make_genesis, read_ledger, write_ledger,
 )
 from ctsim.replica import replay_blocks
-from ctsim.scenario import ConfigError, load_config
+from ctsim.scenario import MAX_NAME_LEN, ConfigError, load_config
 from ctsim.trust import BOOTSTRAP_TRUST
 
 from conftest import (
@@ -436,11 +436,39 @@ TWO = [{"name": "a", "stake": 0.5}, {"name": "b", "stake": 0.5}]
       "actions": [{"at_ms": 1000, "action": "register_csp", "name": "b",
                    "stake": 0.5, "weights": TINY_WEIGHTS[1]}]},
      "actions[0].weights"),
+    # a TOKEN payload carries the user's name: at 1 MiB, the run granted
+    # the request and then could not parse its own ledger
+    ({"actions": [{"at_ms": 500, "action": "register_user",
+                   "user": "u" * (1 << 20), "home": "a"}]},
+     "actions[0].user"),
+    ({"nodes": [{"name": "a" * (MAX_NAME_LEN + 1), "stake": 1}]},
+     "nodes[0].name"),
 ], ids=["list-label", "list-from", "list-to", "list-member",
-        "bool-duration", "list-heal", "bool-stake", "late-mean-zero"])
+        "bool-duration", "list-heal", "bool-stake", "late-mean-zero",
+        "long-user", "long-provider"])
 def test_values_the_loader_once_took_exit_2(overrides, field, tmp_path):
     raw = {**base_cfg(nodes=TWO, duration_ms=8000), **overrides}
     _run_exits_2(raw, tmp_path, field)
+
+
+def test_the_longest_names_keep_the_ledger_verifiable(tmp_path):
+    # each char of these names takes 12 bytes in the JSON profile
+    home, user = "\U0001F600" * MAX_NAME_LEN, "\U0001F601" * MAX_NAME_LEN
+    raw = base_cfg(
+        nodes=[{"name": home, "stake": 0.5}, {"name": "b", "stake": 0.5}],
+        duration_ms=6000,
+        actions=[{"at_ms": 500, "action": "register_user", "user": user,
+                  "home": home},
+                 {"at_ms": 1000, "action": "request_access", "user": user,
+                  "target": "b", "resource": "r"}])
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, _, err = run_cli("run", str(path), "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    blocks = read_ledger(tmp_path / "ledger.bin")
+    assert [tx.kind for blk in blocks for tx in blk.txs].count(
+        ledger.TxKind.TOKEN) == 1
+    assert run_cli("verify", str(tmp_path / "ledger.bin"))[0] == 0
 
 
 def test_genesis_whose_mean_weights_floor_to_zero_fails(tmp_path):
@@ -643,6 +671,23 @@ def test_run_fails_when_its_persisted_ledger_does_not_replay(
     assert code == 1
     assert err.startswith("persisted ledger failed verification: ")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_names_the_block_its_persisted_ledger_fails_to_parse(
+        scenario_file, run_dir, tmp_path, monkeypatch):
+    def write_truncated(path, blocks):
+        write_ledger(path, blocks)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 7)
+
+    monkeypatch.setattr(cli, "write_ledger", write_truncated)
+    code, _, err = run_cli("run", str(scenario_file),
+                           "--out-dir", str(tmp_path))
+    tip = len(read_ledger(run_dir / "ledger.bin")) - 1
+    assert tip > 1
+    assert (code, err) == (1, "persisted ledger failed verification: "
+                              "BAD_ENCODING: truncated field "
+                              f"at height {tip}\n")
 
 
 def test_trust_report_table_lists_users(run_dir):

@@ -457,7 +457,7 @@ def test_rejected_and_losing_branches_leave_the_node_unchanged(settled):
     mempool = dict(node.mempool)
     depth = node.chain.height - fork
 
-    # shorter than ours: validated, then our blocks are re-applied
+    # shorter than ours: it cannot win, so it is dismissed unread
     assert _receive(node, world, _rival(node, world, fork, depth - 1)) == []
     assert replica_state(node.replica) == before
 
@@ -558,9 +558,27 @@ def test_pack_txs_leaves_the_chain_as_found(monkeypatch):
 def test_own_block_failing_on_reapply_raises(settled):
     world, node, fork = settled
     orphans = node.chain.blocks[fork + 1:]
-    loser = _rival(node, world, fork, len(orphans) - 1)
+    # longer than ours, so it is applied; its last block fails, so ours
+    # are re-applied
+    rival = _rival(node, world, fork, len(orphans) + 1)
+    loser = rival[:-1] + (_corrupt_block(rival[-1]),)
     apply = node.replica.apply
     node.replica.apply = lambda blk: (_refuse(blk) if blk in orphans
                                       else apply(blk))
     with pytest.raises(RuntimeError, match="rejected on re-apply: BAD_LINK"):
         node.receive_branch(world, loser, source="test")
+
+
+def test_a_shorter_branch_is_dismissed_before_any_apply(settled):
+    world, node, fork = settled
+    before = replica_state(node.replica)
+    rival = _rival(node, world, fork, node.chain.height - fork - 1)
+    corrupted = rival[:-1] + (_corrupt_block(rival[-1]),)
+    applies = []
+    apply = node.replica.apply
+    node.replica.apply = lambda blk: (applies.append(blk), apply(blk))
+    start = len(world.events)
+    for branch in (rival, corrupted, tuple(node.chain.blocks[:fork + 1])):
+        node.receive_branch(world, branch, source="test")
+    assert applies == [] and world.events[start:] == []
+    assert replica_state(node.replica) == before
