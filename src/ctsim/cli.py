@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import yaml
-
 from .crypto import CryptoError
 from .ledger import LedgerError, read_ledger, write_ledger
 from .replica import replay_blocks
@@ -26,21 +24,29 @@ from .report import (
 from .scenario import ConfigError, load_config
 from .sim import World
 
-# libyaml's parser where PyYAML was built with it; it reads the same
-# documents into the same objects, several times faster
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
 
 def read_config(path):
-    """The scenario file at path, as the mapping load_config parses."""
+    """The scenario file at path, as the mapping load_config parses.
+
+    A document PyYAML cannot parse raises ValueError. PyYAML is imported
+    here, its one use, so verify and trust-report run on the stdlib alone.
+    """
+    import yaml
+
+    # libyaml's parser where PyYAML was built with it; it reads the same
+    # documents into the same objects, several times faster
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     with open(path) as fh:
-        return yaml.load(fh, Loader=_YAML_LOADER)
+        try:
+            return yaml.load(fh, Loader=loader)
+        except yaml.YAMLError as exc:
+            raise ValueError(exc) from exc
 
 
 def cmd_run(args) -> int:
     try:
         raw = read_config(args.config)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, ImportError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -58,7 +64,7 @@ def cmd_run(args) -> int:
     world = World(cfg)
     try:
         world.run()
-    except CryptoError as exc:
+    except (CryptoError, ImportError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from ._ecbackend import N, P, scalar_base_mult, scalar_mult, shamir_mult
 
 __all__ = [
@@ -561,6 +559,10 @@ def _shared_key(scalar: int, point: tuple[int, int]) -> bytes:
 
 def encrypt_for(recipient_pub: bytes, plaintext: bytes, rng: DetRng) -> Ciphertext:
     """Encrypt so that only the holder of the matching private key can read."""
+    # imported here, its one use: a ledger replay never encrypts, so
+    # verify and trust-report run on the stdlib alone
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
     point = decompress_point(recipient_pub)
     if point is None:
         raise CryptoError("invalid recipient public key")

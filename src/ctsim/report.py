@@ -28,9 +28,11 @@ def load_events(path) -> list[dict]:
 
 
 def dump_events(path, events: list[dict]) -> None:
+    # the encoder json.dumps(entry, sort_keys=True) builds, built once
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         for entry in events:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(encode(entry) + "\n")
 
 
 def _score_means(replica: Replica) -> dict[bytes, dict[str, float]]:

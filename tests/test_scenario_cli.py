@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -325,14 +326,33 @@ PINNED = {
 }
 
 
+SRC = SCENARIOS.parent / "src"
+
+
+@pytest.fixture(scope="module")
+def bundled_runs(tmp_path_factory) -> dict[str, pathlib.Path]:
+    """The artifact directory of each bundled scenario, run by the CLI."""
+    runs = {}
+    for name in sorted(PINNED):
+        out = runs[name] = tmp_path_factory.mktemp(name)
+        code, stdout, _ = run_cli("run", str(SCENARIOS / f"{name}.yaml"),
+                                  "--out-dir", str(out))
+        assert code == 0, stdout
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_bundled_scenario_artifacts_are_pinned(name, tmp_path):
-    code, stdout, _ = run_cli("run", str(SCENARIOS / f"{name}.yaml"),
-                              "--out-dir", str(tmp_path))
-    assert code == 0, stdout
-    got = {art: hashlib.sha256((tmp_path / art).read_bytes()).hexdigest()
-           for art in PINNED[name]}
+def test_bundled_scenario_artifacts_are_pinned(name, bundled_runs):
+    got = {art: hashlib.sha256((bundled_runs[name] / art).read_bytes())
+           .hexdigest() for art in PINNED[name]}
     assert got == PINNED[name]
+
+
+def _src_env(**extra) -> dict[str, str]:
+    """This environment, with the checkout's src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.mark.parametrize("flags, hashseed", [([], "0"), ([], "1"),
@@ -340,9 +360,7 @@ def test_bundled_scenario_artifacts_are_pinned(name, tmp_path):
                          ids=["hashseed-0", "hashseed-1", "optimized"])
 def test_demo_artifacts_are_pinned_in_a_fresh_process(flags, hashseed,
                                                       tmp_path):
-    src = str(SCENARIOS.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+    env = _src_env(PYTHONHASHSEED=hashseed)
     done = subprocess.run(
         [sys.executable, *flags, "-m", "ctsim.cli", "run",
          str(SCENARIOS / "demo.yaml"), "--out-dir", str(tmp_path)],
@@ -532,17 +550,137 @@ def test_malformed_yaml_exits_2(text, tmp_path):
     assert err.startswith("cannot load config: ")
 
 
-def test_libyaml_and_pure_loaders_agree(monkeypatch, tmp_path):
+def test_libyaml_and_pure_loaders_agree(tmp_path):
+    # read_config takes libyaml's loader where PyYAML was built with it
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML was built without libyaml")
     crowd = tmp_path / "crowd.yaml"
     crowd.write_text(perfbench_module("workloads").scenario_yaml("crowd", 1))
     paths = [SCENARIOS / f"{name}.yaml" for name in sorted(PINNED)] + [crowd]
     for path in paths:
-        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.CSafeLoader)
-        fast = load_config(cli.read_config(path))
-        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
-        assert load_config(cli.read_config(path)) == fast, path.name
+        text = path.read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert yaml.load(text, Loader=yaml.SafeLoader) == fast, path.name
+        assert cli.read_config(path) == fast, path.name
+
+
+# ---------------------------------------------------------------------------
+# Third-party packages load at first use
+# ---------------------------------------------------------------------------
+
+def test_cli_and_sim_load_no_third_party_package():
+    # PyYAML loads in read_config and cryptography in encrypt_for, so
+    # verify and trust-report, which call neither, load neither
+    probe = ("import sys, ctsim.cli, ctsim.sim; "
+             "print(sorted({'cryptography', 'yaml'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_run_without_pyyaml_exits_2_with_one_line(monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli("run", str(SCENARIOS / "demo.yaml"),
+                                "--out-dir", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("cannot load config: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_without_cryptography_fails_at_the_first_encryption(
+        monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules,
+                        "cryptography.hazmat.primitives.ciphers.aead", None)
+    code, stdout, err = run_cli("run", str(SCENARIOS / "demo.yaml"),
+                                "--out-dir", str(tmp_path))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# Run by each other interpreter: verify each ledger through cli.main and,
+# where PyYAML is missing, run a scenario once; print the results as JSON.
+OTHER_INTERPRETER_SCRIPT = """
+import contextlib, importlib.util, io, json, sys
+src, scenario, out_dir, *ledgers = sys.argv[1:]
+sys.path.insert(0, src)
+from ctsim.cli import main
+
+def call(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return [code, out.getvalue(), err.getvalue()]
+
+result = {"verify": [call("verify", path) for path in ledgers]}
+if importlib.util.find_spec("yaml") is None:
+    result["run"] = call("run", scenario, "--out-dir", out_dir)
+json.dump(result, sys.stdout)
+"""
+
+# prints an interpreter's version, then the path its executable resolves to
+VERSION_PROBE = ("import os, sys; print('%d.%d' % sys.version_info[:2]); "
+                 "print(os.path.realpath(sys.executable))")
+
+
+def _other_interpreters() -> list[str]:
+    """Each Python 3.10 or later other than this one: the python3.N
+    commands on PATH, and the sibling versions of a pyenv install."""
+    candidates = [shutil.which(f"python3.{n}") for n in range(10, 14)]
+    versions = pathlib.Path(sys.base_prefix).parent
+    if versions.name == "versions":
+        candidates += [str(d / "bin" / "python")
+                       for d in sorted(versions.iterdir())]
+    found = set()
+    for exe in filter(None, candidates):
+        try:
+            done = subprocess.run([exe, "-E", "-S", "-c", VERSION_PROBE],
+                                  capture_output=True, text=True, timeout=30)
+        except OSError:
+            continue
+        lines = done.stdout.split()
+        if done.returncode == 0 and len(lines) == 2:
+            major, minor = map(int, lines[0].split("."))
+            if (major, minor) >= (3, 10):
+                found.add(lines[1])
+    found.discard(os.path.realpath(sys.executable))
+    return sorted(found)
+
+
+def test_other_interpreters_verify_as_this_one(bundled_runs, tmp_path):
+    # the verifier imports only the stdlib, so an interpreter with nothing
+    # installed replays each ledger to the same line and exit code
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python 3.10+ on PATH or beside this one")
+    ledgers = []
+    for name, run in sorted(bundled_runs.items()):
+        raw = (run / "ledger.bin").read_bytes()
+        ledgers.append(run / "ledger.bin")
+        for at in (len(raw) // 3, len(raw) // 2):
+            flipped = bytearray(raw)
+            flipped[at] ^= 0x01
+            ledgers.append(tmp_path / f"{name}-{at}.bin")
+            ledgers[-1].write_bytes(bytes(flipped))
+    paths = list(map(str, ledgers))
+    outs = [tmp_path / f"out-{i}" for i in range(len(interpreters))]
+    children = [subprocess.Popen(
+        [exe, "-I", "-B", "-c", OTHER_INTERPRETER_SCRIPT, str(SRC),
+         str(SCENARIOS / "demo.yaml"), str(out), *paths],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for exe, out in zip(interpreters, outs)]
+    expected = [list(run_cli("verify", str(path))) for path in ledgers]
+    assert [code for code, _, _ in expected] == [0, 1, 1] * 3
+    for exe, child, out in zip(interpreters, children, outs):
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, (exe, stderr)
+        result = json.loads(stdout)
+        assert result["verify"] == expected, exe
+        if "run" in result:
+            assert result["run"] == [
+                2, "", "cannot load config: No module named 'yaml'\n"], exe
+            assert not out.exists()
 
 
 def test_verify_accepts_and_reports(run_dir):

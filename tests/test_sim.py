@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -265,20 +266,83 @@ def test_midrun_registration_reaches_everyone():
 # Invariants fail loudly, also under python -O
 # ---------------------------------------------------------------------------
 
-def test_src_holds_no_asserts_or_function_level_imports():
-    # python -O strips assert statements, so invariants must raise instead;
-    # an import inside a function hides a module cycle, so imports sit at
-    # module level
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+IMPORTS = (ast.Import, ast.ImportFrom)
+
+# the only imports inside a function, as (module, function, package): each
+# loads a third-party package in the one function that uses it, so verify
+# and trust-report, which call neither, run on the stdlib alone
+FUNCTION_LEVEL_IMPORTS = {
+    ("cli", "read_config", "yaml"),
+    ("crypto", "encrypt_for", "cryptography"),
+}
+
+# the modules a ledger replay runs, and the package's __init__, which
+# importing any of them runs first
+VERIFIER = ("__init__", "_ecbackend", "consensus", "crypto", "fixedpoint",
+            "ledger", "replica", "trust")
+
+
+def _src_trees() -> dict[str, ast.Module]:
     src = pathlib.Path(consensus.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
+def _imported(node) -> list[str]:
+    """The top-level package each name of an import statement loads; a
+    ctsim module, imported relatively, carries a leading dot."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if node.level:
+        if node.module:
+            return ["." + node.module.split(".")[0]]
+        return ["." + alias.name for alias in node.names]
+    return [node.module.split(".")[0]]
+
+
+def _outside_functions(tree):
+    """The nodes of tree that no function body holds."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, FUNCS))
+
+
+def test_src_holds_no_asserts_or_function_level_imports():
+    # python -O strips assert statements, so invariants must raise instead.
+    # An import inside a function hides a module cycle, so imports sit at
+    # module level, but for FUNCTION_LEVEL_IMPORTS: a third-party package
+    # cannot close a ctsim cycle. importlib and __import__ would import
+    # round this scan, so neither appears.
+    found = set()
+    for module, tree in _src_trees().items():
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-        assert not lines, (path.name, lines)
-        funcs = [f for f in ast.walk(tree)
-                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        imports = sorted({n.lineno for f in funcs for n in ast.walk(f)
-                          if isinstance(n, (ast.Import, ast.ImportFrom))})
-        assert not imports, (path.name, imports)
+        assert not lines, (module, lines)
+        found |= {(module, f.name, package)
+                  for f in ast.walk(tree) if isinstance(f, FUNCS)
+                  for n in ast.walk(f) if isinstance(n, IMPORTS)
+                  for package in _imported(n)}
+        dynamic = [n.lineno for n in ast.walk(tree)
+                   if isinstance(n, IMPORTS) and "importlib" in _imported(n)
+                   or isinstance(n, ast.Name) and n.id == "__import__"
+                   or isinstance(n, ast.Attribute) and n.attr == "__import__"]
+        assert not dynamic, (module, dynamic)
+    assert found == FUNCTION_LEVEL_IMPORTS
+
+
+def test_the_verifier_imports_only_the_stdlib_and_itself():
+    # so verify runs on any interpreter the package declares, with nothing
+    # installed; encrypt_for's AES-GCM import is the one exception, and a
+    # replay never encrypts
+    trees = _src_trees()
+    allowed = set(sys.stdlib_module_names) | {"." + m for m in VERIFIER}
+    for module in VERIFIER:
+        imported = {package for n in _outside_functions(trees[module])
+                    if isinstance(n, IMPORTS) for package in _imported(n)}
+        assert imported <= allowed, (module, sorted(imported - allowed))
 
 
 def _referenced_names(node):
@@ -298,12 +362,11 @@ def test_src_holds_no_test_only_helpers():
     src = pathlib.Path(consensus.__file__).parent
     stmts = [(path.stem, stmt) for path in sorted(src.glob("*.py"))
              for stmt in ast.parse(path.read_text(), str(path)).body]
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs = [(f"{module}.{stmt.name}", stmt) for module, stmt in stmts
-            if isinstance(stmt, (*funcs, ast.ClassDef))]
+            if isinstance(stmt, (*FUNCS, ast.ClassDef))]
     defs += [(f"{module}.{stmt.name}.{meth.name}", meth)
              for module, stmt in stmts if isinstance(stmt, ast.ClassDef)
-             for meth in stmt.body if isinstance(meth, funcs)
+             for meth in stmt.body if isinstance(meth, FUNCS)
              and not (meth.name.startswith("__") and meth.name.endswith("__"))]
     uses = Counter(name for _, stmt in stmts
                    for name in _referenced_names(stmt))
