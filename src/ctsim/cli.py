@@ -49,30 +49,32 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, ImportError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
+    return run_config(raw, args.out_dir, args.seed_override)
+
+
+def run_config(raw, out_dir, seed_override=None) -> int:
+    """Run the scenario mapping raw, as read_config returns it, and write
+    its three artifacts to out_dir; returns cmd_run's exit code."""
     try:
         cfg = load_config(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed_override is not None:
-        if not 0 <= args.seed_override < 2 ** 64:
+    if seed_override is not None:
+        if not 0 <= seed_override < 2 ** 64:
             print("seed override must lie in [0, 2^64)", file=sys.stderr)
             return 2
-        cfg.seed = args.seed_override
-    os.makedirs(args.out_dir, exist_ok=True)
+        cfg.seed = seed_override
+    os.makedirs(out_dir, exist_ok=True)
 
-    world = World(cfg)
+    ledger_path = os.path.join(out_dir, "ledger.bin")
+    events_path = os.path.join(out_dir, "events.jsonl")
+    report_path = os.path.join(out_dir, "report.json")
     try:
-        world.run()
-    except (CryptoError, ImportError) as exc:
+        _run_and_persist(cfg, ledger_path, events_path)
+    except CryptoError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-
-    ledger_path = os.path.join(args.out_dir, "ledger.bin")
-    events_path = os.path.join(args.out_dir, "events.jsonl")
-    report_path = os.path.join(args.out_dir, "report.json")
-    write_ledger(ledger_path, world.canonical.chain.blocks)
-    dump_events(events_path, world.events)
 
     # the report is built from what was just persisted, not from live
     # state, so regenerating it later from the same files is a no-op
@@ -85,8 +87,18 @@ def cmd_run(args) -> int:
         return 1
     dump_report(report_path, report)
     print(render_trust_table(report))
-    print(f"artifacts in {args.out_dir}: ledger.bin events.jsonl report.json")
+    print(f"artifacts in {out_dir}: ledger.bin events.jsonl report.json")
     return 0
+
+
+def _run_and_persist(cfg, ledger_path, events_path) -> None:
+    """Run a World on cfg and write its ledger and events. Only the files
+    outlive the World, so every replica and event is freed before the
+    report reads them back."""
+    world = World(cfg)
+    world.run()
+    write_ledger(ledger_path, world.canonical.chain.blocks)
+    dump_events(events_path, world.events)
 
 
 def _read_ledger_checked(path) -> tuple[list | None, int]:

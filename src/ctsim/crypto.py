@@ -12,7 +12,8 @@ path: it streams to one forked checker process, whose verdicts are
 compared with the ones assumed before the block ends, or is made at the
 end of the block if no checker runs. User profile data
 travels encrypted under an ECIES-style hybrid scheme (ephemeral ECDH +
-AES-256-GCM).
+AES-256-GCM, sealed by :mod:`ctsim._aesgcm`, the one cipher kernel, as
+:mod:`ctsim._ecbackend` is the one curve kernel).
 
 All randomness used here is caller-supplied via :class:`DetRng`, a SHA-256
 counter DRBG, which keeps whole-simulation determinism in one seed.
@@ -29,6 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._aesgcm import seal
 from ._ecbackend import N, P, scalar_base_mult, scalar_mult, shamir_mult
 
 __all__ = [
@@ -559,16 +561,12 @@ def _shared_key(scalar: int, point: tuple[int, int]) -> bytes:
 
 def encrypt_for(recipient_pub: bytes, plaintext: bytes, rng: DetRng) -> Ciphertext:
     """Encrypt so that only the holder of the matching private key can read."""
-    # imported here, its one use: a ledger replay never encrypts, so
-    # verify and trust-report run on the stdlib alone
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
     point = decompress_point(recipient_pub)
     if point is None:
         raise CryptoError("invalid recipient public key")
     eph = generate_keypair(rng.take(32))
     key = _shared_key(eph.private_key, point)
     nonce = rng.take(12)
-    sealed = AESGCM(key).encrypt(nonce, plaintext, eph.pub_bytes)
+    sealed = seal(key, nonce, plaintext, eph.pub_bytes)
     return Ciphertext(eph.pub_bytes, nonce, sealed[:-16], sealed[-16:])
 

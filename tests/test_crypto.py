@@ -1,10 +1,11 @@
-"""Keys, ECDSA, ECIES and the deterministic RNG.
+"""Keys, ECDSA, ECIES, AES-256-GCM and the deterministic RNG.
 
 Signature and Diffie-Hellman correctness is cross-checked against the
 OpenSSL implementation shipped in the cryptography package: our signatures
 must verify there, and theirs must verify here (after low-s
-normalization). That keeps the curve arithmetic honest without trusting
-our own code to judge itself.
+normalization). The AES-256-GCM seal must give OpenSSL's bytes, and open
+under OpenSSL's decryption. That keeps the curve arithmetic and the cipher
+honest without trusting our own code to judge itself.
 """
 
 import os
@@ -19,7 +20,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from ctsim import _ecbackend, crypto
+from ctsim import _aesgcm, _ecbackend, crypto
 from ctsim._ecbackend import GX, GY, N, P
 from ctsim.crypto import (
     Ciphertext, CryptoError, DetRng, KeyPair, address_of, compress_point,
@@ -621,6 +622,48 @@ def test_sign_requires_digest_length():
 
 
 # ---------------------------------------------------------------------------
+# AES-256-GCM
+# ---------------------------------------------------------------------------
+
+def test_aes256_block_matches_fips197_c3():
+    rk = _aesgcm._expand_key(bytes(range(32)))
+    block = bytes.fromhex("00112233445566778899aabbccddeeff")
+    words = [int.from_bytes(block[i:i + 4], "big") for i in range(0, 16, 4)]
+    assert _aesgcm._encrypt(rk, *words).to_bytes(16, "big").hex() \
+        == "8ea2b7ca516745bfeafc49904b496089"
+
+
+def test_seal_matches_gcm_test_cases_13_and_14():
+    # McGrew and Viega's GCM test vectors: a zero key and nonce, with an
+    # empty plaintext and then one zero block
+    assert _aesgcm.seal(bytes(32), bytes(12), b"", b"").hex() \
+        == "530f8afbc74536b9a963b4f1c4cb738b"
+    assert _aesgcm.seal(bytes(32), bytes(12), bytes(16), b"").hex() \
+        == ("cea7403d4d606b6e074ec5d3baf39d18"
+            "d0d1c8a799996bf0265b98b5d48ab919")
+
+
+def test_seal_equals_openssl_on_every_length():
+    # plaintexts of 0-80 bytes cover no block, whole blocks and partial
+    # ones; the AAD likewise, at 0-40 bytes
+    rng = DetRng(57, b"aesgcm")
+    for size in range(81):
+        for aad_size in range(41):
+            key, nonce = rng.take(32), rng.take(12)
+            plaintext, aad = rng.take(size), rng.take(aad_size)
+            assert _aesgcm.seal(key, nonce, plaintext, aad) \
+                == AESGCM(key).encrypt(nonce, plaintext, aad), (size, aad_size)
+
+
+@pytest.mark.parametrize("key, nonce", [(bytes(16), bytes(12)),
+                                        (bytes(32), bytes(16))],
+                         ids=["aes128-key", "long-nonce"])
+def test_seal_refuses_other_key_and_nonce_sizes(key, nonce):
+    with pytest.raises(ValueError, match="32-byte key and a 12-byte nonce"):
+        _aesgcm.seal(key, nonce, b"profile", b"")
+
+
+# ---------------------------------------------------------------------------
 # ECDH / ECIES
 # ---------------------------------------------------------------------------
 
@@ -637,6 +680,7 @@ def test_ecdh_agrees_with_openssl():
 
 
 def test_ecies_round_trip_and_determinism():
+    # sealed by ctsim._aesgcm, opened by OpenSSL
     recipient = generate_keypair(DetRng(51).take(32))
     msg = b'{"user": "wanderer", "home": "asgard"}'
     ct1 = encrypt_for(recipient.pub_bytes, msg, DetRng(52, b"e"))

@@ -269,18 +269,18 @@ def test_midrun_registration_reaches_everyone():
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 IMPORTS = (ast.Import, ast.ImportFrom)
 
-# the only imports inside a function, as (module, function, package): each
-# loads a third-party package in the one function that uses it, so verify
-# and trust-report, which call neither, run on the stdlib alone
+# the only import inside a function, as (module, function, package): PyYAML
+# loads in the one function that reads a scenario file, so verify and
+# trust-report, which never call it, run on the stdlib alone
 FUNCTION_LEVEL_IMPORTS = {
     ("cli", "read_config", "yaml"),
-    ("crypto", "encrypt_for", "cryptography"),
 }
 
-# the modules a ledger replay runs, and the package's __init__, which
-# importing any of them runs first
-VERIFIER = ("__init__", "_ecbackend", "consensus", "crypto", "fixedpoint",
-            "ledger", "replica", "trust")
+# the modules a ledger replay loads, and the package's __init__, which
+# importing any of them runs first; _aesgcm, the cipher crypto imports,
+# among them, so a run's encryption needs nothing installed either
+VERIFIER = ("__init__", "_aesgcm", "_ecbackend", "consensus", "crypto",
+            "fixedpoint", "ledger", "replica", "trust")
 
 
 def _src_trees() -> dict[str, ast.Module]:
@@ -314,9 +314,9 @@ def _outside_functions(tree):
 def test_src_holds_no_asserts_or_function_level_imports():
     # python -O strips assert statements, so invariants must raise instead.
     # An import inside a function hides a module cycle, so imports sit at
-    # module level, but for FUNCTION_LEVEL_IMPORTS: a third-party package
-    # cannot close a ctsim cycle. importlib and __import__ would import
-    # round this scan, so neither appears.
+    # module level, but for FUNCTION_LEVEL_IMPORTS: PyYAML, a third-party
+    # package, cannot close a ctsim cycle. importlib and __import__ would
+    # import round this scan, so neither appears.
     found = set()
     for module, tree in _src_trees().items():
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
@@ -334,9 +334,8 @@ def test_src_holds_no_asserts_or_function_level_imports():
 
 
 def test_the_verifier_imports_only_the_stdlib_and_itself():
-    # so verify runs on any interpreter the package declares, with nothing
-    # installed; encrypt_for's AES-GCM import is the one exception, and a
-    # replay never encrypts
+    # so verify, and a run's encryption, work on any interpreter the
+    # package declares, with nothing installed
     trees = _src_trees()
     allowed = set(sys.stdlib_module_names) | {"." + m for m in VERIFIER}
     for module in VERIFIER:
