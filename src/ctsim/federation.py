@@ -274,7 +274,7 @@ def _on_token_issued(world, foreign, payload: dict) -> None:
 
 def _on_grant_notice(world, home, payload: dict) -> None:
     """Step five, home side: queue the satisfaction rating for the grant."""
-    home.pending_sat[payload["token_id"]] = payload["req_id"]
+    home.pending_sat.add(payload["token_id"])
     _flush_sat_feedback(world, home)
 
 
@@ -335,7 +335,7 @@ def _flush_sat_feedback(world, home) -> None:
         token = home.chain.lookup_token(token_id)
         if token is None:
             continue    # wait for our replica to catch up
-        del home.pending_sat[token_id]
+        home.pending_sat.remove(token_id)
         submit_feedback(world, home, token, int(_sat_label(home.behavior)))
 
 

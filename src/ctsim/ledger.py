@@ -612,8 +612,8 @@ class Chain:
     """A node's canonical replica: block list plus uniqueness indices.
 
     The consensus parameters (params) are read from the genesis alone,
-    once, as it is checked. Genesis registrations pass the same
-    per-transaction validation as any later block's transactions;
+    once, as it is checked. The genesis is then applied like any later
+    block, so its registrations pass the same per-transaction validation;
     LedgerError carries the first failure. The set-like indices map their
     keys to None. Every index write goes through one Journal under a mark
     per height, so pop_block() and a rejected block undo exactly what the
@@ -633,7 +633,7 @@ class Chain:
         # per height: the journal mark before that block's writes
         self._marks: list[int] = []
         self.cum_trust: list[int] = []
-        self._append(genesis, 0)
+        self.apply_block(genesis, 0)
 
     # -- views ------------------------------------------------------------
 
@@ -733,24 +733,12 @@ class Chain:
         return reason
 
     def apply_block(self, blk: Block, generator_trust: int = 0) -> None:
-        """Extend the chain by a block whose header consensus.validate_block
-        has passed (linkage and tx_root included); atomic, raises
-        LedgerError naming the first failing tx, each tx checked against
-        the chain plus the ones before it in the block.
+        """Extend the chain by a block whose header has passed its check:
+        consensus.validate_block (linkage and tx_root included), or
+        check_genesis_shape at height 0. Atomic: each tx is checked against
+        the chain plus the ones before it in the block; on a rejected tx the
+        block's writes are undone and LedgerError names that tx.
         """
-        self._append(blk, generator_trust)
-
-    def pop_block(self) -> Block:
-        """Undo the tip block exactly, the inverse of apply_block."""
-        if self.height == 0:
-            raise ValueError("genesis cannot be popped")
-        self.cum_trust.pop()
-        self.journal.undo(self._marks.pop())
-        return self.blocks.pop()
-
-    def _append(self, blk: Block, generator_trust: int) -> None:
-        """Absorb blk's txs in order, then append it; on a rejected tx,
-        undo the block's writes and raise LedgerError naming that tx."""
         mark = self.journal.mark()
         for tx in blk.txs:
             reason = self.try_absorb(tx)
@@ -766,6 +754,14 @@ class Chain:
         self.blocks.append(blk)
         prev = self.cum_trust[-1] if self.cum_trust else 0
         self.cum_trust.append(prev + generator_trust)
+
+    def pop_block(self) -> Block:
+        """Undo the tip block exactly, the inverse of apply_block."""
+        if self.height == 0:
+            raise ValueError("genesis cannot be popped")
+        self.cum_trust.pop()
+        self.journal.undo(self._marks.pop())
+        return self.blocks.pop()
 
     def _absorb(self, tx: Transaction) -> None:
         """Add one validated tx's index keys, each through the journal."""

@@ -2,8 +2,10 @@
 
 A World owns the event queue, the link model, and the node roster; every
 Node runs one full replica plus a mempool and reacts to deliveries. A
-branch shorter than the node's chain cannot win, and is dismissed unread.
-Any other is validated on that replica from the fork point: the node
+node's own new block takes the same intake, receive_branch, as a peer's.
+A branch shorter than the node's chain cannot win, and is dismissed
+unread, as is one whose tip is stamped after the shared clock. Any other
+is validated on that replica from the fork point: the node
 pops its own blocks back to it, applies the branch, and keeps whichever
 side consensus.resolve prefers, re-applying its own blocks if it keeps
 them. All randomness flows from one seeded generator, all ties break on
@@ -72,7 +74,7 @@ class Node:
         self.users: dict[bytes, HomeUser] = {}
         self.child_index = 0
         self.pending: dict[str, ForeignRequest] = {}
-        self.pending_sat: dict[bytes, str] = {}
+        self.pending_sat: set[bytes] = set()     # token ids to rate
         self.consumed: set[bytes] = set()
         self.last_token = None          # most recent issued AccessToken
 
@@ -136,25 +138,17 @@ class Node:
         blk = consensus.seal_block(Block(header, txs), self.key, state.prf_old)
         world.log_event("block_generated", node=self.name, height=blk.height,
                         h_blk=blk.h_blk.hex(), ntx=len(txs))
-
+        branch = tuple(chain.blocks) + (blk,)
         if self.behavior == "tamperer":
             # discard the honest block, ship a corrupted copy instead
             evil = _corrupt_block(blk)
             world.log_event("block_tampered", node=self.name,
                             height=evil.height, h_blk=evil.h_blk.hex())
-            world.broadcast_block(self, tuple(chain.blocks) + (evil,))
-            return
-
-        try:
-            self.replica.apply(blk)
-        except LedgerError as exc:
-            raise RuntimeError(f"{self.name}: own block rejected: "
-                               f"{exc.reason}") from exc
-        self._evict_included()
-        world.log_event("block_accepted", node=self.name, height=blk.height,
-                        h_blk=blk.h_blk.hex(), generator=self.name)
-        federation.on_canonical_change(world, self)
-        world.broadcast_block(self, tuple(chain.blocks))
+            branch = branch[:-1] + (evil,)
+        else:
+            # our own block takes the same intake as a peer's
+            self.receive_branch(world, branch, self.name)
+        world.broadcast_block(self, branch)
 
     # --- branch reception --------------------------------------------------
 
@@ -170,6 +164,12 @@ class Node:
         # consensus.resolve ranks height first: a shorter branch cannot win
         if tip.height < chain.height or tip.h_blk == chain.tip.h_blk:
             return
+        # all nodes read one clock, so the allowance for clock skew is 0
+        if tip.header.timestamp > world.now:
+            world.log_event("block_rejected", node=self.name,
+                            height=tip.height, h_blk=tip.h_blk.hex(),
+                            reason="TIME_TOO_NEW", source=source)
+            return
         self._side_replica(world, branch, source)
 
     def _side_replica(self, world: "World", branch: tuple[Block, ...],
@@ -179,7 +179,9 @@ class Node:
         The replica pops back to the fork point and applies the branch. A
         branch is all-or-nothing: if a block fails, or consensus.resolve
         prefers our old tip at the same height, the branch is popped and
-        our own blocks are re-applied.
+        our own blocks are re-applied. A node's own new block arrives here
+        too, from try_generate, as a one-block extension; its rejection is
+        a broken invariant and raises RuntimeError.
         """
         replica = self.replica
         chain = replica.chain
@@ -193,6 +195,9 @@ class Node:
             try:
                 replica.apply(blk)
             except LedgerError as exc:
+                if source == self.name:
+                    raise RuntimeError(f"{self.name}: own block rejected: "
+                                       f"{exc.reason}") from exc
                 world.log_event("block_rejected", node=self.name,
                                 height=blk.height, h_blk=blk.h_blk.hex(),
                                 reason=exc.reason,

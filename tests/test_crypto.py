@@ -2,8 +2,9 @@
 
 Signature and Diffie-Hellman correctness is cross-checked against the
 OpenSSL implementation shipped in the cryptography package: our signatures
-must verify there, and theirs must verify here (after low-s
-normalization). The AES-256-GCM seal must give OpenSSL's bytes, and open
+must verify there, theirs must verify here (after low-s normalization),
+and ours must equal its RFC 6979 deterministic ones byte for byte. The
+AES-256-GCM seal must give OpenSSL's bytes, and open
 under OpenSSL's decryption. That keeps the curve arithmetic and the cipher
 honest without trusting our own code to judge itself.
 """
@@ -513,6 +514,28 @@ def test_openssl_signatures_verify_here_after_low_s():
             s = N - s
         sig = r.to_bytes(32, "big") + s.to_bytes(32, "big")
         assert verify(pub_bytes, digest, sig)
+
+
+def test_sign_equals_openssl_rfc6979_after_low_s():
+    # an independent oracle for the signature bytes: OpenSSL's RFC 6979
+    # deterministic ECDSA, then low s, over random keys and the digests
+    # that stress the nonce's bits2octets reduction
+    try:
+        rfc6979 = ec.ECDSA(Prehashed(hashes.SHA256()),
+                           deterministic_signing=True)
+    except TypeError:
+        pytest.skip("this cryptography has no deterministic_signing")
+    rng = DetRng(36, b"rfc6979")
+    edges = [0, N, 2 ** 256 - 1]
+    for _ in range(40):
+        k = rng.randbelow(N - 1) + 1
+        kp = generate_keypair(k.to_bytes(32, "big"))
+        priv = _openssl_priv(k)
+        for digest in [d.to_bytes(32, "big") for d in edges] + [rng.take(32)]:
+            r, s = decode_dss_signature(priv.sign(digest, rfc6979))
+            s = min(s, N - s)
+            assert sign(kp, digest) == (r.to_bytes(32, "big")
+                                        + s.to_bytes(32, "big"))
 
 
 def test_high_s_form_is_rejected():

@@ -2,7 +2,8 @@
 
 The benchmark's crowd workload, and its split-heal workload with its
 partitions, are run in-process at their own size and at twice their
-users, requests and duration. Per canonical height, the exact
+users, requests and duration; a run with no requests is run at one and
+at four times its duration. Per canonical height, the exact
 counts of the work a run does must stay flat: a term that grows with the
 chain (a scan over every pair, every block or every tx) would double its
 per-height count when the chain doubles, and fail the bound below. The
@@ -33,17 +34,22 @@ MAX_GROWTH = 1.3
 # margin, well below the 15.93 made while each branch shorter than the
 # chain, which cannot win, was applied and the node's own blocks redone
 MAX_SPLIT_HEAL_APPLIES = 10
+# duration alone: four providers at 0.25 stake, no requests, seed 5, at 30 s
+# and 120 s (height 89 and 385). Measured per height: curve ops 2.27 ->
+# 2.29, applies 4.43 -> 4.78 (1.08), canonical journal entries 1.14 ->
+# 1.03. A per-height count linear in the chain would come out near 4.3.
+DURATIONS_MS = (30_000, 120_000)
+
+APPLY = [(replica.Replica, "apply")]
+CURVE = [(crypto, op) for op in
+         ("scalar_base_mult", "scalar_mult", "shamir_mult")]
 
 
-def _per_height(monkeypatch, workload, counters):
-    """Run the perfbench workload at seed 28, at its own size and at twice
-    SCALED, on one CPU; each count per canonical height, at 1x and 2x.
-    counters maps a count's name to the (owner, attribute) it counts."""
+def _counting(monkeypatch, counters):
+    """Count calls, on one CPU, to what counters names: a count's name to
+    the (owner, attribute) pairs it counts. The dict the calls add to."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    workloads = perfbench_module("workloads")   # a private copy to resize
-    sizes = {"crowd": "CROWD", "split-heal": "SPLIT_HEAL"}[workload]
-    base = getattr(workloads, sizes)
-    counts = {}
+    counts = dict.fromkeys(counters, 0)
     for key, targets in counters.items():
         for owner, name in targets:
             fn = getattr(owner, name)
@@ -52,28 +58,42 @@ def _per_height(monkeypatch, workload, counters):
                 counts[_key] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
+    return counts
 
+
+def _run_per_height(monkeypatch, counts, cfg):
+    """Run cfg from zeroed counts; each count, and the canonical chain's
+    journal entries, per canonical height."""
+    # a verify memo warmed by an earlier run would hide curve ops
+    monkeypatch.setattr(crypto, "_verify_memo", {})
+    counts.update(dict.fromkeys(counts, 0))
+    world = World(load_config(cfg))
+    world.run()
+    chain = world.canonical.chain
+    counts["journal"] = chain.journal.mark()
+    return {k: n / chain.height for k, n in counts.items()}
+
+
+def _per_height(monkeypatch, workload, counters):
+    """Run the perfbench workload at seed 28, at its own size and at twice
+    SCALED; each count per canonical height, at 1x and 2x."""
+    counts = _counting(monkeypatch, counters)
+    workloads = perfbench_module("workloads")   # a private copy to resize
+    sizes = {"crowd": "CROWD", "split-heal": "SPLIT_HEAL"}[workload]
+    base = getattr(workloads, sizes)
     per_height = []
     for scale in (1, 2):
         setattr(workloads, sizes,
                 {**base, **{k: base[k] * scale for k in SCALED}})
-        # a verify memo warmed by an earlier run would hide curve ops
-        monkeypatch.setattr(crypto, "_verify_memo", {})
-        counts.update(dict.fromkeys(counters, 0))
-        world = World(load_config(workloads.GENERATORS[workload](SEED)))
-        world.run()
-        chain = world.canonical.chain
-        counts["journal"] = chain.journal.mark()
-        per_height.append({k: n / chain.height for k, n in counts.items()})
+        per_height.append(_run_per_height(
+            monkeypatch, counts, workloads.GENERATORS[workload](SEED)))
     return per_height
 
 
 def test_crowd_work_per_height_stays_flat_when_the_run_doubles(monkeypatch):
     one, two = _per_height(monkeypatch, "crowd", {
-        "apply": [(replica.Replica, "apply")],
-        "validate_tx": [(ledger.Chain, "validate_tx")],
-        "curve": [(crypto, op) for op in
-                  ("scalar_base_mult", "scalar_mult", "shamir_mult")]})
+        "apply": APPLY, "validate_tx": [(ledger.Chain, "validate_tx")],
+        "curve": CURVE})
     growth = {k: two[k] / one[k] for k in one}
     assert all(n > 0 for n in one.values()), one
     assert max(growth.values()) <= MAX_GROWTH, (one, two, growth)
@@ -81,7 +101,17 @@ def test_crowd_work_per_height_stays_flat_when_the_run_doubles(monkeypatch):
 
 def test_split_heal_applies_per_height_stay_flat_when_the_run_doubles(
         monkeypatch):
-    one, two = _per_height(monkeypatch, "split-heal",
-                           {"apply": [(replica.Replica, "apply")]})
+    one, two = _per_height(monkeypatch, "split-heal", {"apply": APPLY})
     assert 0 < one["apply"] <= MAX_SPLIT_HEAL_APPLIES, one
     assert two["apply"] / one["apply"] <= MAX_GROWTH, (one, two)
+
+
+def test_work_per_height_stays_flat_when_only_the_duration_grows(
+        monkeypatch):
+    counts = _counting(monkeypatch, {"apply": APPLY, "curve": CURVE})
+    nodes = [{"name": name, "stake": 0.25} for name in "abcd"]
+    short, long = (_run_per_height(monkeypatch, counts, {
+        "seed": 5, "duration_ms": ms, "nodes": nodes}) for ms in DURATIONS_MS)
+    growth = {k: long[k] / short[k] for k in short}
+    assert all(n > 0 for n in short.values()), short
+    assert max(growth.values()) <= MAX_GROWTH, (short, long, growth)

@@ -438,6 +438,48 @@ def test_node_rejecting_its_own_block_raises(monkeypatch):
         alpha.try_generate(world)
 
 
+def test_a_branch_stamped_after_the_clock_is_refused(monkeypatch):
+    # a low-stake provider buys eligibility by claiming time: stamped at
+    # its own last + the elapsed cap, its block wins the lottery. Accepted,
+    # it would leave the receiver's own next block, stamped at now, behind
+    # its tip, and the receiver would raise on it.
+    world = run_cfg({"seed": 3, "duration_ms": 3000, "nodes": [
+        {"name": "a", "stake": 0.3}, {"name": "b", "stake": 0.3},
+        {"name": "c", "stake": 0.3}, {"name": "w", "stake": 0.1}]})
+    drain(world)
+    a, w = world.nodes["a"], world.nodes["w"]
+    chain = a.chain
+    params = chain.params
+    state = consensus.consensus_state_at(chain, w.address)
+    ts = max(chain.tip.header.timestamp + 1,
+             state.last_generated_ts
+             + params.time_cap_intervals * params.block_interval_ms)
+    assert ts > world.now
+    assert consensus.check_eligibility(params, state,
+                                       a.replica.trust_for(w.address),
+                                       w.key.pub_bytes, ts)
+    header = BlockHeader(
+        height=chain.height + 1, prev_block=chain.tip.h_blk,
+        tx_root=compute_tx_root(()), timestamp=ts,
+        generator_pub=w.key.pub_bytes, prf=ZERO_DIGEST,
+        base_target=params.base_target, sig=b"\x00" * 64)
+    warped = consensus.seal_block(Block(header, ()), w.key, state.prf_old)
+    before = replica_state(a.replica)
+    start = len(world.events)
+    a.receive_branch(world, tuple(chain.blocks) + (warped,), source="w")
+    refused = replica_state(a.replica)
+    monkeypatch.setattr(consensus, "check_eligibility", lambda *args: True)
+    a.try_generate(world)
+
+    assert [(e["event"], e["reason"], e["source"])
+            for e in world.events[start:] if e["event"] == "block_rejected"] \
+        == [("block_rejected", "TIME_TOO_NEW", "w")]
+    assert refused == before
+    assert chain.height == warped.height
+    assert chain.tip.header.generator_pub == a.key.pub_bytes
+    assert chain.tip.header.timestamp == world.now
+
+
 # ---------------------------------------------------------------------------
 # Fork handling: rewind to the fork point, apply, keep the winner
 # ---------------------------------------------------------------------------
@@ -496,7 +538,10 @@ def _rival(node, world, fork: int, length: int):
 
 
 def _receive(node, world, branch):
-    """Deliver a branch; the branch-handling events it logged."""
+    """Deliver a branch once the clock has reached its tip's stamp (a
+    branch stamped after it is refused unread); the branch-handling events
+    it logged."""
+    world.now = max(world.now, branch[-1].header.timestamp)
     start = len(world.events)
     node.receive_branch(world, branch, source="test")
     return [e for e in world.events[start:] if e["event"] in BRANCH_EVENTS]
