@@ -63,14 +63,23 @@ class UserInfo:
 
 @dataclass
 class RequestRecord:
-    """Bookkeeping mirror of a request's lifecycle, for inspection."""
+    """Bookkeeping mirror of a request's lifecycle: ``state`` is the last
+    one logged (None before the first), and so the request's outcome."""
     req_id: str
     user: str
     home: str | None
     target: str
     resource: str
-    state: str
+    state: str | None = None
     token_id: bytes | None = None
+
+
+# the one set of moves _log_request allows: each state (None before the
+# first) to the states after it; GRANTED and DENIED are terminal
+TRANSITIONS = {None: frozenset({"REQUESTED"}),
+               "REQUESTED": frozenset({"REDIRECTED", "GRANTED", "DENIED"}),
+               "REDIRECTED": frozenset({"TOKEN_ISSUED", "DENIED"}),
+               "TOKEN_ISSUED": frozenset({"GRANTED", "DENIED"})}
 
 
 def _timeout_ms(world) -> int:
@@ -84,6 +93,8 @@ def _ttl_ms(world) -> int:
 
 def _log_request(world, req_id: str, state: str, **fields) -> None:
     rec = world.requests[req_id]
+    if state not in TRANSITIONS.get(rec.state, ()):
+        raise RuntimeError(f"request {req_id}: {rec.state} -> {state}")
     rec.state = state
     world.log_event("request_state", req=req_id, state=state, user=rec.user,
                     target=rec.target, resource=rec.resource, **fields)
@@ -140,7 +151,7 @@ def request_access(world, req_id: str, username: str, target: str,
                    bad_credential: bool = False) -> None:
     """Step one: the user asks the target provider for a resource."""
     world.requests[req_id] = RequestRecord(req_id, username, home, target,
-                                           resource, "REQUESTED")
+                                           resource)
     _log_request(world, req_id, "REQUESTED", node=target)
     info = world.users.get(username)
     if info is None:
@@ -155,14 +166,14 @@ def request_access(world, req_id: str, username: str, target: str,
     world.requests[req_id].home = home
     credential = b"" if bad_credential else info.credentials.get(home, b"")
     target_node = world.nodes[target]
+    deadline = world.now + _timeout_ms(world)
     target_node.pending[req_id] = ForeignRequest(
-        home=home, resource=resource_address(resource),
-        deadline=world.now + _timeout_ms(world))
+        home=home, resource=resource_address(resource), deadline=deadline)
     _log_request(world, req_id, "REDIRECTED", node=target, home=home)
     world.send_msg(target, home, {
         "kind": "auth_request", "req_id": req_id,
         "pseudonym": info.pseudonym, "credential": credential,
-        "foreign": target, "resource": resource})
+        "foreign": target, "resource": resource, "deadline": deadline})
 
 
 def iaas_share(world, req_id: str, borrower: str, lender: str,
@@ -213,6 +224,8 @@ def on_message(world, node, src: str, payload: dict) -> None:
 
 def _on_auth_request(world, home, src: str, payload: dict) -> None:
     """Step two and three: authenticate the user, issue the token."""
+    if world.now >= payload["deadline"]:
+        return      # the foreign provider times the request out
     req_id = payload["req_id"]
     record = home.users.get(payload["pseudonym"])
     if record is None or record.credential != payload["credential"]:

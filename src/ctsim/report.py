@@ -111,12 +111,10 @@ def _user_section(replica: Replica, user_names: dict[str, str]) -> list[dict]:
 
 
 def _request_section(events: list[dict]) -> dict:
-    # a request's outcome is its last state, or its first GRANTED or
-    # DENIED: an answer that arrives after either does not replace it
+    # a request's outcome is its last state
     final: dict[str, dict] = {}
     for entry in events:
-        if entry.get("event") == "request_state" and final.get(
-                entry["req"], {}).get("state") not in ("GRANTED", "DENIED"):
+        if entry.get("event") == "request_state":
             final[entry["req"]] = entry
     by_state: dict[str, int] = {}
     by_reason: dict[str, int] = {}

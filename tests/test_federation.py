@@ -141,29 +141,71 @@ def test_replayed_token_is_consumed_once():
     assert len(granted) == 1
 
 
-@pytest.mark.parametrize("bad_credential", [False, True])
-def test_answer_after_timeout_is_ignored(bad_credential):
-    # every hop takes 400 ms and a request times out after one 300 ms
-    # interval, so each answer to a redirect lands after its deadline
-    cfg = flow_cfg(links={"default_latency_ms": 400, "jitter_ms": 0},
+@pytest.mark.parametrize("latency_ms, bad_credential",
+                         [(400, False), (400, True), (300, False),
+                          (300, True), (299, False), (299, True)])
+def test_answer_after_timeout_is_ignored(monkeypatch, latency_ms,
+                                         bad_credential):
+    # the redirect leaves beta at 1 500 ms and the request times out one
+    # 300 ms interval later, at 1 800 ms; at 300 ms a hop the auth_request
+    # reaches the home at exactly that deadline
+    cfg = flow_cfg(links={"default_latency_ms": latency_ms, "jitter_ms": 0},
                    confirmation_timeout_intervals=1)
     cfg["actions"][1]["bad_credential"] = bad_credential
+    built = []
+    build = federation.build_token_tx
+    monkeypatch.setattr(federation, "build_token_tx",
+                        lambda *args: built.append(args) or build(*args))
     world = run_cfg(cfg)
     drain(world)
     states = req_states(world, "req-1")
-    timeout = [e for s, e in states if s == "DENIED"]
-    assert [e["reason"] for e in timeout] == ["TOKEN_TIMEOUT"]
-    # the home still answers; the token or the denial finds no request
-    answer = "auth_failed" if bad_credential else "auth_ok"
-    assert [e["ts"] for e in world.events if e["event"] == answer] \
-        == [timeout[0]["ts"] + 100]
-    assert [s for s, _ in states][-1] \
-        == ("DENIED" if bad_credential else "TOKEN_ISSUED")
+    arrival = 1500 + latency_ms
+    answers = [(e["event"], e["ts"]) for e in world.events
+               if e["event"] in ("auth_ok", "auth_failed")]
+    tokens = [tx for node in world.nodes.values()
+              for blk in node.chain.blocks for tx in blk.txs
+              if tx.kind == TxKind.TOKEN]
+    issued = []
+    if arrival >= 1800:
+        # the home refuses at or after the deadline: it checks no
+        # credential, builds and signs no token and answers nothing
+        assert (answers, built, tokens) == ([], [], [])
+    elif bad_credential:
+        # its denial reaches beta after the timeout and is ignored
+        assert (answers, built, tokens) == ([("auth_failed", arrival)], [], [])
+    else:
+        # a token issued before the deadline still confirms after it; the
+        # timeout has denied the request, so the token is never consumed
+        issued = [("TOKEN_ISSUED", arrival)]
+        assert (answers, len(built)) == ([("auth_ok", arrival)], 1)
+        assert tokens and not world.nodes["beta"].consumed
+    assert [(s, e["ts"]) for s, e in states] \
+        == [("REQUESTED", 1500), ("REDIRECTED", 1500), *issued,
+            ("DENIED", 1800)]
+    assert states[-1][1]["reason"] == "TOKEN_TIMEOUT"
     assert not world.nodes["beta"].pending
-    # the report keeps the denial, not the state the late answer logs
     section = report._request_section(world.events)
     assert (section["by_state"], section["by_reason"]) \
         == ({"DENIED": 1}, {"TOKEN_TIMEOUT": 1})
+
+
+def test_request_moves_outside_the_table_raise():
+    world = make_world(flow_cfg())
+    for req_id, moves in (("req-a", ["REQUESTED", "GRANTED", "DENIED"]),
+                          ("req-b", ["REQUESTED", "REDIRECTED",
+                                     "TOKEN_ISSUED", "TOKEN_ISSUED"])):
+        world.requests[req_id] = federation.RequestRecord(
+            req_id, "wanderer", "alpha", "beta", "vm-small")
+        *legal, forbidden = moves
+        for state in legal:
+            federation._log_request(world, req_id, state, node="beta")
+        with pytest.raises(RuntimeError,
+                           match=f"{legal[-1]} -> {forbidden}$"):
+            federation._log_request(world, req_id, forbidden, node="beta")
+        assert world.requests[req_id].state == legal[-1]
+    assert [e["state"] for e in world.events
+            if e["event"] == "request_state"] \
+        == ["REQUESTED", "GRANTED", "REQUESTED", "REDIRECTED", "TOKEN_ISSUED"]
 
 
 @pytest.mark.parametrize("at_ms, target, resource, reason",

@@ -1,4 +1,4 @@
-"""Cost grows linearly with simulated duration.
+"""Cost grows linearly with simulated duration and with traffic.
 
 The benchmark's crowd workload, and its split-heal workload with its
 partitions, are run in-process at their own size and at twice their
@@ -8,7 +8,9 @@ counts of the work a run does must stay flat: a term that grows with the
 chain (a scan over every pair, every block or every tx) would double its
 per-height count when the chain doubles, and fail the bound below. The
 runs see one CPU, so the checks a run defers are made in this process
-and the curve-op counts stay the whole work of the run.
+and the curve-op counts stay the whole work of the run. Crowd is also run
+at four times its requests over the same duration, where the counts per
+canonical tx must stay flat in the same way.
 """
 
 import os
@@ -39,6 +41,11 @@ MAX_SPLIT_HEAL_APPLIES = 10
 # 2.29, applies 4.43 -> 4.78 (1.08), canonical journal entries 1.14 ->
 # 1.03. A per-height count linear in the chain would come out near 4.3.
 DURATIONS_MS = (30_000, 120_000)
+# requests alone: crowd at seed 28 with 1x and 4x its requests over the same
+# 15 s (300 and 1 200 canonical txs, 0.48 s and 1.70 s in-process). Measured
+# per canonical tx: validate_tx 8.49 -> 8.31 (0.98), curve ops 3.23 -> 2.82
+# (0.87). A per-tx count linear in the txs would come out near 4.
+REQUEST_SCALES = (1, 4)
 
 APPLY = [(replica.Replica, "apply")]
 CURVE = [(crypto, op) for op in
@@ -61,15 +68,20 @@ def _counting(monkeypatch, counters):
     return counts
 
 
-def _run_per_height(monkeypatch, counts, cfg):
-    """Run cfg from zeroed counts; each count, and the canonical chain's
-    journal entries, per canonical height."""
+def _run(monkeypatch, counts, cfg):
+    """Run cfg from zeroed counts; the canonical chain it ends on."""
     # a verify memo warmed by an earlier run would hide curve ops
     monkeypatch.setattr(crypto, "_verify_memo", {})
     counts.update(dict.fromkeys(counts, 0))
     world = World(load_config(cfg))
     world.run()
-    chain = world.canonical.chain
+    return world.canonical.chain
+
+
+def _run_per_height(monkeypatch, counts, cfg):
+    """Run cfg from zeroed counts; each count, and the canonical chain's
+    journal entries, per canonical height."""
+    chain = _run(monkeypatch, counts, cfg)
     counts["journal"] = chain.journal.mark()
     return {k: n / chain.height for k, n in counts.items()}
 
@@ -115,3 +127,20 @@ def test_work_per_height_stays_flat_when_only_the_duration_grows(
     growth = {k: long[k] / short[k] for k in short}
     assert all(n > 0 for n in short.values()), short
     assert max(growth.values()) <= MAX_GROWTH, (short, long, growth)
+
+
+def test_work_per_tx_stays_flat_when_only_the_requests_grow(monkeypatch):
+    counts = _counting(monkeypatch, {
+        "validate_tx": [(ledger.Chain, "validate_tx")], "curve": CURVE})
+    workloads = perfbench_module("workloads")   # a private copy to resize
+    base = workloads.CROWD
+    per_tx = []
+    for scale in REQUEST_SCALES:
+        workloads.CROWD = {**base, "requests": base["requests"] * scale}
+        chain = _run(monkeypatch, counts, workloads.crowd(SEED))
+        txs = sum(len(blk.txs) for blk in chain.blocks[1:])
+        per_tx.append({k: n / txs for k, n in counts.items()})
+    low, high = per_tx
+    growth = {k: high[k] / low[k] for k in low}
+    assert all(n > 0 for n in low.values()), low
+    assert max(growth.values()) <= MAX_GROWTH, (low, high, growth)

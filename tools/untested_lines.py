@@ -11,15 +11,18 @@ that never ran, by module, less the lines the tracer cannot reach by
 construction (``ALLOWED``), which the report lists apart with their
 reasons. Module and class bodies run at import and are not counted, nor
 is anything a test runs in a child process. The report is written
-whatever pytest returns: the tracer slows the suite about threefold, so a
-wall-time gate (``test_c02_feedback_closure``'s) may fail under it. Exits
-with pytest's status. Needs only the standard library and pytest.
+whatever pytest returns. The tracer slows the suite about threefold, so a
+wall-time gate (``test_c02_feedback_closure``'s) may fail under it: the
+tests that fail under the tracer are run again, untraced, in a fresh
+pytest, and the tool exits with that run's status. The report's first
+line gives both statuses. Needs only the standard library and pytest.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
+import subprocess
 import sys
 import threading
 import types
@@ -100,9 +103,24 @@ def allowed_lines(path: str, lines: dict[int, str]) -> dict[int, str]:
     return out
 
 
-def trace(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """Run pytest under the tracer: its exit status, and each (file,
-    line) of src/ctsim that ran."""
+class Failures:
+    """A pytest plugin that keeps the node id of each test, or each test
+    file that does not collect, that fails."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed and report.nodeid not in self.ids:
+            self.ids.append(report.nodeid)
+
+    pytest_collectreport = pytest_runtest_logreport
+
+
+def trace(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]],
+                                           list[str]]:
+    """Run pytest under the tracer: its exit status, each (file, line) of
+    src/ctsim that ran, and the node ids that failed."""
     import pytest
 
     hits: set[tuple[str, int]] = set()
@@ -125,17 +143,29 @@ def trace(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
         hits.add((name, frame.f_lineno))
         return local
 
+    failures = Failures()
     threading.settrace(start)
     sys.settrace(start)
     try:
-        status = pytest.main(pytest_args)
+        status = pytest.main(pytest_args, plugins=[failures])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), {(os.path.realpath(f), n) for f, n in hits}
+    return (int(status), {(os.path.realpath(f), n) for f, n in hits},
+            failures.ids)
 
 
-def report(status: int, hits: set[tuple[str, int]]) -> str:
+def rerun(ids: list[str]) -> int:
+    """Run the node ids again in a fresh, untraced pytest: its status."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", *ids],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          check=False).returncode
+
+
+def report(status: int, untraced: int | None, failed: list[str],
+           hits: set[tuple[str, int]]) -> str:
     missed, excused = [], []
     total = 0
     for module in sorted(os.listdir(SRC)):
@@ -156,8 +186,10 @@ def report(status: int, hits: set[tuple[str, int]]) -> str:
             else:
                 missed.append(row)
     return "\n".join([
-        f"pytest exit status {status}; {total} function-body lines in "
-        f"src/ctsim, {len(missed)} never run, {len(excused)} more allowed",
+        f"pytest exit status {status} traced, {untraced} untraced; "
+        f"{total} function-body lines in src/ctsim, {len(missed)} never "
+        f"run, {len(excused)} more allowed",
+        "", "failed under the tracer, run again untraced:", *failed,
         "", "never run:", *missed, "", "allowed:", *excused, ""])
 
 
@@ -168,14 +200,16 @@ def main(argv: list[str]) -> int:
         args, pytest_args = argv[:cut], argv[cut + 1:]
     out = args[0] if args else "untested-lines.txt"
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    status, hits = 1, set()
+    status, untraced, hits, failed = 1, None, set(), []
     try:
-        status, hits = trace(pytest_args)
+        status, hits, failed = trace(pytest_args)
+        # only a run whose tests failed has any to run again
+        untraced = rerun(failed) if status == 1 and failed else status
     finally:
         with open(out, "w") as fh:
-            fh.write(report(status, hits))
+            fh.write(report(status, untraced, failed, hits))
         print(f"untested lines written to {out}")
-    return status
+    return untraced
 
 
 if __name__ == "__main__":
