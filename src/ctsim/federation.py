@@ -328,7 +328,6 @@ def _check_pending(world, foreign) -> None:
                          reason="TOKEN_REUSED")
             continue
         foreign.consumed.add(ctx.token_id)
-        world.requests[req_id].token_id = ctx.token_id
         _log_request(world, req_id, "GRANTED", node=foreign.name,
                      token=ctx.token_id.hex(), expires_at=token.expires_at)
         if world.cfg.auto_feedback:

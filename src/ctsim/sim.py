@@ -1,16 +1,18 @@
 """Deterministic discrete-event network simulation.
 
-A World owns the event queue, the link model, and the node roster; every
-Node runs one full replica plus a mempool and reacts to deliveries. A
-node's own new block takes the same intake, receive_branch, as a peer's.
-A branch shorter than the node's chain cannot win, and is dismissed
-unread, as is one whose tip is stamped after the shared clock. Any other
-is validated on that replica from the fork point: the node
-pops its own blocks back to it, applies the branch, and keeps whichever
-side consensus.resolve prefers, re-applying its own blocks if it keeps
-them. All randomness flows from one seeded generator, all ties break on
-sequence numbers, and node iteration is name-sorted, so a
-(config, seed) pair replays to a byte-identical event log and ledger.
+A World owns the event queue, the link model, the node roster, and a
+store of every block it has broadcast, keyed by h_blk; every Node runs
+one full replica plus a mempool and reacts to deliveries. A delivery
+carries only the sender's new tip, and a node's own new block takes the
+same intake, receive_branch, as a peer's. A tip lower than the node's
+chain cannot win, and is dismissed unread, as is one stamped after the
+shared clock. For any other, the node walks prev_block back through the
+store to its own chain, pops its own blocks back to that fork point,
+applies the branch, and keeps whichever side consensus.resolve prefers,
+re-applying its own blocks if it keeps them. All randomness flows from
+one seeded generator, all ties break on sequence numbers, and node
+iteration is name-sorted, so a (config, seed) pair replays to a
+byte-identical event log and ledger.
 
 Message loss is modeled only through partitions: a payload scheduled
 before a cut still checks reachability at delivery time, so in-flight
@@ -138,29 +140,20 @@ class Node:
         blk = consensus.seal_block(Block(header, txs), self.key, state.prf_old)
         world.log_event("block_generated", node=self.name, height=blk.height,
                         h_blk=blk.h_blk.hex(), ntx=len(txs))
-        branch = tuple(chain.blocks) + (blk,)
         if self.behavior == "tamperer":
             # discard the honest block, ship a corrupted copy instead
-            evil = _corrupt_block(blk)
+            blk = _corrupt_block(blk)
             world.log_event("block_tampered", node=self.name,
-                            height=evil.height, h_blk=evil.h_blk.hex())
-            branch = branch[:-1] + (evil,)
+                            height=blk.height, h_blk=blk.h_blk.hex())
         else:
             # our own block takes the same intake as a peer's
-            self.receive_branch(world, branch, self.name)
-        world.broadcast_block(self, branch)
+            self.receive_branch(world, blk, self.name)
+        world.broadcast_block(self, (blk,))
 
     # --- branch reception --------------------------------------------------
 
-    def receive_branch(self, world: "World", branch: tuple[Block, ...],
-                       source: str) -> None:
-        tip = branch[-1]
+    def receive_branch(self, world: "World", tip: Block, source: str) -> None:
         chain = self.chain
-        if branch[0].h_blk != chain.genesis.h_blk:
-            world.log_event("block_rejected", node=self.name,
-                            height=tip.height, h_blk=tip.h_blk.hex(),
-                            reason="BAD_LINK", source=source)
-            return
         # consensus.resolve ranks height first: a shorter branch cannot win
         if tip.height < chain.height or tip.h_blk == chain.tip.h_blk:
             return
@@ -170,13 +163,14 @@ class Node:
                             height=tip.height, h_blk=tip.h_blk.hex(),
                             reason="TIME_TOO_NEW", source=source)
             return
-        self._side_replica(world, branch, source)
+        self._side_replica(world, tip, source)
 
-    def _side_replica(self, world: "World", branch: tuple[Block, ...],
-                      source: str) -> None:
-        """Apply a branch no shorter than ours from the fork; keep the winner.
+    def _side_replica(self, world: "World", tip: Block, source: str) -> None:
+        """Apply the branch ending at a tip no lower than ours; keep the winner.
 
-        The replica pops back to the fork point and applies the branch. A
+        The branch is read back from the world's store, by prev_block from
+        the tip down to the fork point, its first block on our chain. The
+        replica pops back to the fork point and applies the branch. A
         branch is all-or-nothing: if a block fails, or consensus.resolve
         prefers our old tip at the same height, the branch is popped and
         our own blocks are re-applied. A node's own new block arrives here
@@ -185,13 +179,17 @@ class Node:
         """
         replica = self.replica
         chain = replica.chain
-        fork = chain.height
-        while branch[fork].h_blk != chain.blocks[fork].h_blk:
-            fork -= 1
+        branch = []
+        blk = tip
+        while (blk.height > chain.height
+               or chain.blocks[blk.height].h_blk != blk.h_blk):
+            branch.append(blk)
+            blk = world.blocks[blk.header.prev_block]
+        fork = blk.height
         ours = _fork_tip(chain)
         orphans = chain.blocks[fork + 1:]
         self._rewind(fork)
-        for blk in branch[fork + 1:]:
+        for blk in reversed(branch):
             try:
                 replica.apply(blk)
             except LedgerError as exc:
@@ -282,6 +280,8 @@ class World:
         regs = [build_register_tx(keys[spec.name], spec.register_data())
                 for spec in cfg.nodes]
         self.genesis = make_genesis(regs, **asdict(cfg.consensus))
+        # every block broadcast, by h_blk: receivers read branches from it
+        self.blocks: dict[bytes, Block] = {self.genesis.h_blk: self.genesis}
         self.log_event("genesis", h_blk=self.genesis.h_blk.hex(),
                        base_target=to_float(cfg.consensus.base_target),
                        interval_ms=cfg.consensus.block_interval_ms)
@@ -365,12 +365,20 @@ class World:
             self.schedule(self.now + self.latency(origin.name, name),
                           DELIVER_TX, (name, origin.name, tx))
 
-    def broadcast_block(self, origin: Node, branch: tuple[Block, ...]) -> None:
+    def broadcast_block(self, origin: Node, sent: tuple[Block]) -> None:
+        """Store a node's tip and announce it to every peer, which reads
+        the ancestors it lacks from the store. The tip comes as a one-block
+        tuple, which perfbench counts by length. h_blk leaves signatures
+        out, so another block under a stored h_blk raises RuntimeError."""
+        (tip,) = sent
+        if self.blocks.setdefault(tip.h_blk, tip) is not tip:
+            raise RuntimeError(f"{origin.name}: another block under stored "
+                               f"h_blk {tip.h_blk.hex()}")
         for name in sorted(self.nodes):
             if name == origin.name:
                 continue
             self.schedule(self.now + self.latency(origin.name, name),
-                          DELIVER_BLOCK, (name, origin.name, branch))
+                          DELIVER_BLOCK, (name, origin.name, tip))
 
     def send_msg(self, src: str, dst: str, payload: dict) -> None:
         self.schedule(self.now + self.latency(src, dst),
@@ -403,7 +411,7 @@ class World:
             # tips cross the former cut on the next deliveries
             for name in sorted(self.nodes):
                 node = self.nodes[name]
-                self.broadcast_block(node, tuple(node.chain.blocks))
+                self.broadcast_block(node, (node.chain.tip,))
         else:
             self.partitions = part.groups
             self.log_event("partition_start",
@@ -417,9 +425,9 @@ class World:
             if not self._dropped(src, dst, "tx"):
                 self.nodes[dst].admit_tx(self, tx, source=src)
         elif kind == DELIVER_BLOCK:
-            dst, src, branch = data
+            dst, src, tip = data
             if not self._dropped(src, dst, "block"):
-                self.nodes[dst].receive_branch(self, branch, source=src)
+                self.nodes[dst].receive_branch(self, tip, source=src)
         elif kind == DELIVER_MSG:
             dst, src, payload = data
             if not self._dropped(src, dst, payload.get("kind", "msg")):

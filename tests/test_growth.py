@@ -39,7 +39,9 @@ MAX_SPLIT_HEAL_APPLIES = 10
 # duration alone: four providers at 0.25 stake, no requests, seed 5, at 30 s
 # and 120 s (height 89 and 385). Measured per height: curve ops 2.27 ->
 # 2.29, applies 4.43 -> 4.78 (1.08), canonical journal entries 1.14 ->
-# 1.03. A per-height count linear in the chain would come out near 4.3.
+# 1.03, blocks sent to World.broadcast_block 1.07 -> 1.13 (1.06). A
+# per-height count linear in the chain would come out near 4.3, as blocks
+# sent did (49.62 -> 220.19, 4.4) while each broadcast copied the chain.
 DURATIONS_MS = (30_000, 120_000)
 # requests alone: crowd at seed 28 with 1x and 4x its requests over the same
 # 15 s (300 and 1 200 canonical txs, 0.48 s and 1.70 s in-process). Measured
@@ -121,6 +123,13 @@ def test_split_heal_applies_per_height_stay_flat_when_the_run_doubles(
 def test_work_per_height_stays_flat_when_only_the_duration_grows(
         monkeypatch):
     counts = _counting(monkeypatch, {"apply": APPLY, "curve": CURVE})
+    counts["sent"] = 0
+    broadcast = World.broadcast_block
+
+    def sending(world, origin, blocks):
+        counts["sent"] += len(blocks)
+        return broadcast(world, origin, blocks)
+    monkeypatch.setattr(World, "broadcast_block", sending)
     nodes = [{"name": name, "stake": 0.25} for name in "abcd"]
     short, long = (_run_per_height(monkeypatch, counts, {
         "seed": 5, "duration_ms": ms, "nodes": nodes}) for ms in DURATIONS_MS)
