@@ -9,7 +9,13 @@ chain cannot win, and is dismissed unread, as is one stamped after the
 shared clock. For any other, the node walks prev_block back through the
 store to its own chain, pops its own blocks back to that fork point,
 applies the branch, and keeps whichever side consensus.resolve prefers,
-re-applying its own blocks if it keeps them. All randomness flows from
+re-applying its own blocks if it keeps them. A node that rejects a
+peer's block, for any reason, reads no later block from that peer (it
+logs peer_discouraged once), as Bitcoin Core discourages a peer that
+relays an invalid block; that peer's transactions and federation
+messages still flow. An honest branch is valid at every receiver, since
+a block is judged against its parent alone and every node reads one
+clock, so no honest peer is ever discouraged. All randomness flows from
 one seeded generator, all ties break on sequence numbers, and node
 iteration is name-sorted, so a (config, seed) pair replays to a
 byte-identical event log and ledger.
@@ -79,6 +85,8 @@ class Node:
         self.pending_sat: set[bytes] = set()     # token ids to rate
         self.consumed: set[bytes] = set()
         self.last_token = None          # most recent issued AccessToken
+        # sources whose block this node rejected: their blocks go unread
+        self.discouraged: set[str] = set()
 
     @property
     def chain(self) -> Chain:
@@ -153,6 +161,8 @@ class Node:
     # --- branch reception --------------------------------------------------
 
     def receive_branch(self, world: "World", tip: Block, source: str) -> None:
+        if source in self.discouraged:
+            return
         chain = self.chain
         # consensus.resolve ranks height first: a shorter branch cannot win
         if tip.height < chain.height or tip.h_blk == chain.tip.h_blk:
@@ -162,6 +172,7 @@ class Node:
             world.log_event("block_rejected", node=self.name,
                             height=tip.height, h_blk=tip.h_blk.hex(),
                             reason="TIME_TOO_NEW", source=source)
+            self._discourage(world, source)
             return
         self._side_replica(world, tip, source)
 
@@ -173,9 +184,11 @@ class Node:
         replica pops back to the fork point and applies the branch. A
         branch is all-or-nothing: if a block fails, or consensus.resolve
         prefers our old tip at the same height, the branch is popped and
-        our own blocks are re-applied. A node's own new block arrives here
-        too, from try_generate, as a one-block extension; its rejection is
-        a broken invariant and raises RuntimeError.
+        our own blocks are re-applied. A failing block also discourages
+        its source, whose later blocks receive_branch then ignores. A
+        node's own new block arrives here too, from try_generate, as a
+        one-block extension; its rejection is a broken invariant and
+        raises RuntimeError.
         """
         replica = self.replica
         chain = replica.chain
@@ -202,6 +215,7 @@ class Node:
                                 txid=exc.txid.hex() if exc.txid else None,
                                 source=source)
                 self._restore(fork, orphans)
+                self._discourage(world, source)
                 return
         theirs = _fork_tip(chain)
         if consensus.resolve([ours, theirs]) is ours:
@@ -219,6 +233,11 @@ class Node:
                             h_blk=tip.h_blk.hex(), depth=len(orphans))
             self._reconcile_mempool(orphans)
         federation.on_canonical_change(world, self)
+
+    def _discourage(self, world: "World", source: str) -> None:
+        """Read no later block from a source that sent an invalid one."""
+        self.discouraged.add(source)
+        world.log_event("peer_discouraged", node=self.name, source=source)
 
     def _rewind(self, height: int) -> None:
         while self.chain.height > height:

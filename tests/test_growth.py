@@ -10,12 +10,17 @@ per-height count when the chain doubles, and fail the bound below. The
 runs see one CPU, so the checks a run defers are made in this process
 and the curve-op counts stay the whole work of the run. Crowd is also run
 at four times its requests over the same duration, where the counts per
-canonical tx must stay flat in the same way.
+canonical tx must stay flat in the same way. The bundled adversaries
+scenario is run at two durations: a node reads no more blocks from a
+source once it has rejected one, so the tamperer's rejected blocks do not
+grow with the run, and applies per height stay near the honest cost.
 """
 
 import os
+import pathlib
 
 from ctsim import crypto, ledger, replica
+from ctsim.cli import read_config
 from ctsim.scenario import load_config
 from ctsim.sim import World
 
@@ -48,6 +53,16 @@ DURATIONS_MS = (30_000, 120_000)
 # per canonical tx: validate_tx 8.49 -> 8.31 (0.98), curve ops 3.23 -> 2.82
 # (0.87). A per-tx count linear in the txs would come out near 4.
 REQUEST_SCALES = (1, 4)
+# the tamperer alone: scenarios/adversaries.yaml at its own seed, 15 s and
+# 30 s (height 25 and 45). Measured: the forger's blocks rejected 7 -> 7,
+# one per receiver; applies per height 9.40 -> 8.78. While every forged
+# block was read and rejected at every receiver, rejects went 896 -> 1 946
+# and applies per height 48.64 -> 55.76. The bound leaves a 17% margin over
+# 9.40.
+ADVERSARIES = (pathlib.Path(__file__).resolve().parent.parent
+               / "scenarios" / "adversaries.yaml")
+ADVERSARIES_DURATIONS_MS = (15_000, 30_000)
+MAX_ADVERSARIES_APPLIES = 11
 
 APPLY = [(replica.Replica, "apply")]
 CURVE = [(crypto, op) for op in
@@ -71,19 +86,19 @@ def _counting(monkeypatch, counters):
 
 
 def _run(monkeypatch, counts, cfg):
-    """Run cfg from zeroed counts; the canonical chain it ends on."""
+    """Run cfg from zeroed counts; the world it ends in."""
     # a verify memo warmed by an earlier run would hide curve ops
     monkeypatch.setattr(crypto, "_verify_memo", {})
     counts.update(dict.fromkeys(counts, 0))
     world = World(load_config(cfg))
     world.run()
-    return world.canonical.chain
+    return world
 
 
 def _run_per_height(monkeypatch, counts, cfg):
     """Run cfg from zeroed counts; each count, and the canonical chain's
     journal entries, per canonical height."""
-    chain = _run(monkeypatch, counts, cfg)
+    chain = _run(monkeypatch, counts, cfg).canonical.chain
     counts["journal"] = chain.journal.mark()
     return {k: n / chain.height for k, n in counts.items()}
 
@@ -146,10 +161,28 @@ def test_work_per_tx_stays_flat_when_only_the_requests_grow(monkeypatch):
     per_tx = []
     for scale in REQUEST_SCALES:
         workloads.CROWD = {**base, "requests": base["requests"] * scale}
-        chain = _run(monkeypatch, counts, workloads.crowd(SEED))
+        chain = _run(monkeypatch, counts,
+                     workloads.crowd(SEED)).canonical.chain
         txs = sum(len(blk.txs) for blk in chain.blocks[1:])
         per_tx.append({k: n / txs for k, n in counts.items()})
     low, high = per_tx
     growth = {k: high[k] / low[k] for k in low}
     assert all(n > 0 for n in low.values()), low
     assert max(growth.values()) <= MAX_GROWTH, (low, high, growth)
+
+
+def test_a_tamperer_costs_each_receiver_one_rejection(monkeypatch):
+    counts = _counting(monkeypatch, {"apply": APPLY})
+    cfg = read_config(ADVERSARIES)
+    tamperers = {n["name"] for n in cfg["nodes"]
+                 if n.get("behavior") == "tamperer"}
+    receivers = len(cfg["nodes"]) - 1
+    rejected = []
+    for ms in ADVERSARIES_DURATIONS_MS:
+        world = _run(monkeypatch, counts, {**cfg, "duration_ms": ms})
+        per_height = counts["apply"] / world.canonical.chain.height
+        assert per_height <= MAX_ADVERSARIES_APPLIES, (ms, per_height)
+        rejected.append(sum(1 for e in world.events
+                            if e["event"] == "block_rejected"
+                            and e["source"] in tamperers))
+    assert tamperers and rejected[0] == rejected[1] <= receivers, rejected

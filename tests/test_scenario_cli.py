@@ -322,8 +322,8 @@ PINNED = {
     },
     "adversaries": {
         "ledger.bin": "04a29afa9c7088636068028dde6e0d5c925be3804abb69d25e2712f0e6c69f73",
-        "events.jsonl": "c572721a74f71f8ae4014a6e7b5995f82feecfa664a8dca6a7dc5f9f001a56c5",
-        "report.json": "4412e225aef793953519f893928a19bcdfc7e2c0eaf59c3659e8becf72e3e0ee",
+        "events.jsonl": "6a14b9fed676fda06858f42f33100e0e689158cd8bf439fdb1b11a29772e1bcb",
+        "report.json": "fb649c1c31c240d289ca741a2fbff63eca9999baf30fba3c10db866e2e2eec10",
     },
 }
 

@@ -5,6 +5,9 @@ latencies and jitter, asymmetric per-link overrides, partitions that cut
 the roster into random groups, and a final heal. Whatever the schedule,
 once the run stops and the wire drains every node holds one tip, each
 replica equals a replay of its own chain, and no token is granted twice.
+A node stops reading blocks from a source that sent it an invalid one; an
+honest branch is valid at every receiver, so only a source whose drawn
+behaviour forges blocks is ever rejected or discouraged.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,8 @@ from conftest import drain, replica_state, run_cfg
 NAMES = ("p0", "p1", "p2", "p3", "p4")
 STAKES = (0.1, 0.2, 0.3, 0.5)
 DURATION_MS = 6000
+# the behaviours that send blocks a receiver refuses
+BLOCK_FORGERS = ("tamperer",)
 
 
 @st.composite
@@ -81,3 +86,7 @@ def test_any_schedule_converges_and_replays(cfg):
                if e["event"] == "request_state" and e["state"] == "GRANTED"
                and "token" in e]
     assert len(granted) == len(set(granted))
+    behavior = {node["name"]: node["behavior"] for node in cfg["nodes"]}
+    for e in world.events:
+        if e["event"] in ("block_rejected", "peer_discouraged"):
+            assert behavior[e["source"]] in BLOCK_FORGERS, e

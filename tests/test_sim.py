@@ -163,8 +163,13 @@ def test_tamperer_feeds_nobody():
     for node in world.nodes.values():
         for blk in node.chain.blocks[1:]:
             assert blk.header.generator_pub != bad_pub
-    rejects = events_of(world, "block_rejected")
-    assert any(e["source"] == "beta" for e in rejects)
+    # each honest node reads one forged block, then no more from beta
+    honest = sorted(set(world.nodes) - {"beta"})
+    for kind in ("block_rejected", "peer_discouraged"):
+        assert sorted((e["node"], e["source"])
+                      for e in events_of(world, kind)) \
+            == [(name, "beta") for name in honest], kind
+    assert len(tampered) > 1
     # the honest majority still converges around the vandal
     assert len(set(tips(world).values())) == 1
 
@@ -471,9 +476,12 @@ def test_a_branch_stamped_after_the_clock_is_refused(monkeypatch):
     monkeypatch.setattr(consensus, "check_eligibility", lambda *args: True)
     a.try_generate(world)
 
-    assert [(e["event"], e["reason"], e["source"])
-            for e in world.events[start:] if e["event"] == "block_rejected"] \
-        == [("block_rejected", "TIME_TOO_NEW", "w")]
+    assert [(e["event"], e.get("reason"), e["source"])
+            for e in world.events[start:]
+            if e["event"] in ("block_rejected", "peer_discouraged")] \
+        == [("block_rejected", "TIME_TOO_NEW", "w"),
+            ("peer_discouraged", None, "w")]
+    assert a.discouraged == {"w"}
     assert refused == before
     assert chain.height == warped.height
     assert chain.tip.header.generator_pub == a.key.pub_bytes
@@ -543,14 +551,14 @@ def _publish(world, branch):
     world.blocks.update((blk.h_blk, blk) for blk in branch)
 
 
-def _receive(node, world, branch):
-    """Publish a branch and deliver its tip once the clock has reached the
-    tip's stamp (a tip stamped after it is refused unread); the
+def _receive(node, world, branch, source="test"):
+    """Publish a branch and deliver its tip from source once the clock has
+    reached the tip's stamp (a tip stamped after it is refused unread); the
     branch-handling events it logged."""
     _publish(world, branch)
     world.now = max(world.now, branch[-1].header.timestamp)
     start = len(world.events)
-    node.receive_branch(world, branch[-1], source="test")
+    node.receive_branch(world, branch[-1], source=source)
     return [e for e in world.events[start:] if e["event"] in BRANCH_EVENTS]
 
 
@@ -584,6 +592,35 @@ def test_rejected_and_losing_branches_leave_the_node_unchanged(settled):
              evil.txs[-1].txid.hex())]
     assert replica_state(node.replica) == before
     assert node.mempool == mempool
+
+
+def test_a_discouraged_source_is_not_read_but_its_txs_are(settled):
+    # a source of its own, so no other test's deliveries are ignored
+    world, node, fork = settled
+    depth = node.chain.height - fork
+    rival = _rival(node, world, fork, depth + 1)
+    evil = rival[:-1] + (_corrupt_block(rival[-1]),)
+    start = len(world.events)
+    _receive(node, world, evil, source="mallory")
+    assert [(e["event"], e["source"]) for e in world.events[start:]] \
+        == [("block_rejected", "mallory"), ("peer_discouraged", "mallory")]
+    assert node.discouraged == {"mallory"}
+
+    # a valid branch that would win is ignored unread, and nothing logged
+    before = replica_state(node.replica)
+    start = len(world.events)
+    applies = []
+    apply = node.replica.apply
+    node.replica.apply = lambda blk: (applies.append(blk), apply(blk))
+    assert _receive(node, world, rival, source="mallory") == []
+    assert world.events[start:] == [] and applies == []
+    assert replica_state(node.replica) == before
+
+    # its transactions still reach the mempool
+    tx = _fresh_registration(b"after")
+    node.admit_tx(world, tx, source="mallory")
+    assert tx.txid in node.mempool
+    assert world.events[start:] == []
 
 
 def test_winning_branches_switch_like_a_replay(settled):
