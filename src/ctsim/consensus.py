@@ -85,11 +85,10 @@ def check_eligibility(params: ConsensusParams, state: CspConsensusState,
     return _eligible(prf, d_csp, params.k_bits)
 
 
-def seal_block(blk: Block, key: KeyPair, prf_old: bytes) -> Block:
-    """Set a candidate's prf and sign its header; the candidate carries
-    every other header field, its timestamp the eligibility clock reading.
-    """
-    header = replace(blk.header, prf=candidate_prf(key.pub_bytes, prf_old))
+def seal_block(blk: Block, key: KeyPair) -> Block:
+    """Sign a candidate's header, which carries every other field: its prf
+    the candidate_prf, its timestamp the eligibility clock reading."""
+    header = blk.header
     return Block(replace(header, sig=crypto.sign(key, header.h_blk)), blk.txs)
 
 

@@ -12,17 +12,21 @@ applies the branch, and keeps whichever side consensus.resolve prefers,
 re-applying its own blocks if it keeps them. A node that rejects a
 peer's block, for any reason, reads no later block from that peer (it
 logs peer_discouraged once), as Bitcoin Core discourages a peer that
-relays an invalid block; that peer's transactions and federation
-messages still flow. An honest branch is valid at every receiver, since
-a block is judged against its parent alone and every node reads one
-clock, so no honest peer is ever discouraged. All randomness flows from
-one seeded generator, all ties break on sequence numbers, and node
-iteration is name-sorted, so a (config, seed) pair replays to a
-byte-identical event log and ledger.
+relays an invalid block, and the peer sends it none, as Bitcoin Core
+then disconnects it; that peer's transactions and federation messages
+still flow. A tamperer that no peer reads any more signs and sends
+nothing. An honest branch is valid at every receiver, since a block is
+judged against its parent alone and every node reads one clock, so no
+honest peer is ever discouraged. All randomness flows from one seeded
+generator, all ties break on sequence numbers, and node iteration is
+name-sorted, so a (config, seed) pair replays to a byte-identical event
+log and ledger.
 
 Message loss is modeled only through partitions: a payload scheduled
 before a cut still checks reachability at delivery time, so in-flight
-traffic into a fresh partition is dropped (and logged).
+traffic into a fresh partition is dropped (and logged). A delivery never
+scheduled draws no latency from its link's stream, and is not logged as
+dropped.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .ledger import (
     LedgerError,
     Transaction,
     TxKind,
-    ZERO_DIGEST,
     build_register_tx,
     compute_tx_root,
     make_genesis,
@@ -143,18 +146,25 @@ class Node:
         header = BlockHeader(
             height=tip.height + 1, prev_block=tip.h_blk,
             tx_root=compute_tx_root(txs), timestamp=world.now,
-            generator_pub=self.key.pub_bytes, prf=ZERO_DIGEST,
+            generator_pub=self.key.pub_bytes,
+            prf=consensus.candidate_prf(self.key.pub_bytes, state.prf_old),
             base_target=chain.params.base_target, sig=b"\x00" * 64)
-        blk = consensus.seal_block(Block(header, txs), self.key, state.prf_old)
-        world.log_event("block_generated", node=self.name, height=blk.height,
-                        h_blk=blk.h_blk.hex(), ntx=len(txs))
+        # h_blk leaves every signature out, so it is known before signing
+        # and a corrupted copy shares it
+        h_blk = header.h_blk.hex()
+        world.log_event("block_generated", node=self.name,
+                        height=header.height, h_blk=h_blk, ntx=len(txs))
+        blk = Block(header, txs)
         if self.behavior == "tamperer":
             # discard the honest block, ship a corrupted copy instead
-            blk = _corrupt_block(blk)
             world.log_event("block_tampered", node=self.name,
-                            height=blk.height, h_blk=blk.h_blk.hex())
+                            height=header.height, h_blk=h_blk)
+            if not world.readers(self):
+                return      # every peer has discouraged us: nothing to send
+            blk = _corrupt_block(consensus.seal_block(blk, self.key))
         else:
             # our own block takes the same intake as a peer's
+            blk = consensus.seal_block(blk, self.key)
             self.receive_branch(world, blk, self.name)
         world.broadcast_block(self, (blk,))
 
@@ -384,18 +394,25 @@ class World:
             self.schedule(self.now + self.latency(origin.name, name),
                           DELIVER_TX, (name, origin.name, tx))
 
+    def readers(self, origin: Node) -> list[str]:
+        """The peers that still read origin's blocks: all but those that
+        have discouraged it, in name order."""
+        return [name for name in sorted(self.nodes) if name != origin.name
+                and origin.name not in self.nodes[name].discouraged]
+
     def broadcast_block(self, origin: Node, sent: tuple[Block]) -> None:
-        """Store a node's tip and announce it to every peer, which reads
-        the ancestors it lacks from the store. The tip comes as a one-block
-        tuple, which perfbench counts by length. h_blk leaves signatures
-        out, so another block under a stored h_blk raises RuntimeError."""
+        """Store a node's tip and announce it to every peer that still
+        reads origin's blocks; each reads the ancestors it lacks from the
+        store. A peer that has discouraged origin is sent nothing, as
+        Bitcoin Core disconnects a peer it discourages. The tip comes as a
+        one-block tuple, which perfbench counts by length. h_blk leaves
+        signatures out, so another block under a stored h_blk raises
+        RuntimeError."""
         (tip,) = sent
         if self.blocks.setdefault(tip.h_blk, tip) is not tip:
             raise RuntimeError(f"{origin.name}: another block under stored "
                                f"h_blk {tip.h_blk.hex()}")
-        for name in sorted(self.nodes):
-            if name == origin.name:
-                continue
+        for name in self.readers(origin):
             self.schedule(self.now + self.latency(origin.name, name),
                           DELIVER_BLOCK, (name, origin.name, tip))
 

@@ -37,10 +37,11 @@ def two_node_chain(base="0.9") -> Chain:
 
 def candidate(chain: Chain, key, ts: int, txs=()) -> Block:
     txs = tuple(txs)
+    prf_old = consensus_state_at(chain, key.address).prf_old
     header = BlockHeader(
         height=chain.height + 1, prev_block=chain.tip.h_blk,
         tx_root=compute_tx_root(txs), timestamp=ts,
-        generator_pub=key.pub_bytes, prf=b"\x00" * 32,
+        generator_pub=key.pub_bytes, prf=candidate_prf(key.pub_bytes, prf_old),
         base_target=chain.params.base_target, sig=b"\x00" * 64)
     return Block(header, txs)
 
@@ -54,7 +55,7 @@ def sealed_block(chain: Chain, key) -> Block:
         ts += params.slot_ms
         if check_eligibility(params, state, BOOTSTRAP_TRUST, key.pub_bytes,
                              ts):
-            return seal_block(candidate(chain, key, ts), key, state.prf_old)
+            return seal_block(candidate(chain, key, ts), key)
         assert ts < 10_000_000, "no eligible slot found"
 
 

@@ -108,6 +108,25 @@ def test_fanned_out_run_writes_the_pinned_bytes(helpers, forks, monkeypatch,
 
 
 def test_run_raising_midway_kills_its_helpers(forks, monkeypatch):
+    config = load_config(read_config(SCENARIOS / "adversaries.yaml"))
+    real_step = World._step
+    steps = []
+
+    def step(self, kind, data):
+        steps.append(1)
+        if len(steps) == midway:
+            raise RuntimeError("midway")
+        real_step(self, kind, data)
+    monkeypatch.setattr(World, "_step", step)
+    # midway through the steps of a run that is not stopped, made on one
+    # CPU and with its verdicts taken back out of the memo
+    claim_cpus(monkeypatch, 1)
+    midway = None
+    World(config).run()
+    midway = len(steps) // 2
+    steps.clear()
+    crypto._verify_memo.clear()
+
     claim_cpus(monkeypatch, 2)
     opened = []
 
@@ -116,16 +135,7 @@ def test_run_raising_midway_kills_its_helpers(forks, monkeypatch):
             super().__init__()
             opened.append(self)
     monkeypatch.setattr(crypto, "_OwnChecks", Recorded)
-    real_step = World._step
-    steps = []
-
-    def step(self, kind, data):
-        steps.append(1)
-        if len(steps) == 2000:
-            raise RuntimeError("midway")
-        real_step(self, kind, data)
-    monkeypatch.setattr(World, "_step", step)
-    world = World(load_config(read_config(SCENARIOS / "adversaries.yaml")))
+    world = World(config)
     with pytest.raises(RuntimeError, match="midway"):
         world.run()
     assert len(forks) == 1

@@ -18,7 +18,7 @@ import yaml
 
 from ctsim import cli, consensus, ledger
 from ctsim.cli import main
-from ctsim.crypto import ZERO_DIGEST, DetRng, generate_keypair
+from ctsim.crypto import DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
     Block, BlockHeader, RegisterData, build_register_tx, compute_tx_root,
@@ -858,9 +858,10 @@ def test_block_from_pinned_provider_fails_verify(pinned_run, tmp_path):
     header = BlockHeader(
         height=chain.height + 1, prev_block=chain.tip.h_blk,
         tx_root=compute_tx_root(()), timestamp=ts,
-        generator_pub=key.pub_bytes, prf=ZERO_DIGEST,
+        generator_pub=key.pub_bytes,
+        prf=consensus.candidate_prf(key.pub_bytes, state.prf_old),
         base_target=chain.params.base_target, sig=b"\x00" * 64)
-    forged = consensus.seal_block(Block(header, ()), key, state.prf_old)
+    forged = consensus.seal_block(Block(header, ()), key)
     assert consensus.validate_block(forged, chain, BOOTSTRAP_TRUST) is None
     path = tmp_path / "forged.bin"
     write_ledger(path, [*blocks, forged])

@@ -7,16 +7,17 @@ from collections import Counter
 
 import pytest
 
-from ctsim import consensus
+from ctsim import consensus, crypto, sim
 from ctsim.fixedpoint import ONE, fp_from
 from ctsim.ledger import (
     AccessToken, Block, BlockHeader, LedgerError, RegisterData, TxKind,
-    ZERO_DIGEST, build_register_tx, build_token_tx, compute_tx_root,
-    ser_block,
+    build_register_tx, build_token_tx, compute_tx_root, ser_block,
 )
 from ctsim.crypto import DetRng, address_of, generate_keypair, resource_address
 from ctsim.replica import replay_blocks
-from ctsim.sim import MAX_TXS_PACKED, Node, _corrupt_block
+from ctsim.sim import (
+    DELIVER_BLOCK, DELIVER_TX, MAX_TXS_PACKED, Node, _corrupt_block,
+)
 
 from conftest import (
     base_cfg, chain_state, drain, four_nodes, make_world, replica_state,
@@ -443,6 +444,53 @@ def test_node_rejecting_its_own_block_raises(monkeypatch):
         alpha.try_generate(world)
 
 
+def _queued(world) -> list[tuple[str, str]]:
+    """(kind, destination) of each delivery waiting in the queue."""
+    return sorted((kind, data[0]) for _, _, kind, data in world._queue
+                  if kind in (DELIVER_TX, DELIVER_BLOCK))
+
+
+def test_a_peer_that_discouraged_a_source_is_sent_its_txs_not_blocks():
+    world = make_world(base_cfg())
+    alpha = world.nodes["alpha"]
+    world.nodes["beta"]._discourage(world, "alpha")
+    assert world.readers(alpha) == ["delta", "gamma"]
+    world.broadcast_block(alpha, (alpha.chain.tip,))
+    world.broadcast_tx(alpha, _fresh_registration(b"sent"))
+    assert _queued(world) == [
+        (DELIVER_BLOCK, "delta"), (DELIVER_BLOCK, "gamma"),
+        (DELIVER_TX, "beta"), (DELIVER_TX, "delta"), (DELIVER_TX, "gamma")]
+
+
+def test_a_tamperer_no_peer_reads_signs_and_sends_nothing(monkeypatch):
+    world, alpha = _eligible_alpha(monkeypatch)
+    alpha.behavior = "tamperer"
+    made = []
+    sign, record = crypto.sign, sim.record_corrupted
+    monkeypatch.setattr(crypto, "sign",
+                        lambda *args: made.append("sign") or sign(*args))
+    monkeypatch.setattr(sim, "record_corrupted",
+                        lambda *args: made.append("corrupt") or record(*args))
+    for name in ("beta", "delta", "gamma"):
+        world.nodes[name]._discourage(world, "alpha")
+    stored = dict(world.blocks)
+    start = len(world.events)
+    alpha.try_generate(world)
+    logged = [(e["event"], e["h_blk"]) for e in world.events[start:]]
+    assert [event for event, _ in logged] \
+        == ["block_generated", "block_tampered"]
+    assert logged[0][1] == logged[1][1]
+    assert made == [] and world.blocks == stored and _queued(world) == []
+
+    # one reader left: the same block is signed, corrupted, stored and
+    # sent to that reader alone, under the h_blk logged before
+    world.nodes["gamma"].discouraged.clear()
+    alpha.try_generate(world)
+    assert made == ["sign", "corrupt"]
+    assert _queued(world) == [(DELIVER_BLOCK, "gamma")]
+    assert set(world.blocks) - set(stored) == {bytes.fromhex(logged[0][1])}
+
+
 def test_a_branch_stamped_after_the_clock_is_refused(monkeypatch):
     # a low-stake provider buys eligibility by claiming time: stamped at
     # its own last + the elapsed cap, its block wins the lottery. Accepted,
@@ -466,9 +514,10 @@ def test_a_branch_stamped_after_the_clock_is_refused(monkeypatch):
     header = BlockHeader(
         height=chain.height + 1, prev_block=chain.tip.h_blk,
         tx_root=compute_tx_root(()), timestamp=ts,
-        generator_pub=w.key.pub_bytes, prf=ZERO_DIGEST,
+        generator_pub=w.key.pub_bytes,
+        prf=consensus.candidate_prf(w.key.pub_bytes, state.prf_old),
         base_target=params.base_target, sig=b"\x00" * 64)
-    warped = consensus.seal_block(Block(header, ()), w.key, state.prf_old)
+    warped = consensus.seal_block(Block(header, ()), w.key)
     before = replica_state(a.replica)
     start = len(world.events)
     a.receive_branch(world, warped, source="w")
@@ -516,10 +565,11 @@ def _extend(replica, world, txs=(), avoid=None) -> Block:
             header = BlockHeader(
                 height=tip.height + 1, prev_block=tip.h_blk,
                 tx_root=compute_tx_root(txs), timestamp=ts,
-                generator_pub=node.key.pub_bytes, prf=ZERO_DIGEST,
+                generator_pub=node.key.pub_bytes,
+                prf=consensus.candidate_prf(node.key.pub_bytes,
+                                            state.prf_old),
                 base_target=params.base_target, sig=b"\x00" * 64)
-            blk = consensus.seal_block(Block(header, tuple(txs)), node.key,
-                                       state.prf_old)
+            blk = consensus.seal_block(Block(header, tuple(txs)), node.key)
             replica.apply(blk)
             return blk
     raise AssertionError("nobody became eligible")
