@@ -64,7 +64,7 @@ def run_config(raw, out_dir, seed_override=None) -> int:
         if not 0 <= seed_override < 2 ** 64:
             print("seed override must lie in [0, 2^64)", file=sys.stderr)
             return 2
-        cfg.seed = seed_override
+        cfg = cfg._replace(seed=seed_override)
     os.makedirs(out_dir, exist_ok=True)
 
     ledger_path = os.path.join(out_dir, "ledger.bin")

@@ -14,7 +14,7 @@ prefix * 10^12 < d_csp_fp * 2^k, making verdicts identical on every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import crypto
 from .crypto import KeyPair, sha256
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CspConsensusState:
+class CspConsensusState(NamedTuple):
     """Per-provider view needed for an eligibility decision."""
     stake: int                        # normalized share, fixed-point
     last_generated_ts: int
@@ -89,7 +88,7 @@ def seal_block(blk: Block, key: KeyPair) -> Block:
     """Sign a candidate's header, which carries every other field: its prf
     the candidate_prf, its timestamp the eligibility clock reading."""
     header = blk.header
-    return Block(replace(header, sig=crypto.sign(key, header.h_blk)), blk.txs)
+    return Block(header._replace(sig=crypto.sign(key, header.h_blk)), blk.txs)
 
 
 def consensus_state_at(chain: Chain, address: bytes) -> CspConsensusState:

@@ -27,8 +27,8 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._aesgcm import seal
 from ._ecbackend import N, P, scalar_base_mult, scalar_mult, shamir_mult
@@ -128,8 +128,7 @@ class DetRng:
 # Keys
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     private_key: int
     public_key: tuple[int, int]  # affine coordinates
 
@@ -544,8 +543,7 @@ def _leave_parent_cpu() -> None:
 # Hybrid encryption for user information
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     ephemeral_pub: bytes  # compressed point, 33 bytes
     nonce: bytes          # 12 bytes
     body: bytes

@@ -16,7 +16,7 @@ the event log alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import derive_child_key, resource_address
 from .ledger import (
@@ -36,16 +36,14 @@ TRANSIENT_REASONS = frozenset({"UNKNOWN_TOKEN", "UNKNOWN_RATER",
 PRIVILEGES = (b"access",)
 
 
-@dataclass
-class HomeUser:
+class HomeUser(NamedTuple):
     """Home-side account record for a registered user."""
     pseudonym: bytes
     credential: bytes
     profile: bytes
 
 
-@dataclass
-class ForeignRequest:
+class ForeignRequest(NamedTuple):
     """Foreign-side context for an access request awaiting confirmation."""
     home: str
     resource: bytes
@@ -53,16 +51,14 @@ class ForeignRequest:
     token_id: bytes | None = None
 
 
-@dataclass
-class UserInfo:
+class UserInfo(NamedTuple):
     """World-level user directory entry: the credential each home holds,
     homes in first-enrolment order."""
     pseudonym: bytes
     credentials: dict[str, bytes]
 
 
-@dataclass
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Bookkeeping mirror of a request's lifecycle: ``state`` is the last
     one logged (None before the first), and so the request's outcome."""
     req_id: str
@@ -95,7 +91,7 @@ def _log_request(world, req_id: str, state: str, **fields) -> None:
     rec = world.requests[req_id]
     if state not in TRANSITIONS.get(rec.state, ()):
         raise RuntimeError(f"request {req_id}: {rec.state} -> {state}")
-    rec.state = state
+    world.requests[req_id] = rec._replace(state=state)
     world.log_event("request_state", req=req_id, state=state, user=rec.user,
                     target=rec.target, resource=rec.resource, **fields)
 
@@ -163,7 +159,7 @@ def request_access(world, req_id: str, username: str, target: str,
         _log_request(world, req_id, "GRANTED", node=target, local=True)
         return
     home = home or next(iter(info.credentials))
-    world.requests[req_id].home = home
+    world.requests[req_id] = world.requests[req_id]._replace(home=home)
     credential = b"" if bad_credential else info.credentials.get(home, b"")
     target_node = world.nodes[target]
     deadline = world.now + _timeout_ms(world)
@@ -245,7 +241,8 @@ def _on_auth_request(world, home, src: str, payload: dict) -> None:
                         token, home.rng)
     home.last_token = token
     world.broadcast_tx(home, tx)
-    world.requests[req_id].token_id = token.token_id
+    world.requests[req_id] = world.requests[req_id]._replace(
+        token_id=token.token_id)
     _log_request(world, req_id, "TOKEN_ISSUED", node=home.name,
                  token=token.token_id.hex())
     world.send_msg(home.name, payload["foreign"], {
@@ -277,11 +274,13 @@ def _on_auth_denied(world, foreign, payload: dict) -> None:
 
 
 def _on_token_issued(world, foreign, payload: dict) -> None:
-    ctx = foreign.pending.get(payload["req_id"])
+    req_id = payload["req_id"]
+    ctx = foreign.pending.get(req_id)
     if ctx is None:
         return
-    ctx.token_id = payload["token_id"]
-    ctx.deadline = world.now + _timeout_ms(world)
+    foreign.pending[req_id] = ctx._replace(
+        token_id=payload["token_id"],
+        deadline=world.now + _timeout_ms(world))
     _check_pending(world, foreign)   # the tx may already be confirmed
 
 

@@ -19,9 +19,9 @@ undoing a block's mark takes back a popped or rejected block whole.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import crypto
 from .crypto import Ciphertext, DetRng, KeyPair, sha256
@@ -118,10 +118,10 @@ def _u64(v: int) -> bytes:
 # Access tokens
 # ===========================================================================
 
-@dataclass(frozen=True)
-class AccessToken:
-    """Identity claims binding a user pseudonym to a resource grant."""
-
+# A record that caches a derived value declares its fields on a NamedTuple
+# and its cached_property on a subclass: a tuple subclass without __slots__
+# has the instance dict that cached_property stores into.
+class _TokenFields(NamedTuple):
     pseudonym: bytes        # 20-byte user address
     issuer: bytes           # home provider address
     audience: bytes         # foreign provider address
@@ -130,6 +130,10 @@ class AccessToken:
     issued_at: int          # simulated ms
     expires_at: int
     nonce: int              # issuer-scoped replay guard
+
+
+class AccessToken(_TokenFields):
+    """Identity claims binding a user pseudonym to a resource grant."""
 
     @cached_property
     def token_id(self) -> bytes:
@@ -173,14 +177,15 @@ def _parse_token(r: _Reader) -> AccessToken:
 # Transactions
 # ===========================================================================
 
-@dataclass(frozen=True)
-class Transaction:
+class _TxFields(NamedTuple):
     kind: TxKind
     payload: bytes          # parsed by kind through .data
     sender_pub: bytes
     txid: bytes
     sig: bytes
 
+
+class Transaction(_TxFields):
     # Each of these is computed once per Transaction object; a tx that
     # every replica applies is one object in a run and one per read of the
     # ledger file.
@@ -210,8 +215,7 @@ class Transaction:
         return self.sender_pub, self.txid, self.sig
 
 
-@dataclass(frozen=True)
-class TokenData:
+class TokenData(NamedTuple):
     """Payload of a TOKEN transaction: the token, and the user profile
     encrypted for the token's audience. Only addresses are in clear."""
 
@@ -219,8 +223,7 @@ class TokenData:
     enc_user: Ciphertext
 
 
-@dataclass(frozen=True)
-class FeedbackData:
+class FeedbackData(NamedTuple):
     """Payload of a FEEDBACK transaction.
 
     Labels 0-4 rate user credibility (submitted by the serving foreign
@@ -236,8 +239,7 @@ class FeedbackData:
     token_id: bytes
 
 
-@dataclass(frozen=True)
-class RegisterData:
+class RegisterData(NamedTuple):
     weight_sat: int         # fixed-point declared weights
     weight_auth: int
     stake: int              # fixed-point declared stake
@@ -293,7 +295,7 @@ def make_transaction(kind: TxKind, payload: bytes,
                      key: KeyPair) -> Transaction:
     tx = Transaction(kind, payload, key.pub_bytes, b"", b"")
     txid = sha256(canonical_serialize(tx))
-    return replace(tx, txid=txid, sig=crypto.sign(key, txid))
+    return tx._replace(txid=txid, sig=crypto.sign(key, txid))
 
 
 def ser_token_data(td: TokenData) -> bytes:
@@ -384,8 +386,7 @@ def pack_genesis_pub(interval_ms: int, slot_ms: int, k_bits: int,
     return packed + b"\x00" * (crypto.PUBKEY_LEN - len(packed))
 
 
-@dataclass(frozen=True)
-class ConsensusParams:
+class ConsensusParams(NamedTuple):
     """The consensus parameters a genesis carries, with their defaults."""
     base_target: int                  # fixed-point d
     k_bits: int = 64
@@ -448,8 +449,7 @@ def genesis_params(header: BlockHeader) -> ConsensusParams | None:
     return None if params_fault(params) else params
 
 
-@dataclass(frozen=True)
-class BlockHeader:
+class _HeaderFields(NamedTuple):
     height: int
     prev_block: bytes
     tx_root: bytes
@@ -459,6 +459,8 @@ class BlockHeader:
     base_target: int        # fixed-point d in force at generation
     sig: bytes              # over h_blk; all-zero in genesis
 
+
+class BlockHeader(_HeaderFields):
     @cached_property
     def core_bytes(self) -> bytes:
         return b"".join([_u64(self.height), self.prev_block, self.tx_root,
@@ -475,8 +477,7 @@ class BlockHeader:
         return self.generator_pub, self.h_blk, self.sig
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     header: BlockHeader
     txs: tuple[Transaction, ...]
 
@@ -525,7 +526,7 @@ def block_from_wire(data: bytes) -> Block:
 
 def genesis_prf(header: BlockHeader) -> bytes:
     # no key signs genesis; bind every header field into its prf instead
-    unsigned = replace(header, prf=ZERO_DIGEST)
+    unsigned = header._replace(prf=ZERO_DIGEST)
     return sha256(b"ctsim-genesis" + unsigned.core_bytes)
 
 
@@ -542,7 +543,7 @@ def make_genesis(register_txs, base_target: int, **params) -> Block:
                              p.time_cap_intervals),
                          prf=ZERO_DIGEST, base_target=base_target,
                          sig=GENESIS_SIG)
-    return Block(replace(header, prf=genesis_prf(header)), txs)
+    return Block(header._replace(prf=genesis_prf(header)), txs)
 
 
 def check_genesis_shape(blk: Block) -> ConsensusParams:
@@ -601,8 +602,7 @@ class Journal:
                 table[key] = prev
 
 
-@dataclass(frozen=True)
-class GenRecord:
+class GenRecord(NamedTuple):
     """Per-generator production history (consensus clock source)."""
     last_timestamp: int
     prf_old: bytes

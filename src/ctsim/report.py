@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import statistics
+from collections.abc import Iterable, Iterator
 
 from .crypto import address_of
 from .fixedpoint import to_float
@@ -17,14 +18,14 @@ from .ledger import Block, TxKind
 from .replica import Replica, replay_blocks
 
 
-def load_events(path) -> list[dict]:
-    events = []
+def load_events(path) -> Iterator[dict]:
+    """The entries of an events.jsonl file, each parsed as it is read: a
+    reader that folds them holds one at a time, never the whole log. The
+    file is opened at the first read and closed after the last."""
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+            if line.strip():
+                yield json.loads(line)
 
 
 def dump_events(path, events: list[dict]) -> None:
@@ -110,12 +111,44 @@ def _user_section(replica: Replica, user_names: dict[str, str]) -> list[dict]:
     return rows
 
 
-def _request_section(events: list[dict]) -> dict:
-    # a request's outcome is its last state
+# events counted in the network section, by the key they count under
+NETWORK_COUNTS = {"block_generated": "blocks_generated",
+                  "fork_switch": "fork_switches",
+                  "partition_drop": "partition_drops"}
+# events tallied by reason, by the key of their tally
+NETWORK_TALLIES = {"tx_rejected": "tx_rejections",
+                   "block_rejected": "block_rejections"}
+
+
+def _fold_events(events: Iterable[dict]) -> tuple[dict, dict, dict, dict]:
+    """One pass over the event log: provider names by address, user names
+    by pseudonym, each request's last request_state entry by request id,
+    and the network section."""
+    names: dict[str, str] = {}
+    user_names: dict[str, str] = {}
     final: dict[str, dict] = {}
+    network: dict = {"blocks_generated": 0, "fork_switches": 0,
+                     "partition_drops": 0, "messages": 0,
+                     "tx_rejections": {}, "block_rejections": {}}
     for entry in events:
-        if entry.get("event") == "request_state":
+        kind = entry.get("event")
+        if kind == "request_state":
             final[entry["req"]] = entry
+        elif kind in NETWORK_COUNTS:
+            network[NETWORK_COUNTS[kind]] += 1
+        elif kind in NETWORK_TALLIES:
+            tally = network[NETWORK_TALLIES[kind]]
+            tally[entry["reason"]] = tally.get(entry["reason"], 0) + 1
+        elif kind == "register":
+            names[entry["address"]] = entry["node"]
+        elif kind == "user_registered":
+            user_names[entry["pseudonym"]] = entry["user"]
+    return names, user_names, final, network
+
+
+def _request_section(final: dict[str, dict]) -> dict:
+    """Each request's outcome, its last request_state entry, in request
+    order, with the outcomes tallied by state and by reason."""
     by_state: dict[str, int] = {}
     by_reason: dict[str, int] = {}
     detail = []
@@ -138,47 +171,19 @@ def _request_section(events: list[dict]) -> dict:
             "by_reason": by_reason, "detail": detail}
 
 
-def _network_section(events: list[dict]) -> dict:
-    counts = {"blocks_generated": 0, "fork_switches": 0,
-              "partition_drops": 0, "messages": 0}
-    tx_rejects: dict[str, int] = {}
-    block_rejects: dict[str, int] = {}
-    for entry in events:
-        kind = entry.get("event")
-        if kind == "block_generated":
-            counts["blocks_generated"] += 1
-        elif kind == "fork_switch":
-            counts["fork_switches"] += 1
-        elif kind == "partition_drop":
-            counts["partition_drops"] += 1
-        elif kind == "tx_rejected":
-            reason = entry["reason"]
-            tx_rejects[reason] = tx_rejects.get(reason, 0) + 1
-        elif kind == "block_rejected":
-            reason = entry["reason"]
-            block_rejects[reason] = block_rejects.get(reason, 0) + 1
-    counts["tx_rejections"] = tx_rejects
-    counts["block_rejections"] = block_rejects
-    return counts
-
-
-def build_report(blocks: list[Block], events: list[dict] | None = None) -> dict:
+def build_report(blocks: list[Block],
+                 events: Iterable[dict] | None = None) -> dict:
     """Replay a ledger (verifying it) and summarize it with the event log.
 
     Raises LedgerError if the ledger does not replay cleanly; a report
     is only ever produced over a chain that passed full validation. The
     chain, provider and user figures come from the ledger alone, trust
     pins included; the events add names and the request and network
-    sections.
+    sections. events may be any iterable of entries, load_events' stream
+    included: it is read once, before the replay, and only names, each
+    request's last state and the network counts are kept from it.
     """
-    names: dict[str, str] = {}
-    user_names: dict[str, str] = {}
-    if events:
-        for entry in events:
-            if entry.get("event") == "register":
-                names[entry["address"]] = entry["node"]
-            elif entry.get("event") == "user_registered":
-                user_names[entry["pseudonym"]] = entry["user"]
+    names, user_names, final, network = _fold_events(events or ())
     replica = replay_blocks(blocks)
     report = {
         "chain": _chain_section(blocks),
@@ -186,8 +191,8 @@ def build_report(blocks: list[Block], events: list[dict] | None = None) -> dict:
         "users": _user_section(replica, user_names),
     }
     if events is not None:
-        report["requests"] = _request_section(events)
-        report["network"] = _network_section(events)
+        report["requests"] = _request_section(final)
+        report["network"] = network
     return report
 
 

@@ -10,7 +10,7 @@ offending field, and a config that parses is internally consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .consensus import calibrate_base_target
 from .fixedpoint import ONE, fp_from
@@ -45,8 +45,7 @@ class ConfigError(Exception):
     """Invalid scenario config; message names the offending field."""
 
 
-@dataclass
-class NodeSpec:
+class NodeSpec(NamedTuple):
     name: str
     stake: int                          # fixed-point declared stake
     weight_sat: int
@@ -60,29 +59,25 @@ class NodeSpec:
                             pinned=self.trust_override is not None)
 
 
-@dataclass
-class LinkCfg:
-    default_latency_ms: int = 20
-    jitter_ms: int = 10
-    overrides: dict[tuple[str, str], int] = field(default_factory=dict)
+class LinkCfg(NamedTuple):
+    default_latency_ms: int
+    jitter_ms: int
+    overrides: dict[tuple[str, str], int]
 
 
-@dataclass
-class PartitionSpec:
+class PartitionSpec(NamedTuple):
     at_ms: int
     groups: list[frozenset[str]] | None   # None means heal
 
 
-@dataclass
-class ActionSpec:
+class ActionSpec(NamedTuple):
     at_ms: int
     kind: str
     fields: dict
     req_id: str | None = None           # assigned to access-producing actions
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     seed: int
     duration_ms: int
     consensus: ConsensusParams
@@ -96,7 +91,7 @@ class ScenarioConfig:
 
 
 # a config's keys: its own fields, and how to read the stakes
-TOP_KEYS = (*ScenarioConfig.__dataclass_fields__, "normalize_stakes")
+TOP_KEYS = (*ScenarioConfig._fields, "normalize_stakes")
 
 
 def _fail(where: str, msg: str):
@@ -251,8 +246,7 @@ def _parse_nodes(raw, normalize: bool) -> list[NodeSpec]:
             _fail("nodes", "stakes sum to zero")
         scaled = [n.stake * ONE // total for n in nodes]
         scaled[0] += ONE - sum(scaled)  # remainder to the first node
-        for n, s in zip(nodes, scaled):
-            n.stake = s
+        nodes = [n._replace(stake=s) for n, s in zip(nodes, scaled)]
     elif total != ONE:
         _fail("nodes", "stakes must sum to 1 (or set normalize_stakes: true)")
     return nodes
@@ -271,9 +265,8 @@ def _parse_links(raw, names: set[str]) -> LinkCfg:
         overrides[(src, dst)] = _int(entry.get("latency_ms"),
                                      f"{where}.latency_ms")
     return LinkCfg(
-        _int(raw.get("default_latency_ms", LinkCfg.default_latency_ms),
-             "links.default_latency_ms"),
-        _int(raw.get("jitter_ms", LinkCfg.jitter_ms), "links.jitter_ms", lo=0),
+        _int(raw.get("default_latency_ms", 20), "links.default_latency_ms"),
+        _int(raw.get("jitter_ms", 10), "links.jitter_ms", lo=0),
         overrides)
 
 

@@ -32,7 +32,6 @@ dropped.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, replace
 
 from . import consensus, federation
 from .crypto import (
@@ -283,7 +282,7 @@ def _corrupt_block(blk: Block) -> Block:
     """Flip one signature byte; framing stays intact, crypto checks fail.
     The flipped triple is recorded, so its check is owed, not made now."""
     victim = blk.txs[-1] if blk.txs else blk.header
-    bad = replace(victim, sig=victim.sig[:-1] + bytes([victim.sig[-1] ^ 0x01]))
+    bad = victim._replace(sig=victim.sig[:-1] + bytes([victim.sig[-1] ^ 0x01]))
     record_corrupted(*bad.sig_triple)
     if blk.txs:
         return Block(blk.header, blk.txs[:-1] + (bad,))
@@ -308,7 +307,7 @@ class World:
         keys = {spec.name: self._provider_key(spec) for spec in cfg.nodes}
         regs = [build_register_tx(keys[spec.name], spec.register_data())
                 for spec in cfg.nodes]
-        self.genesis = make_genesis(regs, **asdict(cfg.consensus))
+        self.genesis = make_genesis(regs, **cfg.consensus._asdict())
         # every block broadcast, by h_blk: receivers read branches from it
         self.blocks: dict[bytes, Block] = {self.genesis.h_blk: self.genesis}
         self.log_event("genesis", h_blk=self.genesis.h_blk.hex(),

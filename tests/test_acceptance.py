@@ -8,7 +8,6 @@ of this file doubles as the sign-off checklist.
 import json
 import statistics
 import time
-from dataclasses import replace
 
 import yaml
 
@@ -313,7 +312,7 @@ def _race_share(probe_stake, probe_trust, filler_stake, filler_trust,
             continue
         prf, i = min(eligible)      # lowest draw takes a contested slot
         wins[i] += 1
-        states[i] = replace(states[i], last_generated_ts=now, prf_old=prf)
+        states[i] = states[i]._replace(last_generated_ts=now, prf_old=prf)
     return wins[0] / sum(wins)
 
 

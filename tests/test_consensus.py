@@ -1,7 +1,5 @@
 """Eligibility lottery, block validation order, fork choice, calibration."""
 
-from dataclasses import replace
-
 import pytest
 
 from ctsim.crypto import DetRng, generate_keypair, sha256
@@ -132,7 +130,7 @@ def test_eligibility_rate_tracks_difficulty():
     hits = 0
     trials = 10_000
     for _ in range(trials):
-        state = replace(state, prf_old=rng.take(32))
+        state = state._replace(prf_old=rng.take(32))
         hits += check_eligibility(p, state, fp("0.8"), ALPHA.pub_bytes, 600)
     target = 0.08 * trials
     assert 0.8 * target <= hits <= 1.2 * target, hits
@@ -159,28 +157,28 @@ def test_validate_block_reason_order():
     trust = BOOTSTRAP_TRUST
     good = sealed_block(chain, ALPHA)
 
-    bad_link = Block(replace(good.header, prev_block=b"\x09" * 32), good.txs)
+    bad_link = Block(good.header._replace(prev_block=b"\x09" * 32), good.txs)
     assert validate_block(bad_link, chain, trust) == "BAD_LINK"
 
-    stale = Block(replace(good.header, timestamp=0), good.txs)
+    stale = Block(good.header._replace(timestamp=0), good.txs)
     assert validate_block(stale, chain, trust) == "TIMESTAMP"
 
-    wrong_base = Block(replace(good.header, base_target=fp("0.5")), good.txs)
+    wrong_base = Block(good.header._replace(base_target=fp("0.5")), good.txs)
     assert validate_block(wrong_base, chain, trust) == "BASE_TARGET"
 
-    wrong_root = Block(replace(good.header, tx_root=b"\x09" * 32), good.txs)
+    wrong_root = Block(good.header._replace(tx_root=b"\x09" * 32), good.txs)
     assert validate_block(wrong_root, chain, trust) == "BAD_TX_ROOT"
 
-    foreign = Block(replace(good.header, generator_pub=OUTSIDER.pub_bytes),
+    foreign = Block(good.header._replace(generator_pub=OUTSIDER.pub_bytes),
                     good.txs)
     assert validate_block(foreign, chain, trust) == "UNKNOWN_GENERATOR"
 
-    wrong_prf = Block(replace(good.header, prf=sha256(b"not it")), good.txs)
+    wrong_prf = Block(good.header._replace(prf=sha256(b"not it")), good.txs)
     assert validate_block(wrong_prf, chain, trust) == "PRF_MISMATCH"
 
     sig = bytearray(good.header.sig)
     sig[0] ^= 1
-    forged = Block(replace(good.header, sig=bytes(sig)), good.txs)
+    forged = Block(good.header._replace(sig=bytes(sig)), good.txs)
     assert validate_block(forged, chain, trust) == "BAD_HEADER_SIG"
 
 
@@ -200,9 +198,9 @@ def test_validate_block_catches_ineligible_timestamp():
             break
     assert ts is not None, "prf wins every slot; cannot build the case"
     blk = candidate(chain, ALPHA, ts)
-    header = replace(blk.header, prf=prf)
+    header = blk.header._replace(prf=prf)
     import ctsim.crypto as crypto
-    sealed = Block(replace(header, sig=crypto.sign(ALPHA, header.h_blk)), ())
+    sealed = Block(header._replace(sig=crypto.sign(ALPHA, header.h_blk)), ())
     assert validate_block(sealed, chain, BOOTSTRAP_TRUST) == "NOT_ELIGIBLE"
 
 

@@ -184,7 +184,8 @@ def test_answer_after_timeout_is_ignored(monkeypatch, latency_ms,
             ("DENIED", 1800)]
     assert states[-1][1]["reason"] == "TOKEN_TIMEOUT"
     assert not world.nodes["beta"].pending
-    section = report._request_section(world.events)
+    _, _, final, _ = report._fold_events(world.events)
+    section = report._request_section(final)
     assert (section["by_state"], section["by_reason"]) \
         == ({"DENIED": 1}, {"TOKEN_TIMEOUT": 1})
 

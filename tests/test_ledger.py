@@ -5,8 +5,6 @@ carry throwaway headers; every header check, linkage and tx_root
 included, is consensus.validate_block's and is tested with it.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,11 +97,11 @@ def test_tx_wire_round_trip_all_kinds():
 
 def test_txid_covers_everything_but_sig():
     tx = _reg(HOME)
-    resigned = replace(tx, sig=b"\x11" * 64)
+    resigned = tx._replace(sig=b"\x11" * 64)
     assert canonical_serialize(resigned) == canonical_serialize(tx)
-    for tampered in (replace(tx, kind=TxKind.FEEDBACK),
-                     replace(tx, payload=tx.payload + b"\x01"),
-                     replace(tx, sender_pub=OUTSIDER.pub_bytes)):
+    for tampered in (tx._replace(kind=TxKind.FEEDBACK),
+                     tx._replace(payload=tx.payload + b"\x01"),
+                     tx._replace(sender_pub=OUTSIDER.pub_bytes)):
         assert canonical_serialize(tampered) != canonical_serialize(tx)
 
 
@@ -130,7 +128,7 @@ def test_tx_wire_rejects_trailing_and_unknown_kind():
 
 def test_register_payload_takes_one_optional_pin_byte():
     plain = RegisterData(fp_from("0.5"), fp_from("0.4"), fp_from("0.3"))
-    pinned = replace(plain, pinned=True)
+    pinned = plain._replace(pinned=True)
     assert len(ser_register(plain)) == 24
     assert ser_register(pinned) == ser_register(plain) + b"\x01"
     for reg in (plain, pinned):
@@ -162,15 +160,15 @@ def _payload_fault(tx) -> str:
 
 
 def test_privilege_count_cap():
-    token = replace(make_token(), privileges=tuple(
+    token = make_token()._replace(privileges=tuple(
         b"p%d" % i for i in range(65)))
     assert _payload_fault(token_payload_tx(token)) == "privilege count"
 
 
 def test_privilege_length_cap():
-    at_cap = replace(make_token(), privileges=(b"p" * 4096,))
+    at_cap = make_token()._replace(privileges=(b"p" * 4096,))
     assert fresh_chain().validate_tx(token_payload_tx(at_cap)) is None
-    over = replace(make_token(), privileges=(b"p" * 4097,))
+    over = make_token()._replace(privileges=(b"p" * 4097,))
     assert _payload_fault(token_payload_tx(over)) == "privilege length"
 
 
@@ -179,12 +177,12 @@ def test_payload_length_cap():
     # one byte more is what no ledger file carries, so validate_tx
     # refuses it as tx_from_wire does
     enc = make_token_tx().data.enc_user
-    empty = ser_token_data(TokenData(make_token(), replace(enc, body=b"")))
+    empty = ser_token_data(TokenData(make_token(), enc._replace(body=b"")))
 
     def sized(n):
         body = b"\x00" * (n - len(empty))
         return make_transaction(TxKind.TOKEN, ser_token_data(
-            TokenData(make_token(), replace(enc, body=body))), HOME)
+            TokenData(make_token(), enc._replace(body=body))), HOME)
 
     at_cap = sized(ledger.MAX_PAYLOAD_LEN)
     assert len(at_cap.payload) == ledger.MAX_PAYLOAD_LEN
@@ -252,15 +250,15 @@ def _shape_reason(genesis) -> str:
 def test_genesis_tampering_detected():
     genesis = make_genesis([_reg(HOME)], fp_from("0.2"))
     cases = [
-        (replace(genesis, header=replace(genesis.header, timestamp=5)),
+        (genesis._replace(header=genesis.header._replace(timestamp=5)),
          "TIMESTAMP"),
-        (replace(genesis, header=replace(genesis.header, sig=b"\x01" * 64)),
+        (genesis._replace(header=genesis.header._replace(sig=b"\x01" * 64)),
          "BAD_SIGNATURE"),
-        (replace(genesis, header=replace(genesis.header, prf=b"\x01" * 32)),
+        (genesis._replace(header=genesis.header._replace(prf=b"\x01" * 32)),
          "PRF_MISMATCH"),
-        (replace(genesis, header=replace(genesis.header, height=1)),
+        (genesis._replace(header=genesis.header._replace(height=1)),
          "BAD_LINK"),
-        (replace(genesis, txs=()), "BAD_TX_ROOT"),
+        (genesis._replace(txs=()), "BAD_TX_ROOT"),
     ]
     for bad, reason in cases:
         assert _shape_reason(bad) == reason
@@ -314,11 +312,11 @@ def test_genesis_registrations_get_block_tx_reasons():
 def test_genesis_params_reject_nonsense():
     good = make_genesis([_reg(HOME)], fp_from("0.2")).header
     assert genesis_params(good) == ConsensusParams(fp_from("0.2"))
-    assert genesis_params(replace(good, generator_pub=b"\x02" * 33)) is None
-    assert genesis_params(replace(good, generator_pub=b"")) is None
+    assert genesis_params(good._replace(generator_pub=b"\x02" * 33)) is None
+    assert genesis_params(good._replace(generator_pub=b"")) is None
     for packed in ((300, 0, 64, 64), (300, 100, 64, 0)):  # zero slot, cap
         pub = ledger.pack_genesis_pub(*packed)
-        assert genesis_params(replace(good, generator_pub=pub)) is None
+        assert genesis_params(good._replace(generator_pub=pub)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +345,10 @@ def test_register_validation_reasons():
 def test_txid_and_signature_validation():
     chain = fresh_chain()
     tx = _reg(OUTSIDER)
-    assert chain.validate_tx(replace(tx, txid=b"\x00" * 32)) == "BAD_TXID"
-    assert chain.validate_tx(replace(tx, sig=b"\x00" * 64)) == "BAD_SIGNATURE"
+    assert chain.validate_tx(tx._replace(txid=b"\x00" * 32)) == "BAD_TXID"
+    assert chain.validate_tx(tx._replace(sig=b"\x00" * 64)) == "BAD_SIGNATURE"
     other_sig = build_register_tx(OUTSIDER, RegisterData(ONE, ONE, 0)).sig
-    assert chain.validate_tx(replace(tx, sig=other_sig)) == "BAD_SIGNATURE"
+    assert chain.validate_tx(tx._replace(sig=other_sig)) == "BAD_SIGNATURE"
 
 
 def test_token_validation_reasons():
@@ -408,18 +406,18 @@ def test_feedback_validation_reasons():
                         token.token_id)
     assert chain.validate_tx(fb_tx(FOREIGN, cred)) is None
 
-    assert chain.validate_tx(fb_tx(OUTSIDER, replace(
-        cred, rater=OUTSIDER.address))) == "UNKNOWN_RATER"
+    assert chain.validate_tx(fb_tx(OUTSIDER, cred._replace(
+        rater=OUTSIDER.address))) == "UNKNOWN_RATER"
     assert chain.validate_tx(fb_tx(HOME, cred)) == "RATER_MISMATCH"
-    assert chain.validate_tx(fb_tx(FOREIGN, replace(
-        cred, label=10))) == "LABEL_RANGE"
-    assert chain.validate_tx(fb_tx(FOREIGN, replace(
-        cred, token_id=b"\x0a" * 32))) == "UNKNOWN_TOKEN"
-    assert chain.validate_tx(fb_tx(FOREIGN, replace(
-        cred, user=OUTSIDER.address))) == "NOT_PARTICIPANT"
+    assert chain.validate_tx(fb_tx(FOREIGN, cred._replace(
+        label=10))) == "LABEL_RANGE"
+    assert chain.validate_tx(fb_tx(FOREIGN, cred._replace(
+        token_id=b"\x0a" * 32))) == "UNKNOWN_TOKEN"
+    assert chain.validate_tx(fb_tx(FOREIGN, cred._replace(
+        user=OUTSIDER.address))) == "NOT_PARTICIPANT"
     # credibility ratings come from the serving side only
-    assert chain.validate_tx(fb_tx(HOME, replace(
-        cred, rater=HOME.address, subject=FOREIGN.address))) == "NOT_PARTICIPANT"
+    assert chain.validate_tx(fb_tx(HOME, cred._replace(
+        rater=HOME.address, subject=FOREIGN.address))) == "NOT_PARTICIPANT"
     # satisfaction relays come from the home side only
     sat = FeedbackData(FOREIGN.address, HOME.address, USER.address, 7,
                        token.token_id)
@@ -431,7 +429,7 @@ def test_feedback_validation_reasons():
     chain.apply_block(bare_block(chain, [fb_tx(FOREIGN, cred)]))
     # with no sender history in a tx, the same rating is the same bytes
     assert chain.validate_tx(fb_tx(FOREIGN, cred)) == "DUPLICATE_TX"
-    again = fb_tx(FOREIGN, replace(cred, label=4))
+    again = fb_tx(FOREIGN, cred._replace(label=4))
     assert chain.validate_tx(again) == "DUPLICATE_FEEDBACK"
 
     as_token = make_transaction(TxKind.FEEDBACK, token_tx.payload, FOREIGN)
@@ -467,7 +465,7 @@ def test_same_block_duplicates_are_rejected():
         HOME, b"p", FOREIGN.pub_bytes,
         make_token(nonce=1, resource=resource_address("queue")),
         DetRng(79, b"ec3"))
-    twin_fb = _fb_tx(FOREIGN, replace(parse_feedback(fb.payload), label=4))
+    twin_fb = _fb_tx(FOREIGN, parse_feedback(fb.payload)._replace(label=4))
     twin_reg = build_register_tx(OUTSIDER, RegisterData(
         fp_from("0.5"), fp_from("0.5"), fp_from("0.1")))
     for txs, reason in (([token_tx, token_tx], "DUPLICATE_TX"),
@@ -513,7 +511,7 @@ def test_each_tx_is_hashed_and_parsed_once(monkeypatch):
     assert txs[1].data == parse_token_data(txs[1].payload)
     assert txs[0].sender == OUTSIDER.address
     # the cache is per object: a tampered copy is checked afresh
-    assert not replace(txs[0], sender_pub=HOME.pub_bytes).txid_ok
+    assert not txs[0]._replace(sender_pub=HOME.pub_bytes).txid_ok
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +522,7 @@ def test_apply_block_is_atomic():
     chain = fresh_chain()
     chain.apply_block(bare_block(chain, []), generator_trust=fp_from("0.3"))
     before = chain_state(chain)
-    bad = replace(make_token_tx(make_token(nonce=9)), sig=b"\x00" * 64)
+    bad = make_token_tx(make_token(nonce=9))._replace(sig=b"\x00" * 64)
     txs = _touch_every_index() + [bad]
     with pytest.raises(LedgerError) as err:
         chain.apply_block(bare_block(chain, txs))
@@ -595,8 +593,8 @@ def test_pop_block_undoes_apply_block():
     for n, (gen, txs) in enumerate(((HOME, [reg]), (FOREIGN, [token_tx]),
                                     (HOME, [fb]), (OUTSIDER, []))):
         blk = bare_block(chain, txs)
-        blk = Block(replace(blk.header, generator_pub=gen.pub_bytes,
-                            prf=bytes([n]) * 32), txs)
+        blk = Block(blk.header._replace(generator_pub=gen.pub_bytes,
+                                        prf=bytes([n]) * 32), txs)
         chain.apply_block(blk, generator_trust=fp_from("0.25"))
         blocks.append(blk)
         states.append(chain_state(chain))

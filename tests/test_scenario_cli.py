@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 
 import pytest
 import yaml
@@ -25,6 +24,7 @@ from ctsim.ledger import (
     genesis_prf, make_genesis, read_ledger, write_ledger,
 )
 from ctsim.replica import replay_blocks
+from ctsim.report import build_report, load_events
 from ctsim.scenario import MAX_NAME_LEN, ConfigError, load_config
 from ctsim.trust import BOOTSTRAP_TRUST
 
@@ -350,6 +350,18 @@ def test_bundled_scenario_artifacts_are_pinned(name, bundled_runs):
     assert got == PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_the_report_reads_the_event_log_in_one_pass(name, bundled_runs):
+    # a one-shot stream folds to the report a list gives, and both are the
+    # report.json the run wrote
+    run = bundled_runs[name]
+    blocks = ledger.read_ledger(run / "ledger.bin")
+    events = list(load_events(run / "events.jsonl"))
+    written = json.loads((run / "report.json").read_text())
+    assert build_report(blocks, iter(events)) \
+        == build_report(blocks, events) == written
+
+
 def _src_env(**extra) -> dict[str, str]:
     """This environment, with the checkout's src first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC),
@@ -410,7 +422,7 @@ def test_config_and_genesis_share_the_parameter_ranges():
               "k_bits": 128, "time_cap_intervals": 2 ** 16 - 1,
               "base_target": 0.5}
     params = load_config(base_cfg(consensus=widest)).consensus
-    genesis = make_genesis([], **vars(params))
+    genesis = make_genesis([], **params._asdict())
     assert ledger.genesis_params(genesis.header) == params
     for key in ("block_interval_ms", "time_cap_intervals"):
         bad(base_cfg(consensus={**widest, key: widest[key] + 1}),
@@ -512,9 +524,9 @@ def _genesis_with(base_target=fp_from("0.2"), regs=None, spare=b"",
                                   RegisterData(ONE // 2, ONE // 2, ONE))]
     genesis = make_genesis(regs, base_target, **params)
     pub = genesis.header.generator_pub
-    header = replace(genesis.header,
-                     generator_pub=pub[:len(pub) - len(spare)] + spare)
-    return Block(replace(header, prf=genesis_prf(header)), genesis.txs)
+    header = genesis.header._replace(
+        generator_pub=pub[:len(pub) - len(spare)] + spare)
+    return Block(header._replace(prf=genesis_prf(header)), genesis.txs)
 
 
 # a REGISTER the ledger refuses as WEIGHT_ZERO
@@ -879,7 +891,7 @@ def test_run_fails_when_its_persisted_ledger_does_not_replay(
         tip = blocks[-1]
         sig = bytes([tip.header.sig[0] ^ 0x01]) + tip.header.sig[1:]
         write_ledger(path, [*blocks[:-1],
-                            Block(replace(tip.header, sig=sig), tip.txs)])
+                            Block(tip.header._replace(sig=sig), tip.txs)])
 
     monkeypatch.setattr(cli, "write_ledger", write_bad_sig)
     code, _, err = run_cli("run", str(scenario_file),

@@ -1,7 +1,9 @@
 """World-level behavior: determinism, convergence, partitions, adversaries."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 
@@ -348,6 +350,19 @@ def test_the_verifier_imports_only_the_stdlib_and_itself():
         imported = {package for n in _outside_functions(trees[module])
                     if isinstance(n, IMPORTS) for package in _imported(n)}
         assert imported <= allowed, (module, sorted(imported - allowed))
+
+
+def test_importing_ctsim_loads_no_dataclass_machinery():
+    # records are NamedTuples: dataclasses, and the inspect, ast and dis
+    # that it imports, would cost every ctsim process tens of ms to load
+    src = pathlib.Path(consensus.__file__).parent.parent
+    probe = ("import sys, ctsim.cli, ctsim.sim; "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def _referenced_names(node):

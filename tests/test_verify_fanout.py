@@ -9,7 +9,6 @@ Whatever the helpers do, the verdict must be the one-CPU verdict.
 import contextlib
 import io
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +27,7 @@ def _flip(data: bytes, at: int) -> bytes:
 
 def _with_tx(blk: Block, n: int, **fields) -> Block:
     txs = list(blk.txs)
-    txs[n] = replace(txs[n], **fields)
+    txs[n] = txs[n]._replace(**fields)
     return Block(blk.header, tuple(txs))
 
 
@@ -44,7 +43,7 @@ def ledgers(tmp_path_factory):
     header_sig = list(blocks)
     hdr = blocks[1].header
     # r's low bit: the signature stays well-formed, so the kernel runs
-    header_sig[1] = Block(replace(hdr, sig=_flip(hdr.sig, 31)),
+    header_sig[1] = Block(hdr._replace(sig=_flip(hdr.sig, 31)),
                           blocks[1].txs)
     tx_sig = list(blocks)
     tx = blocks[last].txs[-1]
