@@ -17,12 +17,17 @@ AES-256-GCM, sealed by :mod:`ctsim._aesgcm`, the one cipher kernel, as
 
 All randomness used here is caller-supplied via :class:`DetRng`, a SHA-256
 counter DRBG, which keeps whole-simulation determinism in one seed.
+
+SHA-256 is CPython's builtin one (``_sha2``, or ``_sha256`` before 3.12),
+and the HMAC-SHA256 of RFC 6979 is built on it here (:func:`_hmac`):
+``hashlib`` and ``hmac`` load OpenSSL's libcrypto through ``_hashlib``,
+about 3.6 MiB and 4 ms in every process, for digests that do not need it.
+``hashlib`` is the fallback only for an interpreter built without the
+builtin module.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 import signal
 import threading
@@ -60,13 +65,36 @@ ZERO_DIGEST = b"\x00" * DIGEST_LEN
 
 _HALF_N = N // 2
 
+# hashlib is heavy to load (it loads OpenSSL), so try the builtin first,
+# as the stdlib's random module does
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+_HMAC_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
 
 class CryptoError(Exception):
     pass
 
 
 def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
+
+
+def _hmac(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104) under a key of at most one 64-byte block."""
+    if len(key) > _HMAC_BLOCK:
+        raise ValueError("HMAC key longer than the SHA-256 block")
+    key = key.ljust(_HMAC_BLOCK, b"\x00")
+    inner = _sha256(key.translate(_IPAD) + msg).digest()
+    return _sha256(key.translate(_OPAD) + inner).digest()
 
 
 def address_of(pub_bytes: bytes) -> bytes:
@@ -205,17 +233,17 @@ def _rfc6979_nonce(priv: int, msg: bytes) -> int:
     h = (int.from_bytes(msg, "big") % N).to_bytes(32, "big")
     v = b"\x01" * 32
     k = b"\x00" * 32
-    k = hmac.new(k, v + b"\x00" + x + h, "sha256").digest()
-    v = hmac.new(k, v, "sha256").digest()
-    k = hmac.new(k, v + b"\x01" + x + h, "sha256").digest()
-    v = hmac.new(k, v, "sha256").digest()
+    k = _hmac(k, v + b"\x00" + x + h)
+    v = _hmac(k, v)
+    k = _hmac(k, v + b"\x01" + x + h)
+    v = _hmac(k, v)
     while True:
-        v = hmac.new(k, v, "sha256").digest()
+        v = _hmac(k, v)
         cand = int.from_bytes(v, "big")
         if 1 <= cand < N:
             return cand
-        k = hmac.new(k, v + b"\x00", "sha256").digest()
-        v = hmac.new(k, v, "sha256").digest()
+        k = _hmac(k, v + b"\x00")
+        v = _hmac(k, v)
 
 
 def sign(key: KeyPair, msg: bytes) -> bytes:

@@ -5,10 +5,14 @@ OpenSSL implementation shipped in the cryptography package: our signatures
 must verify there, theirs must verify here (after low-s normalization),
 and ours must equal its RFC 6979 deterministic ones byte for byte. The
 AES-256-GCM seal must give OpenSSL's bytes, and open
-under OpenSSL's decryption. That keeps the curve arithmetic and the cipher
-honest without trusting our own code to judge itself.
+under OpenSSL's decryption. SHA-256 and the HMAC-SHA256 of RFC 6979, which
+ctsim takes from CPython's builtin sha2, must equal hashlib's and hmac's.
+That keeps the curve arithmetic, the cipher and the hashes honest without
+trusting our own code to judge itself.
 """
 
+import hashlib
+import hmac
 import os
 import threading
 
@@ -642,6 +646,52 @@ def test_sign_requires_digest_length():
     kp = generate_keypair(DetRng(36).take(32))
     with pytest.raises(CryptoError):
         sign(kp, b"not a digest")
+
+
+# ---------------------------------------------------------------------------
+# SHA-256 and HMAC-SHA256
+# ---------------------------------------------------------------------------
+
+def test_sha256_equals_hashlib_on_every_length():
+    # 0-300 bytes crosses the 55/56-byte padding edge and the 64-byte block
+    # several times over
+    data = DetRng(41, b"sha256").take(300)
+    for n in range(301):
+        assert sha256(data[:n]) == hashlib.sha256(data[:n]).digest(), n
+
+
+# RFC 4231 test cases 1-4, as (key, data, HMAC-SHA-256)
+RFC4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+]
+
+
+@pytest.mark.parametrize("key, data, mac", RFC4231,
+                         ids=[f"case-{i}" for i in range(1, 5)])
+def test_hmac_matches_rfc4231(key, data, mac):
+    assert crypto._hmac(key, data).hex() == mac
+
+
+def test_hmac_equals_stdlib_hmac_for_every_key_length():
+    rng = DetRng(42, b"hmac")
+    for klen in range(65):
+        key = rng.take(klen)
+        for mlen in (0, 1, 32, 55, 56, 64, 65, 97, 200):
+            msg = rng.take(mlen)
+            assert crypto._hmac(key, msg) \
+                == hmac.new(key, msg, "sha256").digest(), (klen, mlen)
+
+
+def test_hmac_refuses_a_key_longer_than_a_block():
+    with pytest.raises(ValueError):
+        crypto._hmac(bytes(65), b"")
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,32 @@ def test_demo_artifacts_are_pinned_in_a_fresh_process(flags, hashseed,
     assert got == PINNED["demo"]
 
 
+# blocks CPython's builtin sha2 before ctsim loads, so crypto takes its
+# hashlib fallback; runs demo and prints whether it did, and the exit code
+HASHLIB_FALLBACK_SCRIPT = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from ctsim import cli, crypto
+import hashlib
+code = cli.main(["run", sys.argv[1], "--out-dir", sys.argv[2]])
+print(crypto._sha256 is hashlib.sha256, code)
+"""
+
+
+def test_demo_artifacts_are_pinned_through_the_hashlib_fallback(tmp_path):
+    # an interpreter built without the builtin sha2 hashes through hashlib
+    # to the same bytes
+    done = subprocess.run(
+        [sys.executable, "-c", HASHLIB_FALLBACK_SCRIPT,
+         str(SCENARIOS / "demo.yaml"), str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout.splitlines()[-1:]) \
+        == (0, ["True 0"]), done.stderr
+    got = {art: hashlib.sha256((tmp_path / art).read_bytes()).hexdigest()
+           for art in PINNED["demo"]}
+    assert got == PINNED["demo"]
+
+
 def test_invalid_config_exits_2(tmp_path):
     nodes = four_nodes()
     nodes[0]["stake"] = 0.9
@@ -729,32 +755,39 @@ def test_other_interpreters_verify_as_this_one(bundled_runs, tmp_path):
 
 # Run by each other interpreter: run each bundled scenario from its mapping,
 # parsed here and passed as JSON, through cli.run_config, as cmd_run does;
-# print each exit code and artifact digests, then any cryptography loaded.
+# note any cryptography and any OpenSSL module the runs loaded, then import
+# hashlib to print each exit code and artifact digests.
 OTHER_INTERPRETER_RUN_SCRIPT = """
-import contextlib, hashlib, io, json, os, sys
+import contextlib, io, json, os, sys
 src, out_root, configs = sys.argv[1:]
 sys.path.insert(0, src)
 from ctsim.cli import run_config
 
-result = {}
+codes = {}
 for name, raw in json.loads(configs).items():
-    out_dir = os.path.join(out_root, name)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run_config(raw, out_dir)
+        codes[name] = run_config(raw, os.path.join(out_root, name))
+result = {
+    "cryptography": sorted(
+        m for m in sys.modules if m.split(".")[0] == "cryptography"),
+    "openssl": sorted({"_hashlib", "_ssl"} & sys.modules.keys()),
+}
+import hashlib
+for name, code in codes.items():
+    out_dir = os.path.join(out_root, name)
     digests = {}
     for art in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, art), "rb") as fh:
             digests[art] = hashlib.sha256(fh.read()).hexdigest()
     result[name] = [code, digests]
-result["cryptography"] = sorted(
-    m for m in sys.modules if m.split(".")[0] == "cryptography")
 json.dump(result, sys.stdout)
 """
 
 
 def test_other_interpreters_run_to_the_pinned_digests(tmp_path):
     # the determinism contract holds on every interpreter found: the same
-    # configs give the same artifact bytes, and no run loads cryptography
+    # configs give the same artifact bytes, through _sha2 on 3.12+ and
+    # _sha256 before it, and no run loads cryptography or OpenSSL
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other Python 3.10+ on PATH or beside this one")
@@ -769,7 +802,8 @@ def test_other_interpreters_run_to_the_pinned_digests(tmp_path):
     for exe, child in zip(interpreters, children):
         stdout, stderr = child.communicate(timeout=300)
         assert child.returncode == 0, (exe, stderr)
-        assert json.loads(stdout) == {**expected, "cryptography": []}, exe
+        assert json.loads(stdout) == {**expected, "cryptography": [],
+                                      "openssl": []}, exe
 
 
 def test_verify_accepts_and_reports(run_dir):

@@ -345,7 +345,10 @@ def test_the_verifier_imports_only_the_stdlib_and_itself():
     # so verify, and a run's encryption, work on any interpreter the
     # package declares, with nothing installed
     trees = _src_trees()
-    allowed = set(sys.stdlib_module_names) | {"." + m for m in VERIFIER}
+    # crypto tries _sha2 (3.12+), then _sha256 (3.10-3.11): each is in
+    # sys.stdlib_module_names only on the versions that ship it
+    allowed = (set(sys.stdlib_module_names) | {"_sha2", "_sha256"}
+               | {"." + m for m in VERIFIER})
     for module in VERIFIER:
         imported = {package for n in _outside_functions(trees[module])
                     if isinstance(n, IMPORTS) for package in _imported(n)}
@@ -363,6 +366,36 @@ def test_importing_ctsim_loads_no_dataclass_machinery():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+# runs demo, verifies its ledger and reports its trust, in one process, as
+# the ctsim commands do; prints which of OpenSSL's modules are then loaded
+NO_OPENSSL_PROBE = """
+import contextlib, io, os, sys
+from ctsim import cli
+scenario, out_dir = sys.argv[1:]
+ledger = os.path.join(out_dir, "ledger.bin")
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["run", scenario, "--out-dir", out_dir]))
+    codes.append(cli.main(["verify", ledger]))
+    codes.append(cli.main(["trust-report", ledger]))
+print(codes, sorted({"_hashlib", "_ssl"} & sys.modules.keys()))
+"""
+
+
+def test_run_verify_and_trust_report_load_no_openssl(tmp_path):
+    # SHA-256 and HMAC come from CPython's builtin sha2: hashlib and hmac
+    # would load OpenSSL's libcrypto, about 3.6 MiB in every ctsim process
+    src = pathlib.Path(consensus.__file__).parent.parent
+    demo = src.parent / "scenarios" / "demo.yaml"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_OPENSSL_PROBE, str(demo), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] []\n"), \
+        done.stderr
 
 
 def _referenced_names(node):

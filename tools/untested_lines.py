@@ -42,8 +42,8 @@ ALLOWED = [
     ("crypto.py", "derive_child_key", "counter += 1",
      "k = (parent.private_key + tweak) % N",
      "re-derives a zero child key, probability about 2^-256"),
-    ("crypto.py", "_rfc6979_nonce", 'k = hmac.new(k, v + b"\\x00", '
-     '"sha256").digest()', 'v = hmac.new(k, v, "sha256").digest()',
+    ("crypto.py", "_rfc6979_nonce", 'k = _hmac(k, v + b"\\x00")',
+     "v = _hmac(k, v)",
      "an RFC 6979 candidate out of range, probability about 2^-128"),
     ("crypto.py", "sign", "k = _rfc6979_nonce(key.private_key, sha256(msg))",
      "k = _rfc6979_nonce(key.private_key, sha256(msg))",
