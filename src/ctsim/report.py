@@ -128,7 +128,7 @@ def _fold_events(events: Iterable[dict]) -> tuple[dict, dict, dict, dict]:
     user_names: dict[str, str] = {}
     final: dict[str, dict] = {}
     network: dict = {"blocks_generated": 0, "fork_switches": 0,
-                     "partition_drops": 0, "messages": 0,
+                     "partition_drops": 0,
                      "tx_rejections": {}, "block_rejections": {}}
     for entry in events:
         kind = entry.get("event")

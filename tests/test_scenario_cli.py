@@ -313,17 +313,17 @@ PINNED = {
     "demo": {
         "ledger.bin": "f27fa67789156ee52825a129b91b643941c60e1a9f20bf00cb37b2a692ebca9d",
         "events.jsonl": "d59f9619ac2fad70159fa03b4de6a7acc0baca10680db7989a0ddb71142e2ff4",
-        "report.json": "5abc69d1cb30a46d9ee90497860f500c689a9b6112477e6134be973fc652d8d7",
+        "report.json": "189e05bb9398ce269ecdfbdf9abffee9d93bb1f918a0da0886d50655e607bac1",
     },
     "partition": {
         "ledger.bin": "7fae73b30bc2c6da9bccd6bca167478e4d7a297975a6eec12ebc8cf139b0735e",
         "events.jsonl": "cce514e04196ac11c24adf639dfb99fe56b00c578548382b531900f91946a989",
-        "report.json": "b23846b27e306a498685b22cb1fe7761e6a49317705678fbe6c21f01a17c9b19",
+        "report.json": "7403e7727cb79f7e23151971b32406d61cbce9a76d3b935b39a2658c6025714c",
     },
     "adversaries": {
         "ledger.bin": "04a29afa9c7088636068028dde6e0d5c925be3804abb69d25e2712f0e6c69f73",
         "events.jsonl": "6a14b9fed676fda06858f42f33100e0e689158cd8bf439fdb1b11a29772e1bcb",
-        "report.json": "fb649c1c31c240d289ca741a2fbff63eca9999baf30fba3c10db866e2e2eec10",
+        "report.json": "15b4eb7ea5518559b7dac2468cf41b82d393da1e449229fa5811ab6a9d731ef2",
     },
 }
 
