@@ -21,7 +21,7 @@ counter DRBG, which keeps whole-simulation determinism in one seed.
 SHA-256 is CPython's builtin one (``_sha2``, or ``_sha256`` before 3.12),
 and the HMAC-SHA256 of RFC 6979 is built on it here (:func:`_hmac`):
 ``hashlib`` and ``hmac`` load OpenSSL's libcrypto through ``_hashlib``,
-about 3.6 MiB and 4 ms in every process, for digests that do not need it.
+about 3.6 MiB of memory in every process, which no digest here needs.
 ``hashlib`` is the fallback only for an interpreter built without the
 builtin module.
 """
@@ -34,6 +34,16 @@ import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import NamedTuple
+
+# _sha2 on 3.12+, _sha256 on 3.10-3.11; hashlib, which loads OpenSSL, only
+# where neither was built (the stdlib's random module does the same)
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from ._aesgcm import seal
 from ._ecbackend import N, P, scalar_base_mult, scalar_mult, shamir_mult
@@ -64,16 +74,6 @@ SIG_LEN = 64
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
 
 _HALF_N = N // 2
-
-# hashlib is heavy to load (it loads OpenSSL), so try the builtin first,
-# as the stdlib's random module does
-try:
-    from _sha2 import sha256 as _sha256
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256
-    except ImportError:
-        from hashlib import sha256 as _sha256
 
 _HMAC_BLOCK = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
