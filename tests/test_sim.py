@@ -355,16 +355,23 @@ def test_the_verifier_imports_only_the_stdlib_and_itself():
         assert imported <= allowed, (module, sorted(imported - allowed))
 
 
+def _fresh_python(code, *args, timeout):
+    """Run ``code`` in a new interpreter with this checkout's src first on
+    PYTHONPATH."""
+    src = pathlib.Path(consensus.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 def test_importing_ctsim_loads_no_dataclass_machinery():
     # records are NamedTuples: dataclasses, and the inspect, ast and dis
     # that it imports, would cost every ctsim process tens of ms to load
-    src = pathlib.Path(consensus.__file__).parent.parent
     probe = ("import sys, ctsim.cli, ctsim.sim; "
              "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _fresh_python(probe, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
@@ -387,13 +394,9 @@ print(codes, sorted({"_hashlib", "_ssl"} & sys.modules.keys()))
 def test_run_verify_and_trust_report_load_no_openssl(tmp_path):
     # SHA-256 and HMAC come from CPython's builtin sha2: hashlib and hmac
     # would load OpenSSL's libcrypto, about 3.6 MiB in every ctsim process
-    src = pathlib.Path(consensus.__file__).parent.parent
-    demo = src.parent / "scenarios" / "demo.yaml"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", NO_OPENSSL_PROBE, str(demo), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
+    demo = (pathlib.Path(consensus.__file__).parents[2] / "scenarios"
+            / "demo.yaml")
+    done = _fresh_python(NO_OPENSSL_PROBE, demo, tmp_path, timeout=120)
     assert (done.returncode, done.stdout) == (0, "[0, 0, 0] []\n"), \
         done.stderr
 
