@@ -6,11 +6,10 @@ deterministic nonces so identical runs produce identical bytes.
 Verification is memoized per (key, digest, signature), and a ledger
 replay checks its signatures ahead of time on every CPU the process may
 use (:func:`verify_many`). Inside :func:`defer_own_checks`, the check
-of a signature this process made itself, valid from :func:`sign` or
-corrupted on purpose (:func:`record_corrupted`), moves off the caller's
-path: it streams to one forked checker process, whose verdicts are
-compared with the ones assumed before the block ends, or is made at the
-end of the block if no checker runs. User profile data
+of a signature this process made itself with :func:`sign` moves off the
+caller's path: it streams to one forked checker process, whose verdicts
+must all be valid before the block ends, or is made at the end of the
+block if no checker runs. User profile data
 travels encrypted under an ECIES-style hybrid scheme (ephemeral ECDH +
 AES-256-GCM, sealed by :mod:`ctsim._aesgcm`, the one cipher kernel, as
 :mod:`ctsim._ecbackend` is the one curve kernel).
@@ -62,7 +61,6 @@ __all__ = [
     "verify",
     "verify_many",
     "defer_own_checks",
-    "record_corrupted",
     "encrypt_for",
 ]
 
@@ -265,7 +263,7 @@ def sign(key: KeyPair, msg: bytes) -> bytes:
         s = N - s
     sig = r.to_bytes(32, "big") + s.to_bytes(32, "big")
     if _own is not None:
-        _own.record((key.pub_bytes, msg, sig), True)
+        _own.record((key.pub_bytes, msg, sig))
     return sig
 
 
@@ -303,42 +301,41 @@ class _OwnChecks:
     """The checks owed on triples made inside defer_own_checks()."""
 
     def __init__(self):
-        # triples made here that verify() was not yet asked about, each
-        # with the verdict assumed for it; oldest first, capped like the memo
-        self.made: dict[tuple, bool] = {}
-        # (triple, verdict assumed) per triple verify() answered from made,
-        # in the order the checker got them
+        # triples sign() returned here that verify() was not yet asked
+        # about, as keys; oldest first, capped like the memo
+        self.made: dict[tuple, None] = {}
+        # triples verify() answered valid from made, in the order the
+        # checker got them
         self.owed: list[tuple] = []
         # the run's checker; None on one CPU, or once it failed
         self.checker = _Checker.fork([]) if _cpus() > 1 else None
 
-    def record(self, triple: tuple, ok: bool) -> None:
+    def record(self, triple: tuple) -> None:
         if len(self.made) >= _VERIFY_MEMO_MAX:
             del self.made[next(iter(self.made))]
-        self.made[triple] = ok
+        self.made[triple] = None
 
-    def owe(self, triple: tuple, ok: bool) -> bool:
-        """Owe triple a check and stream it to the checker; returns ok, the
-        verdict assumed. A checker that cannot take it is killed."""
-        self.owed.append((triple, ok))
+    def owe(self, triple: tuple) -> bool:
+        """Owe triple a check and stream it to the checker; returns True,
+        the verdict assumed. A checker that cannot take it is killed."""
+        self.owed.append(triple)
         if self.checker is not None and not self.checker.send(triple):
             self.checker.kill()
             self.checker = None
-        return ok
+        return True
 
     def settle(self) -> None:
-        """Check every owed triple; CryptoError if a verdict is not the one
-        assumed. Without the checker's full output, they are checked here."""
+        """Check every owed triple; CryptoError if one is invalid. Without
+        the checker's full output, they are checked here."""
         out = None
         if self.checker is not None:
             out = self.checker.verdicts(len(self.owed))
             self.checker = None
         if out is None:
-            out = [_verify_uncached(*triple) for triple, _ in self.owed]
-        for (_, assumed), ok in zip(self.owed, out):
-            if bool(ok) != assumed:
-                raise CryptoError("a signature check owed in this run "
-                                  "refutes the verdict it was given")
+            out = [_verify_uncached(*triple) for triple in self.owed]
+        if not all(out):
+            raise CryptoError("a signature this run made fails its owed "
+                              "check")
 
 
 # the checks owed while defer_own_checks() is open, else None
@@ -358,31 +355,20 @@ def verify(pub_bytes: bytes, msg: bytes, sig: bytes) -> bool:
     Malformed keys or signatures return False rather than raising. Results
     are memoized: the same triple is re-checked constantly as transactions
     and blocks are validated by every replica. Inside defer_own_checks(),
-    a triple that sign() returned there is answered True, and one passed
-    to record_corrupted() False, and each is owed a check.
+    a triple that sign() returned there is answered True and owed a check.
     """
     triple = (pub_bytes, msg, sig)
     try:
         ok = _verify_memo.get(triple)
         if ok is None:
-            made = None if _own is None else _own.made.pop(triple, None)
-            if made is None:
-                ok = _remember(triple, _verify_uncached(*triple))
+            if _own is not None and triple in _own.made:
+                del _own.made[triple]
+                ok = _remember(triple, _own.owe(triple))
             else:
-                ok = _remember(triple, _own.owe(triple, made))
+                ok = _remember(triple, _verify_uncached(*triple))
         return ok
     except TypeError:
         return False
-
-
-def record_corrupted(pub_bytes: bytes, msg: bytes, sig: bytes) -> None:
-    """Note a triple this process made invalid on purpose, such as a
-    signature with a flipped byte. Inside defer_own_checks(), verify()
-    answers it False and owes it a check; elsewhere this does nothing."""
-    triple = (pub_bytes, msg, sig)
-    if _own is not None and tuple(map(len, triple)) == (PUBKEY_LEN,
-                                                        DIGEST_LEN, SIG_LEN):
-        _own.record(triple, False)
 
 
 def _cpus() -> int:
@@ -444,17 +430,15 @@ def defer_own_checks():
 
     A checker process is forked as the block opens, when _cpus(), the
     rule verify_many forks by, reports a second CPU. sign() records each
-    triple it returns, and record_corrupted() each one made invalid on
-    purpose;
-    verify() answers a recorded triple True or False without curve work,
-    owes it a check and streams it to the checker. When the block ends,
-    the checker's verdicts are read and each is compared with the one
-    assumed: a mismatch raises CryptoError. Without a checker, or if it
-    fails, every owed triple is checked here. A correct sign() makes only
-    valid low-s signatures, and a flipped byte of one cannot verify, so
-    each verdict verify() gave is the one it would have computed. Other
-    triples are checked at once, as outside the block. If the block
-    raises, the checker is killed and the verdicts assumed leave the memo.
+    triple it returns; verify() answers a recorded triple True without
+    curve work, owes it a check and streams it to the checker. When the
+    block ends, the checker's verdicts are read, and one that is not
+    valid raises CryptoError. Without a checker, or if it fails, every
+    owed triple is checked here. A correct sign() makes only valid low-s
+    signatures, so each verdict verify() gave is the one it would have
+    computed. Other triples, a tamperer's flipped signatures among them,
+    are checked at once, as outside the block. If the block raises, the
+    checker is killed and the verdicts assumed leave the memo.
     """
     global _own
     own = _own = _OwnChecks()
@@ -469,7 +453,7 @@ def defer_own_checks():
         if own.checker is not None:
             own.checker.kill()
         if not settled:
-            for triple, _ in own.owed:
+            for triple in own.owed:
                 _verify_memo.pop(triple, None)
 
 

@@ -34,13 +34,7 @@ from __future__ import annotations
 import heapq
 
 from . import consensus, federation
-from .crypto import (
-    DetRng,
-    KeyPair,
-    defer_own_checks,
-    generate_keypair,
-    record_corrupted,
-)
+from .crypto import DetRng, KeyPair, defer_own_checks, generate_keypair
 from .federation import ForeignRequest, HomeUser, RequestRecord, UserInfo
 from .fixedpoint import to_float
 from .ledger import (
@@ -279,11 +273,9 @@ def _fork_tip(chain: Chain) -> tuple[int, int, bytes]:
 
 
 def _corrupt_block(blk: Block) -> Block:
-    """Flip one signature byte; framing stays intact, crypto checks fail.
-    The flipped triple is recorded, so its check is owed, not made now."""
+    """Flip one signature byte; framing stays intact, crypto checks fail."""
     victim = blk.txs[-1] if blk.txs else blk.header
     bad = victim._replace(sig=victim.sig[:-1] + bytes([victim.sig[-1] ^ 0x01]))
-    record_corrupted(*bad.sig_triple)
     if blk.txs:
         return Block(blk.header, blk.txs[:-1] + (bad,))
     return Block(bad, blk.txs)
@@ -474,9 +466,8 @@ class World:
 
     def run(self) -> None:
         """Process events up to the horizon. The check of each signature a
-        node made in this run, a tamperer's corrupted copies included, is
-        deferred and done before run() returns; one whose verdict it
-        refutes raises CryptoError (see crypto.defer_own_checks)."""
+        node made in this run is deferred and done before run() returns;
+        one that fails raises CryptoError (see crypto.defer_own_checks)."""
         with defer_own_checks():
             while self._queue:
                 at, _, kind, data = self._queue[0]

@@ -603,8 +603,7 @@ def test_memo_and_own_record_evict_the_oldest_at_their_cap(monkeypatch):
     assert checks == triples
 
 
-def test_corrupted_triples_are_owed_a_check_of_their_false_verdict(
-        monkeypatch):
+def test_only_own_signatures_are_owed_and_each_must_be_valid(monkeypatch):
     monkeypatch.setattr(crypto, "_verify_memo", {})
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     checks = []
@@ -616,30 +615,29 @@ def test_corrupted_triples_are_owed_a_check_of_their_false_verdict(
     monkeypatch.setattr(crypto, "_verify_uncached", counted)
     kp = generate_keypair(DetRng(38).take(32))
     digest = sha256(b"corrupted")
-    sig = sign(kp, digest)
-    flipped = (kp.pub_bytes, digest, sig[:-1] + bytes([sig[-1] ^ 1]))
-    crypto.record_corrupted(*flipped)      # outside the block: no effect
-    assert not verify(*flipped) and checks == [flipped]
-
-    checks.clear()
-    crypto._verify_memo.clear()
     with crypto.defer_own_checks():
-        crypto.record_corrupted(*flipped)
-        crypto.record_corrupted(kp.pub_bytes, digest[:-1], sig)  # not kept
-        assert list(crypto._own.made) == [flipped]
-        assert not verify(*flipped) and not checks     # assumed, owed
-    assert checks == [flipped]
-    assert crypto._verify_memo == {flipped: False}
+        sig = sign(kp, digest)
+        valid = (kp.pub_bytes, digest, sig)
+        flipped = (kp.pub_bytes, digest, sig[:-1] + bytes([sig[-1] ^ 1]))
+        # a flipped copy of a signature made here is checked at once
+        assert not verify(*flipped) and checks == [flipped]
+        assert verify(*valid) and checks == [flipped]   # assumed, owed
+        assert crypto._own.owed == [valid]
+    assert checks == [flipped, valid]
+    assert crypto._verify_memo == {flipped: False, valid: True}
 
-    # a "corrupted" triple that verifies: the owed check refutes False
-    valid = (kp.pub_bytes, digest, sig)
+    # a triple recorded as made here that does not verify, as a faulty
+    # sign() would make: its owed check fails the block, and the verdict
+    # assumed for it leaves the memo
+    checks.clear()
     crypto._verify_memo.clear()
     with pytest.raises(CryptoError):
         with crypto.defer_own_checks():
-            crypto.record_corrupted(*valid)
-            assert not verify(*valid)
+            crypto._own.record(flipped)
+            assert verify(*flipped) and not checks
+    assert checks == [flipped]
     assert not crypto._verify_memo and crypto._own is None
-    assert verify(*valid)
+    assert not verify(*flipped)
 
 
 def test_sign_requires_digest_length():

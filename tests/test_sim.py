@@ -517,11 +517,11 @@ def test_a_tamperer_no_peer_reads_signs_and_sends_nothing(monkeypatch):
     world, alpha = _eligible_alpha(monkeypatch)
     alpha.behavior = "tamperer"
     made = []
-    sign, record = crypto.sign, sim.record_corrupted
+    sign, corrupt = crypto.sign, sim._corrupt_block
     monkeypatch.setattr(crypto, "sign",
                         lambda *args: made.append("sign") or sign(*args))
-    monkeypatch.setattr(sim, "record_corrupted",
-                        lambda *args: made.append("corrupt") or record(*args))
+    monkeypatch.setattr(sim, "_corrupt_block",
+                        lambda blk: made.append("corrupt") or corrupt(blk))
     for name in ("beta", "delta", "gamma"):
         world.nodes[name]._discourage(world, "alpha")
     stored = dict(world.blocks)
