@@ -25,6 +25,7 @@ from .ledger import (
     build_feedback_tx,
     build_register_tx,
     build_token_tx,
+    feedback_parties,
 )
 from .trust import CredLabel, SatLabel
 
@@ -382,19 +383,13 @@ def _sat_label(behavior: str) -> SatLabel:
 
 def submit_feedback(world, node, token: AccessToken, label: int) -> None:
     """Build, self-check, and broadcast one rating for a served token."""
-    if label <= 4:
-        subject = token.issuer      # foreign provider rates the user's home
-    else:
-        subject = token.audience    # home provider rates the serving side
-    fb = FeedbackData(rater=node.address, subject=subject,
-                      user=token.pseudonym, label=label,
-                      token_id=token.token_id)
-    tx = build_feedback_tx(node.key, fb)
+    tx = build_feedback_tx(node.key, FeedbackData(token.token_id, label))
     reason = node.chain.validate_tx(tx)
     if reason is not None and reason not in TRANSIENT_REASONS:
         world.log_event("feedback_dropped", node=node.name, label=label,
                         reason=reason, token=token.token_id.hex())
         return
+    subject = feedback_parties(token, label)[1]
     world.log_event("feedback_submitted", node=node.name, label=label,
                     subject=subject.hex(), token=token.token_id.hex())
     world.broadcast_tx(node, tx)

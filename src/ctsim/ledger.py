@@ -31,7 +31,7 @@ from .fixedpoint import ONE
 # Constants
 # ===========================================================================
 
-LEDGER_MAGIC = b"CTSIM2\n"
+LEDGER_MAGIC = b"CTSIM3\n"
 # the optional last byte of a REGISTER payload, absent unless pinned
 REGISTER_PINNED = b"\x01"
 
@@ -224,19 +224,26 @@ class TokenData(NamedTuple):
 
 
 class FeedbackData(NamedTuple):
-    """Payload of a FEEDBACK transaction.
+    """Payload of a FEEDBACK transaction: the token rated, and the label.
 
     Labels 0-4 rate user credibility (submitted by the serving foreign
-    provider); labels 5-9 rate provider satisfaction (submitted by the home
-    provider on the user's behalf). rater/subject/user are carried
-    explicitly and cross-checked against the referenced token.
+    provider, the token's audience); labels 5-9 rate provider satisfaction
+    (submitted by the home provider, its issuer, on the user's behalf).
+    The rater is the sender; the subject and the user are read from the
+    token (feedback_parties), so the payload carries neither.
     """
 
-    rater: bytes
-    subject: bytes
-    user: bytes
-    label: int
     token_id: bytes
+    label: int
+
+
+def feedback_parties(token: AccessToken, label: int) -> tuple[bytes, bytes]:
+    """(rater, subject) of a label about token: its audience rates its
+    issuer on the credibility scale, and its issuer rates its audience on
+    the satisfaction scale."""
+    if label <= 4:
+        return token.audience, token.issuer
+    return token.issuer, token.audience
 
 
 class RegisterData(NamedTuple):
@@ -312,20 +319,16 @@ def parse_token_data(payload: bytes) -> TokenData:
 
 
 def ser_feedback(fb: FeedbackData) -> bytes:
-    return b"".join([fb.rater, fb.subject, fb.user, _u8(fb.label),
-                     fb.token_id])
+    return fb.token_id + _u8(fb.label)
 
 
 def parse_feedback(payload: bytes) -> FeedbackData:
     r = _Reader(payload)
-    rater = r.take(ADDRESS_LEN)
-    subject = r.take(ADDRESS_LEN)
-    user = r.take(ADDRESS_LEN)
-    label = r.u8()
     token_id = r.take(DIGEST_LEN)
+    label = r.u8()
     if not r.done():
         raise LedgerError("BAD_ENCODING", "trailing feedback bytes")
-    return FeedbackData(rater, subject, user, label, token_id)
+    return FeedbackData(token_id, label)
 
 
 def ser_register(reg: RegisterData) -> bytes:
@@ -358,8 +361,6 @@ def build_token_tx(issuer: KeyPair, user_info: bytes, audience_pub: bytes,
 
 
 def build_feedback_tx(rater: KeyPair, fb: FeedbackData) -> Transaction:
-    if fb.rater != rater.address:
-        raise LedgerError("RATER_MISMATCH", "feedback rater is not the signing key")
     return make_transaction(TxKind.FEEDBACK, ser_feedback(fb), rater)
 
 
@@ -702,24 +703,14 @@ class Chain:
                            fb: FeedbackData) -> str | None:
         if sender not in self.registered:
             return "UNKNOWN_RATER"
-        if fb.rater != sender:
-            return "RATER_MISMATCH"
         if fb.label > 9:
             return "LABEL_RANGE"
         token = self.lookup_token(fb.token_id)
         if token is None:
             return "UNKNOWN_TOKEN"
-        if fb.user != token.pseudonym:
+        if sender != feedback_parties(token, fb.label)[0]:
             return "NOT_PARTICIPANT"
-        if fb.label <= 4:
-            # credibility scale: the serving foreign provider rates the user
-            if fb.rater != token.audience or fb.subject != token.issuer:
-                return "NOT_PARTICIPANT"
-        else:
-            # satisfaction scale: the home provider relays the user's rating
-            if fb.rater != token.issuer or fb.subject != token.audience:
-                return "NOT_PARTICIPANT"
-        if (fb.token_id, fb.rater) in self.feedback_seen:
+        if (fb.token_id, sender) in self.feedback_seen:
             return "DUPLICATE_FEEDBACK"
         return None
 
@@ -772,7 +763,7 @@ class Chain:
             put(self.token_index, token.token_id, token)
             put(self.nonce_index, (token.issuer, token.nonce), None)
         elif tx.kind == TxKind.FEEDBACK:
-            put(self.feedback_seen, (tx.data.token_id, tx.data.rater), None)
+            put(self.feedback_seen, (tx.data.token_id, tx.sender), None)
         else:
             put(self.registered, tx.sender, tx.data)
 

@@ -29,7 +29,7 @@ class Replica:
     def __init__(self, genesis: Block):
         self.chain = Chain(genesis)
         self.trust = trust.TrustState(self.chain.journal)
-        trust.fold_block(self.trust, genesis)
+        trust.fold_block(self.trust, self.chain, genesis)
 
     def trust_for(self, address: bytes) -> int:
         return consensus.consensus_trust(self.chain, self.trust, address)
@@ -42,7 +42,7 @@ class Replica:
         if reason:
             raise LedgerError(reason, height=blk.height)
         self.chain.apply_block(blk, gen_trust)
-        trust.fold_block(self.trust, blk)
+        trust.fold_block(self.trust, self.chain, blk)
 
     def pop(self) -> Block:
         """Undo the latest apply(): chain indices and trust fold, exactly.

@@ -26,7 +26,7 @@ from enum import IntEnum
 
 from . import ledger
 from .fixedpoint import ONE, fp_mul
-from .ledger import FeedbackData, TxKind
+from .ledger import TxKind, feedback_parties
 
 # ===========================================================================
 # Feedback labels and buckets
@@ -184,11 +184,12 @@ class TrustState:
 
     # -- the fold ----------------------------------------------------------
 
-    def apply_feedback(self, fb: FeedbackData) -> None:
+    def apply_feedback(self, rater: bytes, subject: bytes, user: bytes,
+                       label: int) -> None:
         """Fold one on-chain feedback record; order is cred, auth, sat."""
-        value = bucketize(fb.label)
-        if is_cred_label(fb.label):
-            foreign, home, user = fb.rater, fb.subject, fb.user
+        value = bucketize(label)
+        if is_cred_label(label):
+            foreign, home = rater, subject
             trust_f = self.trust_of(foreign)
             prev = self.cred.get((foreign, user), INITIAL_CRED)
             self.put(self.cred, self.cred_sum, (foreign, user),
@@ -197,17 +198,28 @@ class TrustState:
             self.put(self.auth, self.auth_sum, (foreign, home),
                      auth_update(prev_a, auth_curr_from_feedback(value)))
         else:
-            home, foreign, user = fb.rater, fb.subject, fb.user
+            home, foreign = rater, subject
             cred_u = self.cred_user(user)
             prev = self.sat.get((home, foreign), INITIAL_SAT)
             self.put(self.sat, self.sat_sum, (home, foreign),
                      sat_update(prev, cred_u, value))
 
 
-def fold_block(state: TrustState, blk: ledger.Block) -> None:
-    """Apply one block's registrations and feedback in transaction order."""
+def fold_block(state: TrustState, chain: ledger.Chain,
+               blk: ledger.Block) -> None:
+    """Apply one block's registrations and feedback in transaction order.
+
+    A FEEDBACK payload names only a token and a label. The rater is the
+    sender; the subject (feedback_parties) and the user, the token's
+    pseudonym, are read from chain's token index, which Chain.apply_block
+    has filled through blk before the fold runs.
+    """
     for tx in blk.txs:
         if tx.kind == TxKind.REGISTER:
             state.register(tx.sender, tx.data.weight_sat, tx.data.weight_auth)
         elif tx.kind == TxKind.FEEDBACK:
-            state.apply_feedback(tx.data)
+            fb = tx.data
+            token = chain.token_index[fb.token_id]
+            subject = feedback_parties(token, fb.label)[1]
+            state.apply_feedback(tx.sender, subject, token.pseudonym,
+                                 fb.label)

@@ -18,9 +18,7 @@ from ctsim.consensus import (
 )
 from ctsim.crypto import DetRng, generate_keypair
 from ctsim.fixedpoint import ONE, fp_from, to_float
-from ctsim.ledger import (
-    ConsensusParams, FeedbackData, Journal, TxKind, read_ledger,
-)
+from ctsim.ledger import ConsensusParams, Journal, TxKind, read_ledger
 from ctsim.replica import replay_blocks
 from ctsim.trust import (
     TrustState, auth_update, bucketize, cred_update, overall_trust,
@@ -66,16 +64,13 @@ def test_c02_feedback_closure():
     for c in csps:
         st.register(c, fp("0.5"), fp("0.5"))
     cred_feedbacks = 0
-    for i in range(100_000):
+    for _ in range(100_000):
         a, b = rng.randbelow(6), rng.randbelow(6)
         if a == b:
             b = (b + 1) % 6
         label = rng.randbelow(10)
         cred_feedbacks += label <= 4
-        st.apply_feedback(FeedbackData(
-            rater=csps[a], subject=csps[b],
-            user=users[rng.randbelow(8)], label=label,
-            token_id=i.to_bytes(32, "big")))
+        st.apply_feedback(csps[a], csps[b], users[rng.randbelow(8)], label)
     # the fold's work, exactly: one write per registration, then a pair
     # and its subject's running sum for each pair a feedback touches
     # (cred and auth for a cred label, sat for a sat label)

@@ -85,9 +85,7 @@ def test_tx_wire_round_trip_all_kinds():
     chainless = [
         _reg(HOME),
         make_token_tx(),
-        build_feedback_tx(FOREIGN, FeedbackData(
-            FOREIGN.address, HOME.address, USER.address, 3,
-            make_token().token_id)),
+        build_feedback_tx(FOREIGN, FeedbackData(make_token().token_id, 3)),
     ]
     for tx in chainless:
         again = tx_from_wire(tx_to_wire(tx))
@@ -212,14 +210,20 @@ def test_token_payload_is_parsed_strictly():
 
 
 def test_feedback_payload_is_parsed_strictly():
-    fb = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
-                      make_token().token_id)
+    fb = FeedbackData(make_token().token_id, 3)
+    assert ser_feedback(fb) == fb.token_id + b"\x03"     # 33 bytes
     assert parse_feedback(ser_feedback(fb)) == fb
     extra = make_transaction(TxKind.FEEDBACK, ser_feedback(fb) + b"\x00",
-                             FOREIGN)
+                             FOREIGN)                      # 34 bytes
     assert _payload_fault(extra) == "trailing feedback bytes"
     short = make_transaction(TxKind.FEEDBACK, ser_feedback(fb)[:-1], FOREIGN)
-    assert _payload_fault(short) == "truncated field"
+    assert _payload_fault(short) == "truncated field"       # 32 bytes
+    # the 93-byte payload of the previous format: rater, subject, user,
+    # label and token id
+    previous = make_transaction(TxKind.FEEDBACK, b"".join([
+        FOREIGN.address, HOME.address, USER.address, b"\x03", fb.token_id]),
+        FOREIGN)
+    assert _payload_fault(previous) == "trailing feedback bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -397,40 +401,39 @@ def test_feedback_validation_reasons():
     chain = fresh_chain()
     token_tx = make_token_tx()
     token = token_tx.data.token
-    chain.apply_block(bare_block(chain, [token_tx]))
+    # OUTSIDER registers: a provider that is neither the token's issuer
+    # (HOME) nor its audience (FOREIGN)
+    chain.apply_block(bare_block(chain, [_reg(OUTSIDER), token_tx]))
 
-    def fb_tx(key, fb):
-        return make_transaction(TxKind.FEEDBACK, ser_feedback(fb), key)
+    def fb_tx(key, label, token_id=token.token_id):
+        return make_transaction(TxKind.FEEDBACK,
+                                ser_feedback(FeedbackData(token_id, label)),
+                                key)
 
-    cred = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
-                        token.token_id)
-    assert chain.validate_tx(fb_tx(FOREIGN, cred)) is None
+    assert chain.validate_tx(fb_tx(FOREIGN, 3)) is None
+    assert chain.validate_tx(fb_tx(HOME, 7)) is None
 
-    assert chain.validate_tx(fb_tx(OUTSIDER, cred._replace(
-        rater=OUTSIDER.address))) == "UNKNOWN_RATER"
-    assert chain.validate_tx(fb_tx(HOME, cred)) == "RATER_MISMATCH"
-    assert chain.validate_tx(fb_tx(FOREIGN, cred._replace(
-        label=10))) == "LABEL_RANGE"
-    assert chain.validate_tx(fb_tx(FOREIGN, cred._replace(
-        token_id=b"\x0a" * 32))) == "UNKNOWN_TOKEN"
-    assert chain.validate_tx(fb_tx(FOREIGN, cred._replace(
-        user=OUTSIDER.address))) == "NOT_PARTICIPANT"
-    # credibility ratings come from the serving side only
-    assert chain.validate_tx(fb_tx(HOME, cred._replace(
-        rater=HOME.address, subject=FOREIGN.address))) == "NOT_PARTICIPANT"
-    # satisfaction relays come from the home side only
-    sat = FeedbackData(FOREIGN.address, HOME.address, USER.address, 7,
-                       token.token_id)
-    assert chain.validate_tx(fb_tx(FOREIGN, sat)) == "NOT_PARTICIPANT"
-    sat_ok = FeedbackData(HOME.address, FOREIGN.address, USER.address, 7,
-                          token.token_id)
-    assert chain.validate_tx(fb_tx(HOME, sat_ok)) is None
+    assert chain.validate_tx(fb_tx(USER, 3)) == "UNKNOWN_RATER"
+    assert chain.validate_tx(fb_tx(FOREIGN, 10)) == "LABEL_RANGE"
+    assert chain.validate_tx(fb_tx(FOREIGN, 3, b"\x0a" * 32)) \
+        == "UNKNOWN_TOKEN"
+    # credibility ratings come from the serving side (the audience) only
+    assert chain.validate_tx(fb_tx(HOME, 3)) == "NOT_PARTICIPANT"
+    # satisfaction relays come from the home side (the issuer) only
+    assert chain.validate_tx(fb_tx(FOREIGN, 7)) == "NOT_PARTICIPANT"
+    # a registered provider the token does not name rates on neither scale
+    assert chain.validate_tx(fb_tx(OUTSIDER, 3)) == "NOT_PARTICIPANT"
+    assert chain.validate_tx(fb_tx(OUTSIDER, 7)) == "NOT_PARTICIPANT"
 
-    chain.apply_block(bare_block(chain, [fb_tx(FOREIGN, cred)]))
+    chain.apply_block(bare_block(chain, [fb_tx(FOREIGN, 3)]))
     # with no sender history in a tx, the same rating is the same bytes
-    assert chain.validate_tx(fb_tx(FOREIGN, cred)) == "DUPLICATE_TX"
-    again = fb_tx(FOREIGN, cred._replace(label=4))
-    assert chain.validate_tx(again) == "DUPLICATE_FEEDBACK"
+    assert chain.validate_tx(fb_tx(FOREIGN, 3)) == "DUPLICATE_TX"
+    # one rating per (token, sender): the audience has rated this token,
+    # and the issuer may still rate it
+    assert chain.validate_tx(fb_tx(FOREIGN, 4)) == "DUPLICATE_FEEDBACK"
+    assert chain.validate_tx(fb_tx(HOME, 7)) is None
+    chain.apply_block(bare_block(chain, [fb_tx(HOME, 7)]))
+    assert chain.validate_tx(fb_tx(HOME, 8)) == "DUPLICATE_FEEDBACK"
 
     as_token = make_transaction(TxKind.FEEDBACK, token_tx.payload, FOREIGN)
     assert chain.validate_tx(as_token) == "BAD_ENCODING"
@@ -440,9 +443,6 @@ def test_builder_input_checks():
     with pytest.raises(LedgerError):
         build_token_tx(OUTSIDER, b"p", FOREIGN.pub_bytes, make_token(),
                        DetRng(81))
-    with pytest.raises(LedgerError):
-        build_feedback_tx(FOREIGN, FeedbackData(
-            HOME.address, FOREIGN.address, USER.address, 1, b"\x00" * 32))
 
 
 def _fb_tx(key, fb):
@@ -452,8 +452,7 @@ def _fb_tx(key, fb):
 def _touch_every_index():
     """Txs that each add to a different chain index, in a valid order: a
     registration, a token, and feedback on that token."""
-    cred = FeedbackData(FOREIGN.address, HOME.address, USER.address, 3,
-                        make_token().token_id)
+    cred = FeedbackData(make_token().token_id, 3)
     return [_reg(OUTSIDER), make_token_tx(), _fb_tx(FOREIGN, cred)]
 
 
@@ -503,7 +502,7 @@ def test_each_tx_is_hashed_and_parsed_once(monkeypatch):
         chain.apply_block(blk)
     chains[0].pop_block()
     chains[0].apply_block(blk)
-    fold_block(TrustState(ledger.Journal()), blk)
+    fold_block(TrustState(ledger.Journal()), chains[0], blk)
     assert calls == {"canonical_serialize": 3, "parse_token_data": 1,
                      "parse_feedback": 1, "parse_register": 1}
     assert [tx.txid_ok for tx in txs] == [True] * 3

@@ -311,19 +311,19 @@ def test_seed_override_changes_the_run(scenario_file, run_dir, tmp_path):
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "demo": {
-        "ledger.bin": "f27fa67789156ee52825a129b91b643941c60e1a9f20bf00cb37b2a692ebca9d",
-        "events.jsonl": "d59f9619ac2fad70159fa03b4de6a7acc0baca10680db7989a0ddb71142e2ff4",
-        "report.json": "189e05bb9398ce269ecdfbdf9abffee9d93bb1f918a0da0886d50655e607bac1",
+        "ledger.bin": "72adfcf5e708c1caebf73cade139e4f2b2d6e6d9a7e7b5271d9ac59f48103ae4",
+        "events.jsonl": "e8b2a297fe837aaa19a08f9785a61a7d908e72d943f07e0b186074699570b68d",
+        "report.json": "f3cbd442527359c030d74395c1c963e6b87a879fe3cd86502e23f875a833a3c3",
     },
     "partition": {
-        "ledger.bin": "7fae73b30bc2c6da9bccd6bca167478e4d7a297975a6eec12ebc8cf139b0735e",
-        "events.jsonl": "cce514e04196ac11c24adf639dfb99fe56b00c578548382b531900f91946a989",
-        "report.json": "7403e7727cb79f7e23151971b32406d61cbce9a76d3b935b39a2658c6025714c",
+        "ledger.bin": "3e5ec4f8ce3ddb801b320fde99168ed072ef779ddf8461d1925ddd1ac58407ad",
+        "events.jsonl": "21b4d45918fb6df95c17f994cf25acab0baa9519ef547c6910b4ce61289f45b4",
+        "report.json": "887bbb8d747a0bd4c3d59ba0d2d6f69b04332e92b86077d52d02961e242b0b7a",
     },
     "adversaries": {
-        "ledger.bin": "04a29afa9c7088636068028dde6e0d5c925be3804abb69d25e2712f0e6c69f73",
-        "events.jsonl": "6a14b9fed676fda06858f42f33100e0e689158cd8bf439fdb1b11a29772e1bcb",
-        "report.json": "15b4eb7ea5518559b7dac2468cf41b82d393da1e449229fa5811ab6a9d731ef2",
+        "ledger.bin": "d0059c3c3707bf0e48fde248bd8b122199bd38d7a75a266b00c6afd31687d956",
+        "events.jsonl": "7ed8c0cb879930531d572f26f860af1a36b4963941f9ec41eed5d3ff8fa65d57",
+        "report.json": "6a67293b55d0f1da2c0cdd2dc4ef982dadfd176799a77137d009a3a3863305bd",
     },
 }
 
@@ -837,15 +837,17 @@ def test_verify_catches_truncation(run_dir, tmp_path):
 
 
 def test_verify_refuses_the_previous_ledger_format(run_dir, tmp_path):
-    # CTSIM1 transactions carried inputs, outputs and prev_tx; one format
-    # parses, so the magic alone refuses such a file
+    # CTSIM1 transactions carried inputs, outputs and prev_tx, and CTSIM2
+    # feedback its rater, subject and user; one format parses, so the
+    # magic alone refuses such a file
     raw = (run_dir / "ledger.bin").read_bytes()
-    assert raw.startswith(b"CTSIM2\n")
+    assert raw.startswith(b"CTSIM3\n")
     old = tmp_path / "old.bin"
-    old.write_bytes(b"CTSIM1\n" + raw[7:])
-    code, out, _ = run_cli("verify", str(old))
-    assert (code, out) == (1, "FAIL malformed ledger: BAD_ENCODING "
-                              "(bad magic)\n")
+    for magic in (b"CTSIM1\n", b"CTSIM2\n"):
+        old.write_bytes(magic + raw[7:])
+        code, out, _ = run_cli("verify", str(old))
+        assert (code, out) == (1, "FAIL malformed ledger: BAD_ENCODING "
+                                  "(bad magic)\n"), magic
 
 
 def test_trust_report_on_a_missing_ledger_exits_2(tmp_path):

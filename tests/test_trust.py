@@ -184,8 +184,7 @@ def test_trust_of_uses_global_weights():
     # rewriting a pair moves its subject's sum, not its count
     st.put(st.auth, st.auth_sum, (_addr("f"), csp), fp("0.4"))
     assert st.auth_score(csp) == fp("0.4")
-    st.apply_feedback(FeedbackData(_addr("x"), _addr("y"), _addr("u"), 9,
-                                   b"\x01" * 32))  # unrelated feedback
+    st.apply_feedback(_addr("x"), _addr("y"), _addr("u"), 9)  # unrelated
     assert st.trust_of(csp) == overall_trust(
         st.sat_score(csp), st.auth_score(csp), fp("0.25"), fp("0.75"))
 
@@ -206,8 +205,9 @@ def test_has_history():
 # The fold
 # ---------------------------------------------------------------------------
 
-def _fb(rater, subject, user, label, token_id=b"\x07" * 32):
-    return FeedbackData(rater, subject, user, int(label), token_id)
+def _fb(rater, subject, user, label):
+    """apply_feedback's inputs, as fold_block derives them from a tx."""
+    return rater, subject, user, int(label)
 
 
 def test_cred_feedback_updates_cred_and_auth_together():
@@ -215,7 +215,7 @@ def test_cred_feedback_updates_cred_and_auth_together():
     home, foreign, user = _addr("H"), _addr("F"), _addr("u")
     st.register(home, fp("0.5"), fp("0.5"))
     st.register(foreign, fp("0.5"), fp("0.5"))
-    st.apply_feedback(_fb(foreign, home, user, CredLabel.GOOD))
+    st.apply_feedback(*_fb(foreign, home, user, CredLabel.GOOD))
     # trust of the rating provider starts at 0 (no history), so the
     # user's credibility halves; the home side absorbs the bucket value
     assert st.cred[(foreign, user)] == cred_update(ONE, 0, fp("0.7"))
@@ -227,7 +227,7 @@ def test_sat_feedback_weighted_by_user_credibility():
     home, foreign, user = _addr("H"), _addr("F"), _addr("u")
     st.register(home, fp("0.5"), fp("0.5"))
     st.register(foreign, fp("0.5"), fp("0.5"))
-    st.apply_feedback(_fb(home, foreign, user, SatLabel.FULLY_SATISFIED))
+    st.apply_feedback(*_fb(home, foreign, user, SatLabel.FULLY_SATISFIED))
     # nobody rated the user yet, so credibility sits at the initial 1.0
     # and the rating lands in full
     assert st.sat[(home, foreign)] == fp("0.9")
@@ -241,7 +241,7 @@ def test_fold_order_cred_before_sat_matters():
         st.register(home, fp("0.5"), fp("0.5"))
         st.register(foreign, fp("0.5"), fp("0.5"))
         for fb in order:
-            st.apply_feedback(fb)
+            st.apply_feedback(*fb)
         return st
 
     cred_fb = _fb(foreign, home, user, CredLabel.VERY_BAD)
@@ -262,7 +262,7 @@ def test_undo_and_fingerprint_equality():
     def build(journal):
         st = TrustState(journal)
         st.register(_addr("a"), fp("0.6"), fp("0.4"))
-        st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
+        st.apply_feedback(*_fb(_addr("F"), _addr("H"), _addr("u"),
                               CredLabel.BAD))
         return st
 
@@ -272,10 +272,10 @@ def test_undo_and_fingerprint_equality():
     trust_before = st.trust_of(_addr("H"))
     mark = journal.mark()
     # rewrites existing keys and adds new ones in every table
-    st.apply_feedback(_fb(_addr("F"), _addr("H"), _addr("u"),
+    st.apply_feedback(*_fb(_addr("F"), _addr("H"), _addr("u"),
                           CredLabel.EXCELLENT))
-    st.apply_feedback(_fb(_addr("G"), _addr("H"), _addr("v"), CredLabel.GOOD))
-    st.apply_feedback(_fb(_addr("H"), _addr("F"), _addr("u"),
+    st.apply_feedback(*_fb(_addr("G"), _addr("H"), _addr("v"), CredLabel.GOOD))
+    st.apply_feedback(*_fb(_addr("H"), _addr("F"), _addr("u"),
                           SatLabel.SATISFIED))
     st.register(_addr("b"), fp("0.5"), fp("0.5"))
     assert trust_fingerprint(st) != trust_fingerprint(ref)
@@ -332,7 +332,7 @@ def test_running_means_equal_a_scan_under_register_feedback_and_undo(ops):
             st.register(_CSPS[op[1]], op[2], ONE - op[2])
         elif op[0] == "feedback":
             _, rater, subject, user, label = op
-            st.apply_feedback(_fb(_CSPS[rater], _CSPS[subject], _USERS[user],
+            st.apply_feedback(*_fb(_CSPS[rater], _CSPS[subject], _USERS[user],
                                   label))
         elif op[0] == "mark":
             marks.append((journal.mark(), _tables(st)))
@@ -378,23 +378,21 @@ def test_replay_matches_incremental_fold():
                         resource_address("vm"), (b"access",), 300, 3300, 1)
     token_tx = build_token_tx(home, b"profile", foreign.pub_bytes, token,
                               DetRng(72))
-    fb1 = build_feedback_tx(foreign, FeedbackData(
-        foreign.address, home.address, user.address,
-        int(CredLabel.GOOD), token.token_id))
-    fb2 = build_feedback_tx(home, FeedbackData(
-        home.address, foreign.address, user.address,
-        int(SatLabel.SATISFIED), token.token_id))
+    fb1 = build_feedback_tx(foreign, FeedbackData(token.token_id,
+                                                  int(CredLabel.GOOD)))
+    fb2 = build_feedback_tx(home, FeedbackData(token.token_id,
+                                               int(SatLabel.SATISFIED)))
 
     incremental = _state()
-    fold_block(incremental, genesis)
+    fold_block(incremental, chain, genesis)
     for txs in ([token_tx], [fb1, fb2]):
         blk = _bare_block(chain, txs)
         chain.apply_block(blk)
-        fold_block(incremental, blk)
+        fold_block(incremental, chain, blk)
 
     replayed = _state()
     for blk in chain.blocks:
-        fold_block(replayed, blk)
+        fold_block(replayed, chain, blk)
     assert trust_fingerprint(replayed) == trust_fingerprint(incremental)
     # the rating provider had no history, so its trust was 0 at fold time
     assert incremental.cred[(foreign.address, user.address)] \
